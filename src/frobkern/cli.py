@@ -58,6 +58,21 @@ def _parse_J(text: str) -> tuple[str, ...]:
     return tuple(sorted(set(out)))
 
 
+def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
+    """A --weight value: comma-separated integers, one per simple root."""
+    try:
+        weight = tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"--weight needs comma-separated integers, got {text!r}"
+        ) from None
+    if len(weight) != rank:
+        raise ConfigError(
+            f"--weight needs {rank} entries, one per simple root, got {len(weight)}"
+        )
+    return weight
+
+
 def _budget(config: RunConfig) -> int | None:
     if config.enumeration_budget is not None:
         return config.enumeration_budget
@@ -125,7 +140,7 @@ def payload_model_build(config: RunConfig, what: str) -> dict:
 def payload_model_hilbert(config: RunConfig, degree: int, weight: str | None) -> dict:
     ctx = _model_ctx(config)
     sbar = grmodel.build_Sbar(ctx)
-    w = tuple(int(t) for t in weight.split(",")) if weight else None
+    w = _parse_weight(weight, config.rank) if weight else None
     dims = {
         str(d): sbar.graded_dimension(d, weight=w, degree_bound=config.degree_bound)
         for d in range(degree + 1)
@@ -293,7 +308,7 @@ def payload_specseq(config: RunConfig, action: str, ns) -> dict:
         roots = tuple(
             root for v in ctx.levels() for root in ctx.roots_of_level(v)
         )
-        weight = tuple(int(t) for t in ns.weight.split(","))
+        weight = _parse_weight(ns.weight, config.rank)
         monomials = specseq.aj_E1_enumerate(
             roots, config.r, config.p, ns.degree, weight
         )

@@ -14,8 +14,11 @@ numpy evaluation path is a plain table gather.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
 
@@ -184,11 +187,12 @@ class PolyRing:
 class Poly:
     """Immutable element of a PolyRing in canonical form."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = {e: c % ring.p for e, c in terms.items() if c % ring.p}
+        self._lead = None
 
     # -- ring operations -----------------------------------------------------
 
@@ -271,10 +275,12 @@ class Poly:
 
     def leading(self):
         """(exps, coeff) of the degrevlex-leading term."""
-        if not self.terms:
-            raise DomainError("zero polynomial has no leading term")
-        e = max(self.terms, key=self.ring.order_key)
-        return e, self.terms[e]
+        if self._lead is None:
+            if not self.terms:
+                raise DomainError("zero polynomial has no leading term")
+            e = max(self.terms, key=self.ring.order_key)
+            self._lead = (e, self.terms[e])
+        return self._lead
 
     def monic(self) -> "Poly":
         _, c = self.leading()
@@ -331,6 +337,10 @@ class IdealPresentation:
     relation must be homogeneous in cohomological degree and a T-weight
     eigenvector.  Rings whose variables all sit in degree zero pass the check
     vacuously, which is how the generic Groebner examples are phrased.
+
+    The presentation keeps one Buchberger engine: ``graded_dimension`` runs it
+    only as far as the degree it asks for, and ``groebner`` runs the same
+    state to completion.
     """
 
     def __init__(self, ring: PolyRing, relations, require_homogeneous: bool = False):
@@ -345,6 +355,7 @@ class IdealPresentation:
                     raise DomainError(f"relation {r} is not degree-homogeneous")
                 if r.uniform_weight() is None:
                     raise DomainError(f"relation {r} is not a T-weight eigenvector")
+        self._engine = None
         self._gb = None
 
     def groebner(self) -> "GroebnerBasis":
@@ -354,10 +365,24 @@ class IdealPresentation:
 
 
 @dataclass(frozen=True)
+class GroebnerStats:
+    """What the Buchberger engine did; reported beside a payload, never in it."""
+
+    pairs: int = 0  # S-pairs taken from the queue
+    product_skipped: int = 0  # coprime leading monomials
+    chain_skipped: int = 0  # chain criterion
+    deferred: int = 0  # pairs still pending above the requested degree
+    reductions: int = 0  # S-polynomials reduced
+    zero_reductions: int = 0  # ... of which to zero
+    basis_size: int = 0
+
+
+@dataclass(frozen=True)
 class GroebnerBasis:
     ring: PolyRing
     order: str
     basis: tuple[Poly, ...]
+    stats: GroebnerStats = field(default_factory=GroebnerStats, compare=False)
 
 
 def _divides(e1, e2) -> bool:
@@ -368,12 +393,73 @@ def _quotient(e1, e2):
     return tuple(a - b for a, b in zip(e1, e2))
 
 
+def _lcm(e1, e2):
+    return tuple(map(max, e1, e2))
+
+
+def _support(exps):
+    """(index, exponent) pairs of the nonzero exponents, for divisibility tests."""
+    return tuple((i, k) for i, k in enumerate(exps) if k)
+
+
+def _lead_key(exps):
+    """Heap key of the degrevlex order: min(key) is the leading monomial.
+
+    Sorting by it is sorting by ``PolyRing.order_key`` reversed.
+    """
+    return (-sum(exps), exps[::-1])
+
+
 def _even_only(ring: PolyRing, polys) -> None:
     for f in polys:
         if not f.is_even():
             raise UnsupportedOperationError(
                 "Groebner machinery only covers the even subring"
             )
+
+
+def _divisor(g: Poly):
+    """(lead support, lead, inverse lead coefficient, tail terms) of g."""
+    e, c = g.leading()
+    tail = [(t, v) for t, v in g.terms.items() if t != e]
+    return _support(e), e, pow(c, -1, g.ring.p), tail
+
+
+def _reduce(work: dict, divisors, p: int) -> dict:
+    """Remainder of the term dict ``work`` (consumed) under ``divisors``.
+
+    The leading term of ``work`` is top-reduced by the first divisor whose
+    lead divides it; a term that no lead divides moves to the remainder.  A
+    heap of ``_lead_key`` values finds the leading term; entries whose
+    monomial has since cancelled are skipped.
+    """
+    heap = [(_lead_key(e), e) for e in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = work.pop(e, 0)
+        if not c:
+            continue
+        for support, le, inv, tail in divisors:
+            if all(e[i] >= k for i, k in support):
+                break
+        else:
+            remainder[e] = c
+            continue
+        q = _quotient(e, le)
+        factor = c * inv % p
+        for t, v in tail:
+            m = tuple(map(add, q, t))
+            old = work.get(m)
+            new = ((old or 0) - factor * v) % p
+            if new:
+                work[m] = new
+                if old is None:
+                    heapq.heappush(heap, (_lead_key(m), m))
+            elif old is not None:
+                del work[m]
+    return remainder
 
 
 def normal_form(f: Poly, G) -> Poly:
@@ -383,69 +469,141 @@ def normal_form(f: Poly, G) -> Poly:
     remainder is unique (and the map idempotent) once G is a reduced
     Groebner basis.
     """
-    basis = G.basis if isinstance(G, GroebnerBasis) else tuple(G)
     ring = f.ring
-    _even_only(ring, [f])
-    _even_only(ring, basis)
-    if not basis:
+    if isinstance(G, _Engine):
+        divisors = G.divisors  # the engine checked its relations once
+    else:
+        basis = G.basis if isinstance(G, GroebnerBasis) else tuple(G)
+        _even_only(ring, (f, *basis))
+        divisors = [_divisor(g) for g in basis if not g.is_zero()]
+    if not divisors:
         return f
-    lead = [(g.leading()[0], g.leading()[1], g) for g in basis if not g.is_zero()]
-    remainder = ring.zero()
-    work = f
-    while not work.is_zero():
-        e, c = work.leading()
-        hit = None
-        for le, lc, g in lead:
-            if _divides(le, e):
-                hit = (le, lc, g)
-                break
-        if hit is None:
-            t = Poly(ring, {e: c})
-            remainder = remainder + t
-            work = work - t
-        else:
-            le, lc, g = hit
-            factor = Poly(ring, {_quotient(e, le): c * pow(lc, -1, ring.p)})
-            work = work - factor * g
-    return remainder
+    return Poly(ring, _reduce(dict(f.terms), divisors, ring.p))
 
 
 def _s_poly(f: Poly, g: Poly) -> Poly:
     ring = f.ring
     ef, cf = f.leading()
     eg, cg = g.leading()
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    uf = Poly(ring, {_quotient(lcm, ef): pow(cf, -1, ring.p)})
-    ug = Poly(ring, {_quotient(lcm, eg): pow(cg, -1, ring.p)})
-    return uf * f - ug * g
+    lcm = _lcm(ef, eg)
+    terms: dict = {}
+    for h, e, scale in ((f, ef, pow(cf, -1, ring.p)), (g, eg, -pow(cg, -1, ring.p))):
+        u = _quotient(lcm, e)
+        for t, v in h.terms.items():
+            m = tuple(map(add, u, t))
+            terms[m] = terms.get(m, 0) + scale * v
+    return Poly(ring, terms)
 
 
-def buchberger(ideal) -> GroebnerBasis:
-    """Reduced Groebner basis (degrevlex) of an even-subring ideal."""
+class _Engine:
+    """Buchberger state of one even ideal: the basis so far, pending S-pairs.
+
+    Pairs leave a heap ordered by the cohomological degree of
+    lcm(lead_i, lead_j), ties broken by (i, j).  A pair is skipped by the
+    product criterion (coprime leads) or the chain criterion (some lead_k
+    divides the lcm and neither (i, k) nor (j, k) is pending).  When every
+    relation is degree-homogeneous and every even variable has positive
+    degree, an S-pair of degree D reduces to a polynomial homogeneous of
+    degree D, so pairs above a degree cannot change the leading ideal at or
+    below it: ``advance(limit)`` then stops before the first such pair and
+    leaves it pending.  Other ideals always run to completion.
+    """
+
+    def __init__(self, ring: PolyRing, relations):
+        _even_only(ring, relations)
+        self.ring = ring
+        self.basis: list[Poly] = []  # monic, in insertion order
+        self.divisors: list = []  # _divisor of each basis element
+        self.queue: list = []  # heap of (degree, i, j)
+        self.pending: set = set()  # (i, j) still in the queue
+        self.graded = all(
+            d > 0 for i, d in enumerate(ring._degrees) if i not in ring._odd
+        ) and all(r.homogeneous_degree() is not None for r in relations)
+        self.counts: Counter = Counter()  # GroebnerStats fields
+        for r in relations:
+            if not r.is_zero():
+                self._add(r.monic())
+
+    def _add(self, g: Poly) -> None:
+        n = len(self.basis)
+        e = g.leading()[0]
+        for k, (_, le, _, _) in enumerate(self.divisors):
+            degree = self.ring.monomial_degree(_lcm(le, e))
+            heapq.heappush(self.queue, (degree, k, n))
+            self.pending.add((k, n))
+        self.basis.append(g)
+        self.divisors.append(_divisor(g))
+
+    def _chain(self, i: int, j: int, lcm) -> bool:
+        pending = self.pending
+        for k, (support, _, _, _) in enumerate(self.divisors):
+            if (
+                k != i
+                and k != j
+                and all(lcm[a] >= b for a, b in support)
+                and (min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending
+            ):
+                return True
+        return False
+
+    def advance(self, limit: int | None = None) -> None:
+        """Process pairs up to degree ``limit`` (all of them when None)."""
+        if not self.graded:
+            limit = None
+        queue, counts = self.queue, self.counts
+        while queue and (limit is None or queue[0][0] <= limit):
+            _, i, j = heapq.heappop(queue)
+            self.pending.discard((i, j))
+            counts["pairs"] += 1
+            ei, ej = self.divisors[i][1], self.divisors[j][1]
+            if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
+                counts["product_skipped"] += 1
+                continue
+            if self._chain(i, j, _lcm(ei, ej)):
+                counts["chain_skipped"] += 1
+                continue
+            h = normal_form(_s_poly(self.basis[i], self.basis[j]), self)
+            counts["reductions"] += 1
+            if h.is_zero():
+                counts["zero_reductions"] += 1
+            else:
+                self._add(h.monic())
+
+    def stats(self, basis_size: int) -> GroebnerStats:
+        return GroebnerStats(
+            **self.counts, deferred=len(self.pending), basis_size=basis_size
+        )
+
+
+def buchberger(ideal, degree: int | None = None) -> GroebnerBasis:
+    """Groebner basis (degrevlex) of an even-subring ideal.
+
+    Without ``degree`` the basis is complete, minimal and reduced.  With
+    ``degree`` the engine stops once every pending pair lies above that
+    cohomological degree (graded ideals only, see ``_Engine``), and the
+    basis holds the elements whose leading monomial has degree <= ``degree``:
+    their leads generate the leading ideal in those degrees, but the basis
+    is neither minimal nor reduced.  An ``IdealPresentation`` keeps the
+    engine between calls.
+    """
     if isinstance(ideal, IdealPresentation):
-        ring, relations = ideal.ring, ideal.relations
+        if ideal._engine is None:
+            ideal._engine = _Engine(ideal.ring, ideal.relations)
+        engine = ideal._engine
     else:
         relations = tuple(ideal)
         if not relations:
             raise DomainError("cannot infer ring from an empty relation list")
-        ring = relations[0].ring
-    _even_only(ring, relations)
-    G = [r.monic() for r in relations if not r.is_zero()]
-    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
-    while pairs:
-        i, j = pairs.pop(0)
-        ei, _ = G[i].leading()
-        ej, _ = G[j].leading()
-        # product criterion: coprime leading monomials reduce to zero
-        if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
-            continue
-        h = normal_form(_s_poly(G[i], G[j]), G)
-        if not h.is_zero():
-            G.append(h.monic())
-            pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
+        engine = _Engine(relations[0].ring, relations)
+    engine.advance(degree)
+    ring, G = engine.ring, engine.basis
+    if degree is not None:
+        below = tuple(g for g in G if ring.monomial_degree(g.leading()[0]) <= degree)
+        return GroebnerBasis(ring, "degrevlex", below, engine.stats(len(below)))
     # minimalise: drop elements whose lead is divisible by another lead
     minimal: list[Poly] = []
-    for g in sorted(G, key=lambda g: g.ring.order_key(g.leading()[0])):
+    for g in sorted(G, key=lambda g: ring.order_key(g.leading()[0])):
         eg = g.leading()[0]
         if not any(_divides(h.leading()[0], eg) for h in minimal):
             minimal.append(g)
@@ -455,23 +613,31 @@ def buchberger(ideal) -> GroebnerBasis:
         others = minimal[:k] + minimal[k + 1 :]
         reduced.append(normal_form(g, others).monic() if others else g)
     reduced.sort(key=lambda g: ring.order_key(g.leading()[0]))
-    return GroebnerBasis(ring=ring, order="degrevlex", basis=tuple(reduced))
+    return GroebnerBasis(ring, "degrevlex", tuple(reduced), engine.stats(len(reduced)))
 
 
 # -- graded dimension --------------------------------------------------------
 
 
-def _even_monomials_of_degree(ring: PolyRing, degree: int):
-    """Yield exponent tuples over the even variables with given coh degree."""
+def _standard_monomials(ring: PolyRing, degree: int, leads):
+    """Even monomials of cohomological degree ``degree`` that no lead divides.
+
+    ``leads`` holds ``_support`` tuples.  Variables get their exponents in
+    order, and a lead is tested once its last variable has one: a branch it
+    divides is cut there, since every completion stays divisible.
+    """
     even = [i for i in range(ring.nvars) if i not in ring._odd]
     if any(ring._degrees[i] <= 0 for i in even):
         raise DomainError("dimension counting needs positive variable degrees")
+    if any(not s for s in leads):  # the unit ideal
+        return
+    closing: dict[int, list] = {i: [] for i in even}
+    for s in leads:
+        closing[s[-1][0]].append(s)
+    e = [0] * ring.nvars
 
-    def rec(pos, remaining, acc):
+    def rec(pos, remaining):
         if remaining == 0:
-            e = [0] * ring.nvars
-            for i, k in acc:
-                e[i] = k
             yield tuple(e)
             return
         if pos == len(even):
@@ -479,9 +645,13 @@ def _even_monomials_of_degree(ring: PolyRing, degree: int):
         i = even[pos]
         d = ring._degrees[i]
         for k in range(remaining // d + 1):
-            yield from rec(pos + 1, remaining - k * d, acc + [(i, k)] if k else acc)
+            e[i] = k
+            if k and any(all(e[a] >= b for a, b in s) for s in closing[i]):
+                break
+            yield from rec(pos + 1, remaining - k * d)
+        e[i] = 0
 
-    yield from rec(0, degree, [])
+    yield from rec(0, degree)
 
 
 def graded_dimension(
@@ -493,7 +663,8 @@ def graded_dimension(
     """F_p-dimension of the (degree[, weight]) component of ambient/ideal.
 
     Exhaustive: standard even monomials (those not divisible by a Groebner
-    leading term) convolved with the exterior wedges.
+    leading term) convolved with the exterior wedges; each even degree is
+    enumerated once.  The Groebner basis is only computed through ``degree``.
     """
     ring = presentation.ring
     bound = degree_bound if degree_bound is not None else 2 * ring.p * ring.p + 2
@@ -504,8 +675,8 @@ def graded_dimension(
         )
     if degree < 0:
         return 0
-    gb = presentation.groebner()
-    leads = [g.leading()[0] for g in gb.basis]
+    gb = buchberger(presentation, degree)
+    leads = [_support(g.leading()[0]) for g in gb.basis]
     odd = list(ring._odd)
     if weight is not None:
         weight = tuple(weight)
@@ -519,19 +690,21 @@ def graded_dimension(
             if d <= degree:
                 wedges.append((d, subset))
 
+    # standard monomials of each even degree, tallied by T-weight (or None)
+    weigh = ring.monomial_weight if weight is not None else lambda e: None
+    tallies: dict[int, Counter] = {}
     count = 0
     for wedge_deg, subset in wedges:
         target = degree - wedge_deg
-        for e in _even_monomials_of_degree(ring, target):
-            if any(_divides(le, e) for le in leads):
-                continue
-            if weight is not None:
-                full = list(e)
-                for i in subset:
-                    full[i] = 1
-                if ring.monomial_weight(tuple(full)) != weight:
-                    continue
-            count += 1
+        if target not in tallies:
+            tallies[target] = Counter(
+                map(weigh, _standard_monomials(ring, target, leads))
+            )
+        if weight is None:
+            count += tallies[target][None]
+        else:
+            wedge = ring.monomial_weight([int(i in subset) for i in range(ring.nvars)])
+            count += tallies[target][tuple(a - b for a, b in zip(weight, wedge))]
     return count
 
 

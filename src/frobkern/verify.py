@@ -10,6 +10,7 @@ honest outcome instead of being adjusted to pass.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -329,40 +330,53 @@ def criterion_9_stabilisation(seed: int = 0) -> CriterionResult:
     return _timed("9", "stabilisation collapse and bracket multiplicativity", run)
 
 
+@functools.cache
+def _pairing_scan() -> tuple[int, tuple]:
+    """Contexts scanned and (rank, J, p, report) of every failing one.
+
+    The scan covers A_n (n <= 6), every J and p in {3, 5}; criteria 10a and
+    10b read the same scan.  Its first caller pays for it: in verify-all
+    that is 10a, which times it.
+    """
+    contexts = 0
+    failures = []
+    for n in range(1, 7):
+        labels = [f"a{i}" for i in range(1, n + 1)]
+        for size in range(n + 1):
+            for J in itertools.combinations(labels, size):
+                ctx = rootsys.context("A", n, frozenset(J))
+                for p in (3, 5):
+                    report = rootsys.check_pairing_hypothesis(ctx, p)
+                    contexts += 1
+                    if not report.ok:
+                        failures.append((n, J, p, report))
+    return contexts, tuple(failures)
+
+
 def criterion_10a_pairing_scan() -> CriterionResult:
     """The full scan over A_n (n <= 6), all J, p in {3,5} finishes quickly."""
 
     def run():
         start = time.perf_counter()
-        contexts = 0
-        failures = []
-        for n in range(1, 7):
-            labels = [f"a{i}" for i in range(1, n + 1)]
-            for size in range(n + 1):
-                for J in itertools.combinations(labels, size):
-                    ctx = rootsys.context("A", n, frozenset(J))
-                    for p in (3, 5):
-                        report = rootsys.check_pairing_hypothesis(ctx, p)
-                        contexts += 1
-                        if not report.ok:
-                            failures.append(
-                                {
-                                    "rank": n,
-                                    "J": sorted(J),
-                                    "p": p,
-                                    "roots": [
-                                        {"root": r.label(), "pairs": c}
-                                        for r, c, ok in report.per_root
-                                        if not ok
-                                    ],
-                                }
-                            )
+        contexts, failures = _pairing_scan()
         elapsed = time.perf_counter() - start
         return elapsed < 60.0, {
             "contexts_scanned": contexts,
             "violations": len(failures),
             "seconds": round(elapsed, 3),
-            "witnesses": failures[:5],
+            "witnesses": [
+                {
+                    "rank": n,
+                    "J": list(J),
+                    "p": p,
+                    "roots": [
+                        {"root": r.label(), "pairs": c}
+                        for r, c, ok in report.per_root
+                        if not ok
+                    ],
+                }
+                for n, J, p, report in failures[:5]
+            ],
         }
 
     return _timed("10a", "pairing-hypothesis scan completes in time", run)
@@ -378,21 +392,12 @@ def criterion_10b_pairing_all_true() -> CriterionResult:
     """
 
     def run():
-        failures = []
-        for n in range(1, 7):
-            labels = [f"a{i}" for i in range(1, n + 1)]
-            for size in range(n + 1):
-                for J in itertools.combinations(labels, size):
-                    ctx = rootsys.context("A", n, frozenset(J))
-                    for p in (3, 5):
-                        report = rootsys.check_pairing_hypothesis(ctx, p)
-                        if not report.ok:
-                            failures.append(
-                                {"rank": n, "J": sorted(J), "p": p}
-                            )
+        _, failures = _pairing_scan()
         return not failures, {
             "violating_contexts": len(failures),
-            "first_witnesses": failures[:4],
+            "first_witnesses": [
+                {"rank": n, "J": list(J), "p": p} for n, J, p, _ in failures[:4]
+            ],
         }
 
     return _timed("10b", "pairing hypothesis for all J (known discrepancy)", run)

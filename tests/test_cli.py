@@ -175,6 +175,23 @@ class TestExitCodes:
         assert code == 2
         assert doc["error"]["code"] == "config"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["model", "hilbert", "--family", "A", "--rank", "2", "--degree", "4",
+             "--weight", "1,x"],
+            ["specseq", "aj-enumerate", "--family", "A", "--rank", "2", "--r", "2",
+             "--degree", "12", "--weight", "9"],
+        ],
+        ids=["non-integer", "wrong-length"],
+    )
+    def test_bad_weight_is_config_error(self, capsys, argv):
+        code = run(argv)
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert doc["error"]["code"] == "config"
+        assert "--weight" in doc["error"]["message"]
+
     def test_budget_exhaustion(self, capsys):
         code = run(
             ["variety", "count", "--group", "U5", "--r", "3", "--q", "5",
