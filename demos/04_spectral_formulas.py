@@ -6,10 +6,10 @@ Run with: python3 demos/04_spectral_formulas.py
 from frobkern.grmodel import model_context
 from frobkern.rootsys import Root
 from frobkern.specseq import (
+    ExtensionPage,
     aj_E1_enumerate,
     d2_on_y,
     first_nonvanishing_differential,
-    lhs_page,
     permanent_cycle_monomial,
     steenrod_apply,
     transgression_power,
@@ -18,7 +18,7 @@ from frobkern.specseq import (
 
 beta = Root((1, 1))
 ctx = model_context("A", 2, i=1, stage=3, r=2, p=3)
-page = lhs_page(ctx)
+page = ExtensionPage(ctx)
 
 print("=== the second-page differential on the fiber classes ===")
 for twist in range(2):

@@ -18,9 +18,11 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import commvar, grmodel, polyalg, rootsys, specseq, verify
-from .errors import BudgetError, CheckFailure, ConfigError, DomainError, FrobkernError
+from .errors import BudgetError, CheckFailure, ConfigError, FrobkernError
 
 ENV_BUDGET = "FROBKERN_BUDGET"
+#: exit status per error code; every other library error is a configuration error
+EXIT_STATUS = {"check": 1, "budget": 3}
 
 
 @dataclass
@@ -47,15 +49,23 @@ class RunConfig:
 
 
 def _parse_J(text: str) -> tuple[str, ...]:
-    if not text:
-        return ()
     out = []
     for token in text.split(","):
         token = token.strip()
-        if not token:
-            continue
-        out.append(token if token.startswith("a") else f"a{int(token)}")
+        if token.startswith("a"):
+            out.append(token)
+        elif token.isdigit():
+            out.append(f"a{int(token)}")
+        elif token:
+            raise ConfigError(f"--J needs simple roots like a2,a3 or 2,3, got {text!r}")
     return tuple(sorted(set(out)))
+
+
+def _parse_q_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.split(",") if t.strip())
+    except ValueError:
+        raise ConfigError(f"--q needs comma-separated integers, got {text!r}") from None
 
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
@@ -74,10 +84,19 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
 
 
 def _budget(config: RunConfig) -> int | None:
-    if config.enumeration_budget is not None:
-        return config.enumeration_budget
-    env = os.environ.get(ENV_BUDGET)
-    return int(env) if env else None
+    """--budget, else $FROBKERN_BUDGET, else None (each library default)."""
+    budget = config.enumeration_budget
+    if budget is None:
+        env = os.environ.get(ENV_BUDGET)
+        if not env:
+            return None
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ConfigError(f"{ENV_BUDGET} must be an integer, got {env!r}") from None
+    if budget < 0:
+        raise ConfigError(f"the enumeration budget must be >= 0, got {budget}")
+    return budget
 
 
 def _model_ctx(config: RunConfig) -> grmodel.ModelContext:
@@ -99,7 +118,7 @@ def _root(config: RunConfig, text: str) -> rootsys.Root:
 # -- payload builders -------------------------------------------------------------
 
 
-def payload_rootsys_info(config: RunConfig) -> dict:
+def payload_rootsys_info(config: RunConfig, ns) -> dict:
     ctx = rootsys.context(config.family, config.rank, frozenset(config.J))
     radical = ctx.radical_roots()
     histogram: dict[str, int] = {}
@@ -124,26 +143,23 @@ def payload_rootsys_info(config: RunConfig) -> dict:
     }
 
 
-def payload_model_build(config: RunConfig, what: str) -> dict:
-    ctx = _model_ctx(config)
-    if what == "sstar":
-        return grmodel.build_S_star(ctx).to_json_dict()
-    if what == "sbar":
-        return grmodel.build_Sbar(ctx).to_json_dict()
-    if what == "q":
-        return grmodel.build_Q(ctx).to_json_dict()
-    if what == "coord":
-        return grmodel.vr_coordinate_algebra(ctx).to_json_dict()
-    raise ConfigError(f"unknown build target {what!r}")
+def payload_model_build(config: RunConfig, ns) -> dict:
+    build = {
+        "sstar": grmodel.build_S_star,
+        "sbar": grmodel.build_Sbar,
+        "q": grmodel.build_Q,
+        "coord": grmodel.vr_coordinate_algebra,
+    }[ns.what]
+    return build(_model_ctx(config)).to_json_dict()
 
 
-def payload_model_hilbert(config: RunConfig, degree: int, weight: str | None) -> dict:
+def payload_model_hilbert(config: RunConfig, ns) -> dict:
     ctx = _model_ctx(config)
     sbar = grmodel.build_Sbar(ctx)
-    w = _parse_weight(weight, config.rank) if weight else None
+    w = _parse_weight(ns.weight, config.rank) if ns.weight else None
     dims = {
         str(d): sbar.graded_dimension(d, weight=w, degree_bound=config.degree_bound)
-        for d in range(degree + 1)
+        for d in range(ns.degree + 1)
     }
     return {
         "context": ctx.label(),
@@ -152,7 +168,7 @@ def payload_model_hilbert(config: RunConfig, degree: int, weight: str | None) ->
     }
 
 
-def payload_model_theta_check(config: RunConfig) -> dict:
+def payload_model_theta_check(config: RunConfig, ns) -> dict:
     ctx = _model_ctx(config)
     theta = grmodel.theta_substitution(ctx)  # raises CheckFailure on failure
     identities = grmodel.theta_power_identities(ctx, theta)
@@ -172,7 +188,7 @@ def payload_model_theta_check(config: RunConfig) -> dict:
     }
 
 
-def payload_model_bracket_check(config: RunConfig, pairs: int) -> dict:
+def payload_model_bracket_check(config: RunConfig, ns) -> dict:
     import random
 
     ctx = _model_ctx(config)
@@ -180,7 +196,7 @@ def payload_model_bracket_check(config: RunConfig, pairs: int) -> dict:
     bracket = grmodel.bracket_p(model)  # validates relation images
     rng = random.Random(config.seed)
     gens = [model.ring.var(v.name) for v in model.ring.variables]
-    for _ in range(pairs):
+    for _ in range(ns.pairs):
         f = model.ring.one()
         g = model.ring.zero()
         for _ in range(2):
@@ -208,15 +224,15 @@ def payload_model_bracket_check(config: RunConfig, pairs: int) -> dict:
     return {
         "context": ctx.label(),
         "relation_images_in_target_ideal": True,
-        "random_pairs_checked": pairs,
+        "random_pairs_checked": ns.pairs,
         "collapse_probes": membership,
     }
 
 
-def payload_variety_count(config: RunConfig, group: str, q: int) -> dict:
-    group = group.upper().strip()
-    if not group.startswith("U"):
-        raise ConfigError("expected a group of the form U<N>")
+def payload_variety_count(config: RunConfig, ns) -> dict:
+    group, q = ns.group.upper().strip(), ns.q
+    if not (group.startswith("U") and group[1:].isdigit()):
+        raise ConfigError(f"expected a group of the form U<N>, got {ns.group!r}")
     N = int(group[1:])
     budget = _budget(config)
     x_system = commvar.x_variety_system(N, config.r)
@@ -248,7 +264,8 @@ def payload_variety_count(config: RunConfig, group: str, q: int) -> dict:
     }
 
 
-def payload_variety_components(config: RunConfig, N: int) -> dict:
+def payload_variety_components(config: RunConfig, ns) -> dict:
+    N = ns.N
     budget = _budget(config)
     q_list = config.q_list or (3,)
     systems = commvar.component_candidates_U4(config.r) if N == 4 else None
@@ -272,61 +289,66 @@ def payload_variety_components(config: RunConfig, N: int) -> dict:
     return out
 
 
-def payload_specseq(config: RunConfig, action: str, ns) -> dict:
+def payload_specseq_d2(config: RunConfig, ns) -> dict:
+    page = specseq.ExtensionPage(_model_ctx(config))
+    beta = _root(config, ns.beta)
+    value = specseq.d2_on_y(page, beta, ns.twist)
+    return {
+        "class": f"y[{beta.label()}]({ns.twist})",
+        "page": 2,
+        "value": value.to_json_dict(),
+    }
+
+
+def payload_specseq_transgression(config: RunConfig, ns) -> dict:
+    page = specseq.ExtensionPage(_model_ctx(config))
+    beta = _root(config, ns.beta)
+    value = specseq.transgression_power(page, beta, ns.twist, ns.j)
+    return {
+        "class": f"(x[{beta.label()}]({ns.twist}))^{config.p}^{ns.j}",
+        "page": 2 * config.p**ns.j + 1,
+        "value": value.to_json_dict(),
+        "zero": value.is_zero(),
+    }
+
+
+def payload_specseq_steenrod(config: RunConfig, ns) -> dict:
+    page = specseq.ExtensionPage(_model_ctx(config))
+    beta = _root(config, ns.beta)
+    if ns.kind == "y":
+        target = page.y(beta, ns.twist)
+    else:
+        target = page.x(beta, ns.twist) ** ns.exponent
+    value = specseq.steenrod_apply(page, ns.op, target)
+    return {
+        "operation": ns.op,
+        "argument": target.to_json_dict(),
+        "value": value.to_json_dict(),
+    }
+
+
+def payload_specseq_aj_enumerate(config: RunConfig, ns) -> dict:
     ctx = _model_ctx(config)
-    if action in ("d2", "transgression", "steenrod"):
-        page = specseq.lhs_page(ctx)
-        if action == "d2":
-            beta = _root(config, ns.beta)
-            value = specseq.d2_on_y(page, beta, ns.twist)
-            return {
-                "class": f"y[{beta.label()}]({ns.twist})",
-                "page": 2,
-                "value": value.to_json_dict(),
-            }
-        if action == "transgression":
-            beta = _root(config, ns.beta)
-            value = specseq.transgression_power(page, beta, ns.twist, ns.j)
-            return {
-                "class": f"(x[{beta.label()}]({ns.twist}))^{config.p}^{ns.j}",
-                "page": 2 * config.p**ns.j + 1,
-                "value": value.to_json_dict(),
-                "zero": value.is_zero(),
-            }
-        beta = _root(config, ns.beta)
-        if ns.kind == "y":
-            target = page.y(beta, ns.twist)
-        else:
-            target = page.x(beta, ns.twist) ** ns.exponent
-        value = specseq.steenrod_apply(page, ns.op, target)
-        return {
-            "operation": ns.op,
-            "argument": target.to_json_dict(),
-            "value": value.to_json_dict(),
-        }
-    if action == "aj-enumerate":
-        roots = tuple(
-            root for v in ctx.levels() for root in ctx.roots_of_level(v)
-        )
-        weight = _parse_weight(ns.weight, config.rank)
-        monomials = specseq.aj_E1_enumerate(
-            roots, config.r, config.p, ns.degree, weight
-        )
-        return {
-            "degree": ns.degree,
-            "weight": list(weight),
-            "dimension": len(monomials),
-            "monomials": [
-                {"name": m.name, **specseq.aj_summand_index(m)} for m in monomials
-            ],
-        }
-    if action == "uniqueness":
-        beta = _root(config, ns.beta)
-        return specseq.uniqueness_witness(ctx, beta).to_json_dict()
-    raise ConfigError(f"unknown specseq action {action!r}")
+    roots = tuple(root for v in ctx.levels() for root in ctx.roots_of_level(v))
+    weight = _parse_weight(ns.weight, config.rank)
+    monomials = specseq.aj_E1_enumerate(roots, config.r, config.p, ns.degree, weight)
+    return {
+        "degree": ns.degree,
+        "weight": list(weight),
+        "dimension": len(monomials),
+        "monomials": [
+            {"name": m.name, **specseq.aj_summand_index(m)} for m in monomials
+        ],
+    }
 
 
-def payload_conjecture(config: RunConfig, N: int, count: bool) -> dict:
+def payload_specseq_uniqueness(config: RunConfig, ns) -> dict:
+    ctx = _model_ctx(config)
+    return specseq.uniqueness_witness(ctx, _root(config, ns.beta)).to_json_dict()
+
+
+def payload_conjecture(config: RunConfig, ns) -> dict:
+    N = ns.N
     family = commvar.subdiagram_components(N, config.r)
     payload = {
         "N": N,
@@ -341,31 +363,27 @@ def payload_conjecture(config: RunConfig, N: int, count: bool) -> dict:
             for d in family.members
         ],
     }
-    if count:
+    if ns.count:
         q_list = config.q_list or (3,)
         report = commvar.conjecture_check(N, config.r, q_list, _budget(config))
         payload["evidence"] = report.to_json_dict()
     return payload
 
 
-def payload_verify_all(config: RunConfig) -> tuple[dict, bool]:
+def payload_verify_all(config: RunConfig, ns) -> dict:
     results = verify.verify_all(seed=config.seed)
     for res in results:
         print(res.line(), file=sys.stderr)
-    all_passed = all(r.passed for r in results)
-    return (
-        {
-            "criteria": [r.to_json_dict() for r in results],
-            "passed": sum(r.passed for r in results),
-            "failed": sum(not r.passed for r in results),
-            "known_discrepancies": sorted(
-                r.key
-                for r in results
-                if not r.passed and r.key in verify.KNOWN_DISCREPANCIES
-            ),
-        },
-        all_passed,
-    )
+    return {
+        "criteria": [r.to_json_dict() for r in results],
+        "passed": sum(r.passed for r in results),
+        "failed": sum(not r.passed for r in results),
+        "known_discrepancies": sorted(
+            r.key
+            for r in results
+            if not r.passed and r.key in verify.KNOWN_DISCREPANCIES
+        ),
+    }
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -401,39 +419,53 @@ def build_parser() -> argparse.ArgumentParser:
     root_sub = p_root.add_subparsers(dest="action", required=True)
     p_info = root_sub.add_parser("info")
     _add_common(p_info)
+    p_info.set_defaults(payload=payload_rootsys_info)
 
     p_model = sub.add_parser("model", help="model algebras and their maps")
     model_sub = p_model.add_subparsers(dest="action", required=True)
     p_build = model_sub.add_parser("build")
     _add_common(p_build, model=True)
     p_build.add_argument("--what", default="sbar", choices=["sstar", "sbar", "q", "coord"])
+    p_build.set_defaults(payload=payload_model_build)
     p_hilb = model_sub.add_parser("hilbert")
     _add_common(p_hilb, model=True)
+    p_hilb.set_defaults(payload=payload_model_hilbert)
     p_hilb.add_argument("--degree", type=int, required=True)
     p_hilb.add_argument("--weight", default=None)
     p_hilb.add_argument("--degree-bound", type=int, default=None)
     p_theta = model_sub.add_parser("theta-check")
     _add_common(p_theta, model=True)
+    p_theta.set_defaults(payload=payload_model_theta_check)
     p_brk = model_sub.add_parser("bracket-check")
     _add_common(p_brk, model=True)
+    p_brk.set_defaults(payload=payload_model_bracket_check)
     p_brk.add_argument("--pairs", type=int, default=100)
 
     p_var = sub.add_parser("variety", help="point counts of the quotient varieties")
     var_sub = p_var.add_subparsers(dest="action", required=True)
     p_count = var_sub.add_parser("count")
     _add_common(p_count)
+    p_count.set_defaults(payload=payload_variety_count)
     p_count.add_argument("--group", required=True, help="U3, U4, ...")
     p_count.add_argument("--q", type=int, required=True)
     p_comp = var_sub.add_parser("components")
     _add_common(p_comp)
+    p_comp.set_defaults(payload=payload_variety_components)
     p_comp.add_argument("--N", type=int, default=4)
     p_comp.add_argument("--q", default="3", help="comma list of prime powers")
 
     p_ss = sub.add_parser("specseq", help="differentials, Steenrod fragment, enumerators")
     ss_sub = p_ss.add_subparsers(dest="action", required=True)
-    for name in ("d2", "transgression", "steenrod", "aj-enumerate", "uniqueness"):
+    for name, payload in (
+        ("d2", payload_specseq_d2),
+        ("transgression", payload_specseq_transgression),
+        ("steenrod", payload_specseq_steenrod),
+        ("aj-enumerate", payload_specseq_aj_enumerate),
+        ("uniqueness", payload_specseq_uniqueness),
+    ):
         p_act = ss_sub.add_parser(name)
         _add_common(p_act, model=True)
+        p_act.set_defaults(payload=payload)
         if name in ("d2", "transgression", "steenrod", "uniqueness"):
             p_act.add_argument("--beta", required=True, help="root label or coeff list")
         if name in ("d2", "transgression", "steenrod"):
@@ -452,6 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     conj_sub = p_conj.add_subparsers(dest="action", required=True)
     p_sd = conj_sub.add_parser("subdiagrams")
     _add_common(p_sd)
+    p_sd.set_defaults(payload=payload_conjecture)
     p_sd.add_argument("--N", type=int, required=True)
     p_sd.add_argument("--count", action="store_true", help="also run the point counts")
     p_sd.add_argument("--q", default="3")
@@ -459,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify-all", help="run the acceptance criteria")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--output", default=None)
+    p_verify.set_defaults(payload=payload_verify_all)
 
     return parser
 
@@ -466,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from(ns) -> RunConfig:
     q_list: tuple[int, ...] = ()
     if getattr(ns, "q", None) is not None and isinstance(ns.q, str):
-        q_list = tuple(int(t) for t in ns.q.split(",") if t.strip())
+        q_list = _parse_q_list(ns.q)
     return RunConfig(
         family=getattr(ns, "family", "A"),
         rank=getattr(ns, "rank", 2),
@@ -489,49 +523,16 @@ def run(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    config = _config_from(ns)
     command = ns.command + (f" {ns.action}" if getattr(ns, "action", None) else "")
     start = time.perf_counter()
-    exit_code = 0
+    config = None  # echoed as null when the options themselves are malformed
     try:
-        if ns.command == "rootsys":
-            payload = payload_rootsys_info(config)
-        elif ns.command == "model":
-            if ns.action == "build":
-                payload = payload_model_build(config, ns.what)
-            elif ns.action == "hilbert":
-                payload = payload_model_hilbert(config, ns.degree, ns.weight)
-            elif ns.action == "theta-check":
-                payload = payload_model_theta_check(config)
-            else:
-                payload = payload_model_bracket_check(config, ns.pairs)
-        elif ns.command == "variety":
-            if ns.action == "count":
-                payload = payload_variety_count(config, ns.group, ns.q)
-            else:
-                payload = payload_variety_components(config, ns.N)
-        elif ns.command == "specseq":
-            payload = payload_specseq(config, ns.action, ns)
-        elif ns.command == "conjecture":
-            payload = payload_conjecture(config, ns.N, ns.count)
-        elif ns.command == "verify-all":
-            payload, all_passed = payload_verify_all(config)
-            if not all_passed:
-                exit_code = 1
-        else:  # pragma: no cover - argparse guards this
-            raise ConfigError(f"unknown command {ns.command!r}")
-    except BudgetError as exc:
+        config = _config_from(ns)
+        budget = _budget(config)
+        payload = ns.payload(config, ns)
+    except FrobkernError as exc:
         _emit_error(command, config, exc)
-        return 3
-    except (ConfigError, DomainError) as exc:
-        _emit_error(command, config, exc)
-        return 2
-    except CheckFailure as exc:
-        _emit_error(command, config, exc)
-        return 1
-    except FrobkernError as exc:  # unsupported operations and the rest
-        _emit_error(command, config, exc)
-        return 2
+        return EXIT_STATUS.get(exc.code, 2)
     report = {
         "schema_version": 1,
         "command": command,
@@ -539,7 +540,7 @@ def run(argv=None) -> int:
         "payload": payload,
         "wall_time_s": round(time.perf_counter() - start, 4),
         "budget": {
-            "enumeration_budget": _budget(config),
+            "enumeration_budget": budget,
             "env_override": os.environ.get(ENV_BUDGET),
         },
     }
@@ -548,14 +549,15 @@ def run(argv=None) -> int:
     if config.output:
         with open(config.output, "w") as fh:
             fh.write(text + "\n")
-    return exit_code
+    # verify-all counts its failed criteria; any failure is a check failure
+    return 1 if payload.get("failed") else 0
 
 
-def _emit_error(command: str, config: RunConfig, exc: FrobkernError) -> None:
+def _emit_error(command: str, config: RunConfig | None, exc: FrobkernError) -> None:
     report = {
         "schema_version": 1,
         "command": command,
-        "config": config.to_json_dict(),
+        "config": config.to_json_dict() if config is not None else None,
         "error": {"code": exc.code, "message": str(exc)},
     }
     print(json.dumps(report, sort_keys=True, indent=2))

@@ -25,8 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConfigError, DomainError
-from .grmodel import ModelContext, model_context, vr_coordinate_algebra
-from .polyalg import GF, IdealPresentation, count_points, plain_ring
+from .polyalg import (
+    GF,
+    IdealPresentation,
+    count_points,
+    minor_terms,
+    plain_ring,
+    solution_chunks,
+)
 
 #: assignments enumerated per count (5^10 fits, 5^11 does not)
 DEFAULT_COUNT_BUDGET = 10_000_000
@@ -48,13 +54,10 @@ class VarietySystem:
 
     def presentation(self, char: int) -> IdealPresentation:
         ring = plain_ring(char, self.variables, label=self.label)
-        polys = []
-        for rel in self.relations:
-            poly = ring.zero()
-            for coeff, exps in rel:
-                poly = poly + ring.monomial(dict(exps), coeff)
-            polys.append(poly)
-        return IdealPresentation(ring, polys)
+        return IdealPresentation(
+            ring,
+            [ring.from_terms((c, dict(exps)) for c, exps in rel) for rel in self.relations],
+        )
 
     def union(self, other: "VarietySystem", label: str | None = None) -> "VarietySystem":
         if self.variables != other.variables:
@@ -76,20 +79,20 @@ class VarietySystem:
         return count_points(self.presentation(char), q, max_assignments=budget)
 
 
+def _coordinate(label: str, twist: int) -> str:
+    return f"X[{label}]({twist})"
+
+
 def _minor(a: str, b: str, l1: int, l2: int) -> tuple[SignedTerm, ...]:
     """X_a(l1) X_b(l2) - X_a(l2) X_b(l1) as signed terms."""
-
-    def v(name, twist):
-        return f"X[{name}]({twist})"
-
-    return (
-        (1, ((v(a, l1), 1), (v(b, l2), 1))),
-        (-1, ((v(a, l2), 1), (v(b, l1), 1))),
+    return tuple(
+        (sign, ((f, 1), (h, 1)))
+        for sign, f, h in minor_terms([(a, b)], _coordinate, l1, l2)
     )
 
 
 def _chain_variables(N: int, r: int) -> tuple[str, ...]:
-    return tuple(f"X[a{s}]({l})" for l in range(r) for s in range(1, N))
+    return tuple(_coordinate(f"a{s}", l) for l in range(r) for s in range(1, N))
 
 
 def y_variety_system(N: int, r: int) -> VarietySystem:
@@ -110,32 +113,21 @@ def y_variety_system(N: int, r: int) -> VarietySystem:
     )
 
 
-def x_variety_system(N: int, r: int, p_ref: int = 3) -> VarietySystem:
-    """Full stage-3 quotient system, taken from the coordinate algebra.
+def x_variety_system(N: int, r: int) -> VarietySystem:
+    """Full stage-3 quotient system: the chain minors of the Y system.
 
-    The construction runs through the model-side coordinate presentation
-    (over a reference characteristic) and lifts coefficients to signed
-    integers; the level-2 coordinates appear in no relation so the system
-    splits off an affine factor of rank (N-2) r.
+    The level-2 coordinates X[a_s+a_(s+1)](l) appear in no relation, so the
+    system splits off an affine factor of rank (N-2) r.  Variables follow the
+    coordinate algebra: for each twist, the level-1 coordinates, then the
+    level-2 ones.
     """
-    ctx = model_context("A", N - 1, i=1, stage=3, r=r, p=max(p_ref, 3))
-    coord = vr_coordinate_algebra(ctx)
-    half = ctx.p // 2
-    relations = []
-    for rel in coord.relations:
-        terms = []
-        for exps, coeff in sorted(rel.terms.items()):
-            lifted = coeff if coeff <= half else coeff - ctx.p
-            named = tuple(
-                (coord.ring.variables[i].name, e) for i, e in enumerate(exps) if e
-            )
-            terms.append((lifted, named))
-        relations.append(tuple(terms))
+    y = y_variety_system(N, r)
+    labels = [f"a{s}" for s in range(1, N)] + [f"a{s}+a{s + 1}" for s in range(1, N - 1)]
     return VarietySystem(
         label=f"X_{r}(U{N}/G3)",
-        variables=tuple(v.name for v in coord.ring.variables),
-        relations=tuple(relations),
-        free_rank=(N - 2) * r,
+        variables=tuple(_coordinate(label, l) for l in range(r) for label in labels),
+        relations=y.relations,
+        free_rank=y.free_rank,
     )
 
 
@@ -156,29 +148,12 @@ def solution_rows(
     """All F_q solutions as rows of variable values (index encoding)."""
     budget = DEFAULT_POINT_LIST_BUDGET if max_rows is None else max_rows
     n = len(system.variables)
-    total = q**n
-    if total > budget:
+    if q**n > budget:
         raise BudgetError(f"{q}^{n} assignments exceed the point-list budget {budget}")
     char = GF._factor(q)[0]
-    pres = system.presentation(char)
-    gf = GF(q, char=char)
-    idx = np.arange(total, dtype=np.int64)
-    cols = []
-    work = idx.copy()
-    for _ in range(n):
-        cols.append((work % q).astype(np.int32))
-        work //= q
-    alive = np.ones(total, dtype=bool)
-    for rel in pres.relations:
-        acc = np.zeros(total, dtype=np.int32)
-        for exps, coeff in rel.terms.items():
-            term = np.full(total, coeff % char, dtype=np.int32)
-            for i, e in enumerate(exps):
-                if e:
-                    term = gf.mul_vec(term, gf.pow_vec(cols[i], e))
-            acc = gf.add_vec(acc, term)
-        alive &= acc == 0
-    return np.stack([c[alive] for c in cols], axis=1)
+    chunks = solution_chunks(system.presentation(char), GF(q, char=char))
+    found = np.concatenate(list(chunks))
+    return np.stack([(found // q**i % q).astype(np.int32) for i in range(n)], axis=1)
 
 
 def frobenius_injectivity_evidence(system: VarietySystem, q: int) -> dict:

@@ -37,7 +37,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CheckFailure, ConfigError, DomainError
-from .polyalg import IdealPresentation, Poly, PolyRing, VariableDescriptor, graded_dimension, normal_form
+from .polyalg import (
+    IdealPresentation,
+    Poly,
+    PolyRing,
+    VariableDescriptor,
+    graded_dimension,
+    minor_terms,
+    normal_form,
+)
 from .rootsys import ParabolicContext, Root, context, roots_of_level, summand_pairs
 
 
@@ -246,29 +254,42 @@ def _presentation_json(pres, kind: str) -> dict:
 # -- ambient builders ----------------------------------------------------------
 
 
-def _ambient(ctx: ModelContext, max_level_excl: int):
-    """Variables and info for the model on levels [ctx.i, max_level_excl)."""
-    pctx = ctx.parabolic()
+def _power_variables(ctx: ModelContext, species: str, levels):
+    """Power generators ``species[beta](l)`` on the roots of ``levels``.
+
+    Each stands for (x_beta^{(l)})^{p^{r-l-1}}: degree 2p^{r-l-1}, weight
+    p^r beta.  Variables and info come twist-major, then by level and root.
+    """
     p, r = ctx.p, ctx.r
     variables: list[VariableDescriptor] = []
     info: dict[str, VarInfo] = {}
+    for twist in range(r):
+        k = r - twist - 1
+        for level in levels:
+            for beta in ctx.roots_of_level(level):
+                name = f"{species}[{beta.label()}]({twist})"
+                weight = tuple(p**r * c for c in beta.coeffs)
+                variables.append(VariableDescriptor(name, "even", 2 * p**k, weight))
+                info[name] = VarInfo(species, beta, twist, power_exp=k)
+    return variables, info
+
+
+def _ambient(ctx: ModelContext, max_level_excl: int):
+    """Variables and info for the model on levels [ctx.i, max_level_excl)."""
+    variables: list[VariableDescriptor] = []
+    info: dict[str, VarInfo] = {}
     if ctx.i == 1:
-        for twist in range(r):
+        for twist in range(ctx.r):
             for alpha in ctx.roots_of_level(1):
-                gen = ModelGenerator("x", alpha, twist, p)
+                gen = ModelGenerator("x", alpha, twist, ctx.p)
                 variables.append(
                     VariableDescriptor(gen.name, "even", 2, gen.weight())
                 )
                 info[gen.name] = VarInfo("x", alpha, twist)
-    for twist in range(r):
-        k = r - twist - 1
-        for level in range(max(ctx.i, 2), max_level_excl):
-            for beta in ctx.roots_of_level(level):
-                name = f"w[{beta.label()}]({twist})"
-                weight = tuple(p**r * c for c in beta.coeffs)
-                variables.append(VariableDescriptor(name, "even", 2 * p**k, weight))
-                info[name] = VarInfo("w", beta, twist, power_exp=k)
-    return variables, info
+    powers, power_info = _power_variables(
+        ctx, "w", range(max(ctx.i, 2), max_level_excl)
+    )
+    return variables + powers, {**info, **power_info}
 
 
 def build_S_star(ctx: ModelContext) -> ModelPresentation:
@@ -292,6 +313,14 @@ def s2_relation(pres: ModelPresentation, beta: Root, twist: int, j: int) -> Poly
     return out
 
 
+def _minor(ring: PolyRing, pairs, g, twist: int, twist2: int) -> Poly:
+    """The commutation minor of ``minor_terms`` as an element of ``ring``."""
+    out = ring.zero()
+    for sign, f, h in minor_terms(pairs, g, twist, twist2):
+        out = out + f * h if sign > 0 else out - f * h
+    return out
+
+
 def commutation_relation(
     pres: ModelPresentation, beta: Root, twist: int, twist2: int
 ) -> Poly:
@@ -300,11 +329,7 @@ def commutation_relation(
     if not 0 <= twist < twist2 < ctx.r:
         raise DomainError("need 0 <= l < l' < r")
     pairs = summand_pairs(beta, ctx.parabolic(), min_level=ctx.i)
-    out = pres.ring.zero()
-    for alpha, alpha2 in pairs:
-        out = out + pres.power_image(alpha, twist) * pres.power_image(alpha2, twist2)
-        out = out - pres.power_image(alpha2, twist) * pres.power_image(alpha, twist2)
-    return out
+    return _minor(pres.ring, pairs, pres.power_image, twist, twist2)
 
 
 def build_relation_ideal(ctx: ModelContext, ambient: ModelPresentation | None = None):
@@ -366,17 +391,11 @@ def build_Q(ctx: ModelContext) -> ModelPresentation:
 
 def top_free_factor(ctx: ModelContext) -> IdealPresentation:
     """The free polynomial factor on the top-level power generators."""
-    p, r, v = ctx.p, ctx.r, ctx.top_level
+    v = ctx.top_level
     if v < max(ctx.i, 2):
         raise DomainError("the splitting needs a top level >= 2")
-    variables = []
-    for twist in range(r):
-        k = r - twist - 1
-        for beta in ctx.roots_of_level(v):
-            name = f"w[{beta.label()}]({twist})"
-            weight = tuple(p**r * c for c in beta.coeffs)
-            variables.append(VariableDescriptor(name, "even", 2 * p**k, weight))
-    ring = PolyRing(p, variables, label=f"top({ctx.label()})")
+    variables, _ = _power_variables(ctx, "w", (v,))
+    ring = PolyRing(ctx.p, variables, label=f"top({ctx.label()})")
     return IdealPresentation(ring, [])
 
 
@@ -448,18 +467,9 @@ def vr_coordinate_algebra(ctx: ModelContext) -> CoordinatePresentation:
             "does not vanish, configuration unsupported"
         )
     pctx = ctx.parabolic()
-    p, r = ctx.p, ctx.r
-    variables = []
-    info: dict[str, VarInfo] = {}
-    for twist in range(r):
-        k = r - twist - 1
-        for level in ctx.levels():
-            for beta in ctx.roots_of_level(level):
-                name = f"X[{beta.label()}]({twist})"
-                weight = tuple(p**r * c for c in beta.coeffs)
-                variables.append(VariableDescriptor(name, "even", 2 * p**k, weight))
-                info[name] = VarInfo("X", beta, twist, power_exp=k)
-    ring = PolyRing(p, variables, label=f"k[V_{r}]({ctx.label()})")
+    r = ctx.r
+    variables, info = _power_variables(ctx, "X", ctx.levels())
+    ring = PolyRing(ctx.p, variables, label=f"k[V_{r}]({ctx.label()})")
     pres = CoordinatePresentation(ctx, ring, [], info)
     relations = []
     for level in range(2, ctx.stage):
@@ -469,11 +479,7 @@ def vr_coordinate_algebra(ctx: ModelContext) -> CoordinatePresentation:
                 continue
             for twist in range(r):
                 for twist2 in range(twist + 1, r):
-                    rel = ring.zero()
-                    for alpha, alpha2 in pairs:
-                        rel = rel + pres.var(alpha, twist) * pres.var(alpha2, twist2)
-                        rel = rel - pres.var(alpha, twist2) * pres.var(alpha2, twist)
-                    relations.append(rel)
+                    relations.append(_minor(ring, pairs, pres.var, twist, twist2))
     return CoordinatePresentation(ctx, ring, relations, info)
 
 
@@ -571,10 +577,7 @@ def theta_power_identities(ctx: ModelContext, theta: AlgebraMap | None = None):
             continue
         for twist in range(ctx.r):
             for twist2 in range(twist + 1, ctx.r):
-                rel = coord.ring.zero()
-                for alpha, alpha2 in pairs:
-                    rel = rel + coord.var(alpha, twist) * coord.var(alpha2, twist2)
-                    rel = rel - coord.var(alpha, twist2) * coord.var(alpha2, twist)
+                rel = _minor(coord.ring, pairs, coord.var, twist, twist2)
                 image = theta.apply(rel)
                 j = twist2 - twist - 1
                 power = ctx.r - twist2 - 1

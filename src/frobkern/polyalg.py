@@ -835,26 +835,18 @@ class GF:
         return result
 
 
-def count_points(
-    system: IdealPresentation,
-    q: int,
-    max_assignments: int | None = None,
-    chunk: int = 1 << 16,
-) -> int:
-    """Number of F_q solutions of an even polynomial system, by enumeration."""
-    ring = system.ring
-    if ring._odd:
-        raise UnsupportedOperationError("point counting needs an even-variable ring")
-    gf = GF(q, char=ring.p)
+def solution_chunks(system: IdealPresentation, gf: GF, chunk: int = 1 << 16):
+    """Evaluate the relations on every F_q assignment, ``chunk`` at a time.
+
+    Assignment k gives variable i the field element whose index is digit i
+    of k in base q.  Yields, per chunk and in increasing order, the indices k
+    of the assignments on which every relation vanishes.  Each relation is
+    evaluated only on the assignments that survived the ones before it.
+    """
+    ring, q = system.ring, gf.q
     n = ring.nvars
     total = q**n
-    budget = DEFAULT_POINT_BUDGET if max_assignments is None else max_assignments
-    if total > budget:
-        raise BudgetError(
-            f"{q}^{n} = {total} assignments exceed the enumeration budget {budget}"
-        )
     rels = [list(r.terms.items()) for r in system.relations]
-    count = 0
     for start in range(0, total, chunk):
         m = min(chunk, total - start)
         idx = np.arange(start, start + m, dtype=np.int64)
@@ -875,10 +867,42 @@ def count_points(
                         term = gf.mul_vec(term, gf.pow_vec(sub[i], e))
                 acc = gf.add_vec(acc, term)
             alive[alive.copy()] = acc == 0
-        count += int(alive.sum())
-    return count
+        yield start + np.flatnonzero(alive)
+
+
+def count_points(
+    system: IdealPresentation,
+    q: int,
+    max_assignments: int | None = None,
+    chunk: int = 1 << 16,
+) -> int:
+    """Number of F_q solutions of an even polynomial system, by enumeration."""
+    ring = system.ring
+    if ring._odd:
+        raise UnsupportedOperationError("point counting needs an even-variable ring")
+    gf = GF(q, char=ring.p)
+    n = ring.nvars
+    total = q**n
+    budget = DEFAULT_POINT_BUDGET if max_assignments is None else max_assignments
+    if total > budget:
+        raise BudgetError(
+            f"{q}^{n} = {total} assignments exceed the enumeration budget {budget}"
+        )
+    return sum(len(found) for found in solution_chunks(system, gf, chunk))
 
 
 def plain_ring(p: int, names, label: str = "") -> PolyRing:
     """Even degree-0 variables with no weights: the generic Groebner setting."""
     return PolyRing(p, [VariableDescriptor(n) for n in names], label=label)
+
+
+def minor_terms(pairs, g, l: int, l2: int):
+    """Terms of the commutation minor: the sum over (a, b) in ``pairs`` of
+    g(a, l) g(b, l2) - g(a, l2) g(b, l), as (sign, factor, factor) triples.
+
+    The factors are whatever ``g`` returns: ring elements for the coordinate
+    algebra and its model images, variable names for the integer systems.
+    """
+    for a, b in pairs:
+        yield 1, g(a, l), g(b, l2)
+        yield -1, g(a, l2), g(b, l)

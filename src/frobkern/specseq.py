@@ -38,18 +38,6 @@ from .polyalg import Poly, PolyRing, VariableDescriptor
 from .rootsys import Root, check_pairing_hypothesis, summand_pairs
 
 
-@dataclass(frozen=True)
-class GaPresentation:
-    """Truncated additive-group page for one root: height-r x/y generators."""
-
-    root: Root
-    r: int
-    p: int
-
-    def ring(self) -> PolyRing:
-        return _page_ring(self.p, self.r, (self.root,), ())
-
-
 def _page_ring(p: int, r: int, base_roots, fiber_roots) -> PolyRing:
     variables = []
     for twist in range(r):
@@ -95,6 +83,12 @@ class ExtensionPage:
             kind, rest = name[0], name[2:]
             label, _, twist = rest.rpartition("](")
             self._meta[name] = (kind, label, int(twist[:-1]))
+        fiber_labels = {root.label() for root in self.fiber_roots}
+        # each variable's degree if it lives on a fiber root, else 0
+        self._fiber_degrees = tuple(
+            v.degree if self._meta[v.name][1] in fiber_labels else 0
+            for v in self.ring.variables
+        )
 
     # -- generator access ------------------------------------------------------
 
@@ -112,27 +106,11 @@ class ExtensionPage:
 
     def monomial_bidegree(self, exps) -> tuple[int, int]:
         """(base degree, fiber degree) of one monomial."""
-        a = b = 0
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            name = self.ring.variables[i].name
-            kind, label, _ = self._meta[name]
-            deg = e * (2 if kind == "x" else 1)
-            if Root(tuple(self.ring.variables[i].weight)) is None:  # pragma: no cover
-                pass
-            if label in {r.label() for r in self._fiber}:
-                b += deg
-            else:
-                a += deg
-        return a, b
+        fiber = sum(e * d for e, d in zip(exps, self._fiber_degrees))
+        return self.ring.monomial_degree(exps) - fiber, fiber
 
     def __repr__(self):
         return f"ExtensionPage({self.ctx.label()})"
-
-
-def lhs_page(ctx: ModelContext) -> ExtensionPage:
-    return ExtensionPage(ctx)
 
 
 # -- differentials ---------------------------------------------------------------

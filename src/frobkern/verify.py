@@ -181,7 +181,7 @@ def criterion_6_spectral_suite() -> CriterionResult:
         for rank in (2, 3):
             for r in (2, 3):
                 ctx = grmodel.model_context("A", rank, i=1, stage=3, r=r, p=3)
-                page = specseq.lhs_page(ctx)
+                page = specseq.ExtensionPage(ctx)
                 for beta in page.fiber_roots:
                     for twist in range(r):
                         lhs = specseq.steenrod_apply(
@@ -195,7 +195,7 @@ def criterion_6_spectral_suite() -> CriterionResult:
         truncation_checked = 0
         for r in (1, 2, 3):
             ctx = grmodel.model_context("A", 2, i=1, stage=3, r=r, p=3)
-            page = specseq.lhs_page(ctx)
+            page = specseq.ExtensionPage(ctx)
             beta = page.fiber_roots[0]
             for twist, j in itertools.product(range(4), range(4)):
                 value = specseq.transgression_power(page, beta, twist, j)
@@ -205,7 +205,7 @@ def criterion_6_spectral_suite() -> CriterionResult:
         details["truncation_instances"] = truncation_checked
 
         ctx = grmodel.model_context("A", 2, i=1, stage=3, r=2, p=3)
-        page = specseq.lhs_page(ctx)
+        page = specseq.ExtensionPage(ctx)
         beta = page.fiber_roots[0]
         agree = 0
         for n0 in range(10):

@@ -192,6 +192,28 @@ class TestExitCodes:
         assert doc["error"]["code"] == "config"
         assert "--weight" in doc["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            ("abc", ["variety", "count", "--group", "U3", "--r", "2", "--q", "3"]),
+            (None, ["variety", "count", "--group", "U3", "--r", "2", "--q", "3",
+                    "--budget", "-5"]),
+            (None, ["variety", "components", "--q", "3,x"]),
+            (None, ["variety", "count", "--group", "Ux", "--q", "3"]),
+            (None, ["rootsys", "info", "--J", "x"]),
+        ],
+        ids=["env-budget", "negative-budget", "q-list", "group", "J"],
+    )
+    def test_malformed_value_is_config_error(self, capsys, monkeypatch, env, argv):
+        if env is None:
+            monkeypatch.delenv("FROBKERN_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("FROBKERN_BUDGET", env)
+        code = run(argv)
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert doc["error"]["code"] == "config"
+
     def test_budget_exhaustion(self, capsys):
         code = run(
             ["variety", "count", "--group", "U5", "--r", "3", "--q", "5",

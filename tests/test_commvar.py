@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from frobkern.commvar import (
@@ -17,6 +18,7 @@ from frobkern.commvar import (
     y_variety_system,
 )
 from frobkern.errors import BudgetError, ConfigError
+from frobkern.grmodel import model_context, vr_coordinate_algebra
 
 
 class TestSystems:
@@ -44,6 +46,16 @@ class TestSystems:
     def test_bad_config(self):
         with pytest.raises(ConfigError):
             y_variety_system(2, 1)
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    def test_x_system_is_the_coordinate_algebra(self, N):
+        # independent path: the model-side coordinate algebra of U_N / Gamma_3
+        for r in (1, 2, 3):
+            coord = vr_coordinate_algebra(model_context("A", N - 1, stage=3, r=r, p=3))
+            x = x_variety_system(N, r)
+            assert x.variables == tuple(v.name for v in coord.ring.variables)
+            ours = [f.terms for f in x.presentation(3).relations]
+            assert ours == [f.terms for f in coord.relations], (N, r)
 
 
 class TestU3Counts:
@@ -107,6 +119,17 @@ class TestU4Components:
         v2 = {tuple(map(int, row)) for row in solution_rows(systems["V2"], 3)}
         assert inter <= v1 and inter <= v2
         assert inter == v1 & v2
+
+    def test_point_list_spans_chunks(self):
+        # 7^6 assignments: the list is assembled from several evaluation chunks
+        y = y_variety_system(3, 3)
+        rows = solution_rows(y, 7).astype(np.int64)
+        assert len(rows) == u3_y_closed_form(7, 3)
+        assert np.all(np.diff(rows @ 7 ** np.arange(6)) > 0)  # index order
+        col = dict(zip(y.variables, rows.T))
+        for rel in y.relations:
+            value = sum(c * np.prod([col[n] ** e for n, e in exps], axis=0) for c, exps in rel)
+            assert np.all(value % 7 == 0)
 
     def test_u4_product_law(self):
         x = x_variety_system(4, 2)

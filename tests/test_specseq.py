@@ -7,13 +7,12 @@ from frobkern.grmodel import model_context
 from frobkern.polyalg import Poly
 from frobkern.rootsys import Root, summand_pairs
 from frobkern.specseq import (
-    GaPresentation,
+    ExtensionPage,
     aj_E1_enumerate,
     aj_summand_index,
     d2,
     d2_on_y,
     first_nonvanishing_differential,
-    lhs_page,
     permanent_cycle_monomial,
     steenrod_apply,
     transgression_power,
@@ -26,18 +25,18 @@ B12, B23 = Root((1, 1, 0)), Root((0, 1, 1))
 
 
 def u3_page(r=2, p=3):
-    return lhs_page(model_context("A", 2, i=1, stage=3, r=r, p=p))
+    return ExtensionPage(model_context("A", 2, i=1, stage=3, r=r, p=p))
 
 
 def u4_page(r=2, p=3):
-    return lhs_page(model_context("A", 3, i=1, stage=3, r=r, p=p))
+    return ExtensionPage(model_context("A", 3, i=1, stage=3, r=r, p=p))
 
 
 class TestGaPresentation:
     def test_truncation_and_weights(self):
-        ga = GaPresentation(A12, r=2, p=3)
-        ring = ga.ring()
-        names = {v.name for v in ring.variables}
+        # the U3 page's fiber root a1+a2 carries the height-2 G_a page
+        ring = u3_page().ring
+        names = {v.name for v in ring.variables if "[a1+a2]" in v.name}
         assert names == {
             "x[a1+a2](0)", "x[a1+a2](1)", "y[a1+a2](0)", "y[a1+a2](1)",
         }
@@ -59,7 +58,7 @@ class TestD2:
 
     def test_no_pairs_gives_zero(self):
         # inside Gamma_2 the level-2 fiber roots have no admissible pairs
-        page = lhs_page(model_context("A", 3, i=2, stage=3, r=2, p=3))
+        page = ExtensionPage(model_context("A", 3, i=2, stage=3, r=2, p=3))
         assert d2_on_y(page, B12, 0).is_zero()
 
     def test_base_root_rejected(self):
@@ -73,6 +72,9 @@ class TestD2:
         assert page.monomial_bidegree(exps) == (2, 0)
         (y_exps,) = page.y(A12, 0).terms
         assert page.monomial_bidegree(y_exps) == (0, 1)
+        mixed = page.x(A1, 1) ** 2 * page.y(A2, 0) * page.x(A12, 0) ** 3 * page.y(A12, 1)
+        (mixed_exps,) = mixed.terms
+        assert page.monomial_bidegree(mixed_exps) == (5, 7)
 
 
 class TestTransgression:
