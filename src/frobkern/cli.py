@@ -11,6 +11,7 @@ payload.  Exit codes: 0 success, 1 check failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -408,8 +409,15 @@ def _add_common(parser, model=False):
     parser.add_argument("--seed", type=int, default=0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a configuration error."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frobkern",
         description="models, varieties and spectral data for unipotent Frobenius kernels",
     )
@@ -518,18 +526,18 @@ def _config_from(ns) -> RunConfig:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    command = ns.command + (f" {ns.action}" if getattr(ns, "action", None) else "")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the words before the first option, known even when parsing fails
+    command = " ".join(itertools.takewhile(lambda t: not t.startswith("-"), argv))
     start = time.perf_counter()
     config = None  # echoed as null when the options themselves are malformed
     try:
+        ns = build_parser().parse_args(argv)
         config = _config_from(ns)
         budget = _budget(config)
         payload = ns.payload(config, ns)
+    except SystemExit:  # --help printed its text
+        return 0
     except FrobkernError as exc:
         _emit_error(command, config, exc)
         return EXIT_STATUS.get(exc.code, 2)

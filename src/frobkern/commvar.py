@@ -34,8 +34,6 @@ from .polyalg import (
     solution_chunks,
 )
 
-#: assignments enumerated per count (5^10 fits, 5^11 does not)
-DEFAULT_COUNT_BUDGET = 10_000_000
 #: solution rows materialised when listing points for the Frobenius check
 DEFAULT_POINT_LIST_BUDGET = 600_000
 
@@ -74,9 +72,8 @@ class VarietySystem:
         )
 
     def count(self, q: int, max_assignments: int | None = None) -> int:
-        budget = DEFAULT_COUNT_BUDGET if max_assignments is None else max_assignments
         char = GF._factor(q)[0]
-        return count_points(self.presentation(char), q, max_assignments=budget)
+        return count_points(self.presentation(char), q, max_assignments=max_assignments)
 
 
 def _coordinate(label: str, twist: int) -> str:

@@ -1,5 +1,5 @@
 """Graded-commutative polynomial arithmetic over F_p, Groebner bases,
-dimension counting and exhaustive F_q point counting.
+dimension counting and exact F_q point counting.
 
 A ring holds even (polynomial) and odd (exterior) variables; monomials are
 dense exponent tuples in a fixed variable order, odd exponents never exceed
@@ -8,8 +8,8 @@ Ideal machinery (Buchberger, normal forms, standard-monomial counting) is
 restricted to the even subring, which is all the model ideals need.
 
 Point counting works over any F_q with q a power of the ring characteristic;
-extension fields are realised through precomputed add/mul tables so that the
-numpy evaluation path is a plain table gather.
+extension fields are realised through precomputed tables so that the numpy
+evaluation and elimination paths are plain table gathers.
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ from .errors import BudgetError, ConfigError, DomainError, UnsupportedOperationE
 EVEN = "even"
 ODD = "odd"
 
-#: assignments enumerated by count_points before giving up (about 5^10)
+#: nominal assignments q^nvars that count_points accepts (about 5^10)
 DEFAULT_POINT_BUDGET = 10_000_000
+#: field elements in one chunk of count_points' elimination batch
+FIBRE_ELEMENTS = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -788,6 +790,8 @@ class GF:
                         _poly_mul_mod(digits[a], digits[b], modulus, p)
                     )
             self.add_table, self.mul_table = add, mul
+        self.neg_table = np.argmax(self.add_table == 0, axis=1).astype(np.int32)
+        self.inv_table = np.argmax(self.mul_table == 1, axis=1).astype(np.int32)
 
     @staticmethod
     def _factor(q: int) -> tuple[int, int]:
@@ -835,39 +839,81 @@ class GF:
         return result
 
 
-def solution_chunks(system: IdealPresentation, gf: GF, chunk: int = 1 << 16):
-    """Evaluate the relations on every F_q assignment, ``chunk`` at a time.
+def _evaluate(gf: GF, terms, cols, size: int):
+    """Field indices of the sum of coeff * prod(cols[i] ** e) over the
+    (exps, coeff) ``terms``, with a column of ``size`` indices per variable."""
+    acc = np.zeros(size, dtype=np.int32)
+    for exps, coeff in terms:
+        term = np.full(size, coeff % gf.p, dtype=np.int32)
+        for i, e in enumerate(exps):
+            if e:
+                term = gf.mul_vec(term, cols[i] if e == 1 else gf.pow_vec(cols[i], e))
+        acc = gf.add_vec(acc, term)
+    return acc
 
-    Assignment k gives variable i the field element whose index is digit i
-    of k in base q.  Yields, per chunk and in increasing order, the indices k
-    of the assignments on which every relation vanishes.  Each relation is
-    evaluated only on the assignments that survived the ones before it.
-    """
-    ring, q = system.ring, gf.q
-    n = ring.nvars
-    total = q**n
-    rels = [list(r.terms.items()) for r in system.relations]
+
+def _survivors(gf: GF, n: int, enumerated, relations, chunk: int):
+    """Per chunk of assignments k, which give enumerated[j] the element of
+    index digit j of k in base q: the k on which every relation (a term list)
+    vanishes, in order, and their columns over all n variables (None off
+    ``enumerated``).  A relation is evaluated where the ones before vanished."""
+    total = gf.q ** len(enumerated)
     for start in range(0, total, chunk):
-        m = min(chunk, total - start)
-        idx = np.arange(start, start + m, dtype=np.int64)
-        cols = []
-        for _ in range(n):
-            cols.append((idx % q).astype(np.int32))
-            idx //= q
-        alive = np.ones(m, dtype=bool)
-        for rel in rels:
-            if not alive.any():
-                break
-            sub = [c[alive] for c in cols]
-            acc = np.zeros(int(alive.sum()), dtype=np.int32)
-            for exps, coeff in rel:
-                term = np.full(acc.shape, coeff % ring.p, dtype=np.int32)
-                for i, e in enumerate(exps):
-                    if e:
-                        term = gf.mul_vec(term, gf.pow_vec(sub[i], e))
-                acc = gf.add_vec(acc, term)
-            alive[alive.copy()] = acc == 0
-        yield start + np.flatnonzero(alive)
+        keep = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        cols = [None] * n
+        for j, i in enumerate(enumerated):
+            cols[i] = (keep // gf.q**j % gf.q).astype(np.int32)
+        for terms in relations:
+            ok = _evaluate(gf, terms, cols, len(keep)) == 0
+            keep = keep[ok]
+            cols = [None if c is None else c[ok] for c in cols]
+        yield keep, cols
+
+
+def solution_chunks(system: IdealPresentation, gf: GF, chunk: int = 1 << 16):
+    """Per chunk of ``chunk`` assignments, the indices k of the F_q solutions,
+    where assignment k gives variable i the element of index digit i of k."""
+    n = system.ring.nvars
+    rels = [list(r.terms.items()) for r in system.relations]
+    return (found for found, _ in _survivors(gf, n, range(n), rels, chunk))
+
+
+def _cover(relations) -> tuple[list[int], list[int]]:
+    """Split the variables in use into a cover to enumerate, grown greedily (the
+    variable in most open monomials, then the lowest index), and the unknowns
+    outside it: at most one in each monomial, with exponent 1."""
+    monomials = [exps for rel in relations for exps in rel.terms]
+    used = {i for exps in monomials for i, e in enumerate(exps) if e}
+    cover = {i for exps in monomials for i, e in enumerate(exps) if e > 1}
+    while True:
+        tally = Counter()
+        for exps in monomials:
+            rest = [i for i, e in enumerate(exps) if e and i not in cover]
+            if len(rest) > 1:
+                tally.update(rest)
+        if not tally:
+            return sorted(cover), sorted(used - cover)
+        cover.add(min(tally, key=lambda i: (-tally[i], i)))
+
+
+def _eliminate(gf: GF, matrix):
+    """Rank of A and solvability of A y + b = 0 for each [A | b] (field
+    indices, b last) of a batch, reducing ``matrix`` in place.  Column by
+    column, a row with a nonzero entry is the pivot and clears that column
+    from every row, itself included: its equation is spent fixing one
+    unknown.  Then the system is solvable exactly where b is zero."""
+    every = np.arange(len(matrix))
+    rank = np.zeros(len(matrix), dtype=np.int64)
+    for c in range(matrix.shape[2] - 1):
+        col = matrix[:, :, c]
+        nonzero = col != 0
+        pivot = nonzero.argmax(axis=1)  # where col is zero, the update adds 0
+        scale = gf.neg_table[gf.inv_table[col[every, pivot]]]  # -1 / pivot
+        pivot_row = gf.mul_vec(scale[:, None], matrix[every, pivot, c + 1 :])
+        rest = matrix[:, :, c + 1 :]
+        rest[...] = gf.add_vec(rest, gf.mul_vec(col[:, :, None], pivot_row[:, None, :]))
+        rank += nonzero.any(axis=1)
+    return rank, ~matrix[:, :, -1].any(axis=1)
 
 
 def count_points(
@@ -876,7 +922,12 @@ def count_points(
     max_assignments: int | None = None,
     chunk: int = 1 << 16,
 ) -> int:
-    """Number of F_q solutions of an even polynomial system, by enumeration."""
+    """Number of F_q solutions of an even polynomial system.
+
+    Enumerates a variable cover (``_cover``), filtered by the relations inside
+    it; the other relations are affine in the m remaining variables, and each
+    solvable fibre adds q^(m - rank).  The budget bounds q^nvars.
+    """
     ring = system.ring
     if ring._odd:
         raise UnsupportedOperationError("point counting needs an even-variable ring")
@@ -888,7 +939,27 @@ def count_points(
         raise BudgetError(
             f"{q}^{n} = {total} assignments exceed the enumeration budget {budget}"
         )
-    return sum(len(found) for found in solution_chunks(system, gf, chunk))
+    cover, unknowns = _cover(system.relations)
+    filters, fibre = [], []
+    for rel in system.relations:
+        terms = rel.terms.items()  # each monomial holds at most one unknown
+        row = [[t for t in terms if t[0][i]] for i in unknowns]
+        row.append([t for t in terms if not any(t[0][i] for i in unknowns)])  # b
+        (fibre if any(row[:-1]) else filters).append(row)
+    shape = (len(fibre), len(unknowns) + 1)  # one row per fibre relation, b last
+    step = max(1, min(chunk, FIBRE_ELEMENTS // max(1, shape[0] * shape[1])))
+    count = 0
+    for found, cols in _survivors(gf, n, cover, [row[-1] for row in filters], step):
+        one = np.ones(len(found), dtype=np.int32)  # unknowns read as 1 in their column
+        cols = [one if c is None else c for c in cols]
+        matrix = np.zeros((len(found), *shape), dtype=np.int32)
+        for r, row in enumerate(fibre):
+            for j, terms in enumerate(row):
+                matrix[:, r, j] = _evaluate(gf, terms, cols, len(found))
+        ranks, solvable = _eliminate(gf, matrix)
+        for rank, k in enumerate(np.bincount(ranks[solvable])):
+            count += int(k) * q ** (n - len(cover) - rank)
+    return count
 
 
 def plain_ring(p: int, names, label: str = "") -> PolyRing:

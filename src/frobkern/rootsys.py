@@ -85,7 +85,10 @@ def parse_root(text: str, rank: int) -> Root:
     if not text:
         raise DomainError("empty root")
     if "," in text or text.lstrip("-").isdigit():
-        coeffs = [int(t) for t in text.split(",")]
+        try:
+            coeffs = [int(t) for t in text.split(",")]
+        except ValueError:
+            raise DomainError(f"cannot parse root coefficients {text!r}") from None
         if len(coeffs) != rank:
             raise DomainError(f"expected {rank} coefficients, got {len(coeffs)}")
         return Root(tuple(coeffs))
@@ -93,7 +96,7 @@ def parse_root(text: str, rank: int) -> Root:
     for part in text.split("+"):
         part = part.strip()
         head, _, idx = part.partition("a")
-        if not idx.isdigit():
+        if not (idx.isdecimal() and (not head or head.removeprefix("-").isdecimal())):
             raise DomainError(f"cannot parse root component {part!r}")
         i = int(idx)
         if not 1 <= i <= rank:

@@ -214,6 +214,33 @@ class TestExitCodes:
         assert code == 2
         assert doc["error"]["code"] == "config"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["variety", "count", "--group", "U3", "--q", "3", "--budget", "abc"],
+            ["variety", "count", "--group", "U3", "--q", "3", "--r", "x"],
+            ["variety", "count", "--group", "U3"],
+        ],
+        ids=["budget", "r", "missing-q"],
+    )
+    def test_unparsable_option_is_config_error(self, capsys, argv):
+        code = run(argv)
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert doc["error"]["code"] == "config"
+        assert doc["command"] == "variety count"
+
+    @pytest.mark.parametrize("beta", ["1,x", "xa1"])
+    def test_malformed_root_is_reported(self, capsys, beta):
+        code = run(
+            ["specseq", "d2", "--family", "A", "--rank", "2", "--v", "3", "--r", "2",
+             "--p", "3", "--beta", beta, "--l", "0"]
+        )
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert doc["error"]["code"] == "domain"
+        assert beta in doc["error"]["message"]
+
     def test_budget_exhaustion(self, capsys):
         code = run(
             ["variety", "count", "--group", "U5", "--r", "3", "--q", "5",
@@ -243,6 +270,7 @@ class TestExitCodes:
 
     def test_bad_subcommand(self, capsys):
         assert run(["no-such-command"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "config"
 
     def test_verify_all_reports_known_discrepancies(self, capsys):
         # two recorded acceptance values are documented discrepancies, so

@@ -136,6 +136,60 @@ class TestU4Components:
         assert x.count(3) == 153 * 3**4
 
 
+def _family_systems(N, r):
+    """The Y system and every component and intersection system of N, r."""
+    family = subdiagram_components(N, r)
+    systems = {d.label(): component_system(N, r, d) for d in family.members}
+    out = {"Y": y_variety_system(N, r)}
+    for size in range(1, len(systems) + 1):
+        for combo in itertools.combinations(systems, size):
+            merged = systems[combo[0]]
+            for other in combo[1:]:
+                merged = merged.union(systems[other])
+            out["&".join(combo)] = merged
+    return out
+
+
+#: counts beyond the point-list budget, frozen from the exhaustive evaluator
+FROZEN_COUNTS = {
+    ("Y", 6, 2, 5): 69625,
+    ("Y", 4, 3, 5): 18725,
+    ("a1-a3", 4, 3, 5): 3845,
+    ("a1|a3", 4, 3, 5): 15625,
+    ("a1-a3&a1|a3", 4, 3, 5): 745,
+    ("X", 3, 3, 5): 93125,
+}
+
+
+class TestCountingWorkloadSystems:
+    """Every Y, X, component and intersection system that the benchmark's
+    counting jobs count within 5^10 assignments, against the exhaustive
+    point list (or a frozen count where that list is too long)."""
+
+    @pytest.mark.parametrize(
+        "N, r, q, with_x, with_family",
+        [
+            (6, 2, 3, False, True),
+            (5, 2, 5, False, True),
+            (6, 2, 5, False, False),
+            (4, 3, 5, False, True),
+            (4, 3, 3, False, True),
+            (3, 3, 5, True, False),
+            (3, 2, 9, True, False),
+            (3, 2, 27, False, False),
+        ],
+    )
+    def test_count_matches_point_list(self, N, r, q, with_x, with_family):
+        systems = _family_systems(N, r) if with_family else {"Y": y_variety_system(N, r)}
+        if with_x:
+            systems["X"] = x_variety_system(N, r)
+        for label, system in systems.items():
+            frozen = FROZEN_COUNTS.get((label, N, r, q))
+            if frozen is None:
+                frozen = len(solution_rows(system, q))
+            assert system.count(q) == frozen, label
+
+
 class TestSubdiagrams:
     def test_n3(self):
         family = subdiagram_components(3, 2)

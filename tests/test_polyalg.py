@@ -15,6 +15,7 @@ from frobkern.polyalg import (
     IdealPresentation,
     PolyRing,
     VariableDescriptor,
+    _cover,
     buchberger,
     count_points,
     graded_dimension,
@@ -303,7 +304,102 @@ def brute_force_count(relations, nvars, q):
     return count
 
 
+def table_count(relations, nvars, gf):
+    """Pure-python oracle for any q: every point, through the field tables."""
+    add, mul = gf.add_table.tolist(), gf.mul_table.tolist()
+    count = 0
+    for point in itertools.product(range(gf.q), repeat=nvars):
+        for rel in relations:
+            total = 0
+            for exps, coeff in rel.terms.items():
+                v = coeff % gf.p
+                for i, e in enumerate(exps):
+                    for _ in range(e):
+                        v = mul[v][point[i]]
+                total = add[total][v]
+            if total:
+                break
+        else:
+            count += 1
+    return count
+
+
+def assert_is_cover(relations, cover):
+    for rel in relations:
+        for exps in rel.terms:
+            rest = [e for i, e in enumerate(exps) if e and i not in cover]
+            assert rest in ([], [1]), (rel, cover)
+
+
+@st.composite
+def small_systems(draw):
+    """Even systems over F_3 or F_5: squares, constants, and affine fibres
+    that can be inconsistent (a*b - 1 has none where a = 0)."""
+    p = draw(st.sampled_from([3, 5]))
+    n = draw(st.integers(1, 4))
+    ring = plain_ring(p, [f"x{i}" for i in range(n)])
+    exps = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    rels = draw(
+        st.lists(
+            st.lists(st.tuples(st.integers(1, p - 1), exps), min_size=1, max_size=4),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    relations = [
+        ring.from_terms((c, {f"x{i}": e for i, e in enumerate(ex)}) for c, ex in rel)
+        for rel in rels
+    ]
+    return ring, relations
+
+
 class TestCountPoints:
+    @settings(max_examples=60, deadline=None)
+    @given(small_systems())
+    def test_matches_enumeration_oracles(self, drawn):
+        ring, relations = drawn
+        system = IdealPresentation(ring, relations)
+        assert_is_cover(system.relations, _cover(system.relations)[0])
+        q = ring.p
+        assert count_points(system, q) == brute_force_count(relations, ring.nvars, q)
+        if q == 3:
+            assert count_points(system, 9) == table_count(relations, ring.nvars, GF(9))
+
+    @pytest.mark.parametrize(
+        "build, counts",
+        [
+            # a = 0 leaves the inconsistent fibre 0*b = 1; c is free
+            (lambda a, b, c: [a * b - 1], {3: 6, 5: 20, 9: 72}),
+            (lambda a, b, c: [a * b - 1, a * c], {3: 2, 5: 4, 9: 8}),
+            # 2ab = 1 and c = b
+            (lambda a, b, c: [a * b + a * c - 1, b - c], {3: 2, 5: 4, 9: 8}),
+            # c(a + b) = -1
+            (lambda a, b, c: [a * c + b * c + 1], {3: 6, 5: 20, 9: 72}),
+        ],
+        ids=["ab-1", "ab-1,ac", "ab+ac-1,b-c", "ac+bc+1"],
+    )
+    def test_affine_fibres(self, build, counts):
+        for q, want in counts.items():
+            ring = plain_ring(GF(q).p, ["a", "b", "c"])
+            rels = build(*(ring.var(n) for n in "abc"))
+            assert count_points(IdealPresentation(ring, rels), q) == want
+            assert table_count(rels, 3, GF(q)) == want
+
+    def test_cover_is_deterministic(self):
+        # two 2x2 minor chains a-b-c over twists 0, 1 and a square in d
+        ring = plain_ring(3, ["a0", "b0", "c0", "a1", "b1", "c1", "d", "e"])
+        v = {n: ring.var(n) for n in ("a0", "b0", "c0", "a1", "b1", "c1", "d", "e")}
+        rels = [
+            v["a0"] * v["b1"] - v["a1"] * v["b0"],
+            v["b0"] * v["c1"] - v["b1"] * v["c0"],
+            v["d"] ** 2 * v["e"] - 1,
+        ]
+        cover, unknowns = _cover(rels)
+        assert cover == [1, 4, 6]  # b0, b1 and the squared d
+        assert unknowns == [0, 2, 3, 5, 7]
+        assert _cover(list(rels)) == (cover, unknowns)
+        assert_is_cover(rels, cover)
+
     def test_rank_one_matrices(self):
         ring = plain_ring(3, ["a0", "a1", "b0", "b1"])
         rel = ring.var("a0") * ring.var("b1") - ring.var("a1") * ring.var("b0")
@@ -338,6 +434,7 @@ class TestCountPoints:
         # x^2 + 1 has two roots in F_9 (9 = 1 mod 4) and none in F_3
         ring = plain_ring(3, ["x"])
         sq = IdealPresentation(ring, [ring.var("x") ** 2 + 1])
+        assert _cover(sq.relations) == ([0], [])  # every variable enumerated
         assert count_points(sq, 3) == 0
         assert count_points(sq, 9) == 2
 
