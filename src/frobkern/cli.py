@@ -11,6 +11,7 @@ payload.  Exit codes: 0 success, 1 check failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -36,7 +37,6 @@ class RunConfig:
     r: int = 1
     p: int = 3
     q_list: tuple[int, ...] = ()
-    degree_bound: int | None = None
     enumeration_budget: int | None = None
     output: str | None = None
     seed: int = 0
@@ -82,6 +82,13 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
             f"--weight needs {rank} entries, one per simple root, got {len(weight)}"
         )
     return weight
+
+
+def _degree(text: str) -> int:
+    """A --degree value: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"needs an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _budget(config: RunConfig) -> int | None:
@@ -158,14 +165,11 @@ def payload_model_hilbert(config: RunConfig, ns) -> dict:
     ctx = _model_ctx(config)
     sbar = grmodel.build_Sbar(ctx)
     w = _parse_weight(ns.weight, config.rank) if ns.weight else None
-    dims = {
-        str(d): sbar.graded_dimension(d, weight=w, degree_bound=config.degree_bound)
-        for d in range(ns.degree + 1)
-    }
+    dims = polyalg.hilbert_series(sbar.ideal(), ns.degree, weight=w)
     return {
         "context": ctx.label(),
         "weight": list(w) if w else None,
-        "by_degree": dims,
+        "by_degree": {str(d): n for d, n in enumerate(dims)},
     }
 
 
@@ -416,7 +420,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommand tree, built once per process: parsing leaves it as it is."""
     parser = _Parser(
         prog="frobkern",
         description="models, varieties and spectral data for unipotent Frobenius kernels",
@@ -438,9 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hilb = model_sub.add_parser("hilbert")
     _add_common(p_hilb, model=True)
     p_hilb.set_defaults(payload=payload_model_hilbert)
-    p_hilb.add_argument("--degree", type=int, required=True)
+    p_hilb.add_argument("--degree", type=_degree, required=True)
     p_hilb.add_argument("--weight", default=None)
-    p_hilb.add_argument("--degree-bound", type=int, default=None)
     p_theta = model_sub.add_parser("theta-check")
     _add_common(p_theta, model=True)
     p_theta.set_defaults(payload=payload_model_theta_check)
@@ -485,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
             p_act.add_argument("--kind", choices=["y", "x"], default="y")
             p_act.add_argument("--exponent", type=int, default=1)
         if name == "aj-enumerate":
-            p_act.add_argument("--degree", type=int, required=True)
+            p_act.add_argument("--degree", type=_degree, required=True)
             p_act.add_argument("--weight", required=True)
 
     p_conj = sub.add_parser("conjecture", help="sub-diagram component combinatorics")
@@ -518,7 +523,6 @@ def _config_from(ns) -> RunConfig:
         r=getattr(ns, "r", 1),
         p=getattr(ns, "p", 3),
         q_list=q_list,
-        degree_bound=getattr(ns, "degree_bound", None),
         enumeration_budget=getattr(ns, "budget", None),
         output=getattr(ns, "output", None),
         seed=getattr(ns, "seed", 0),

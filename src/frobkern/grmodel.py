@@ -200,8 +200,8 @@ class ModelPresentation:
             )
         return self._ideal
 
-    def graded_dimension(self, degree, weight=None, degree_bound=None) -> int:
-        return graded_dimension(self.ideal(), degree, weight, degree_bound)
+    def graded_dimension(self, degree, weight=None) -> int:
+        return graded_dimension(self.ideal(), degree, weight)
 
     def to_json_dict(self) -> dict:
         return _presentation_json(self, kind="model")

@@ -4,8 +4,8 @@ dimension counting and exact F_q point counting.
 A ring holds even (polynomial) and odd (exterior) variables; monomials are
 dense exponent tuples in a fixed variable order, odd exponents never exceed
 one, and products pick up the Koszul sign from transposing odd factors.
-Ideal machinery (Buchberger, normal forms, standard-monomial counting) is
-restricted to the even subring, which is all the model ideals need.
+Ideal machinery (Buchberger, normal forms, Hilbert series) is restricted
+to the even subring, which is all the model ideals need.
 
 Point counting works over any F_q with q a power of the ring characteristic;
 extension fields are realised through precomputed tables so that the numpy
@@ -340,7 +340,7 @@ class IdealPresentation:
     eigenvector.  Rings whose variables all sit in degree zero pass the check
     vacuously, which is how the generic Groebner examples are phrased.
 
-    The presentation keeps one Buchberger engine: ``graded_dimension`` runs it
+    The presentation keeps one Buchberger engine: ``hilbert_series`` runs it
     only as far as the degree it asks for, and ``groebner`` runs the same
     state to completion.
     """
@@ -621,93 +621,79 @@ def buchberger(ideal, degree: int | None = None) -> GroebnerBasis:
 # -- graded dimension --------------------------------------------------------
 
 
-def _standard_monomials(ring: PolyRing, degree: int, leads):
-    """Even monomials of cohomological degree ``degree`` that no lead divides.
+def _numerator(leads, left: int, grade) -> Counter:
+    """Numerator of the Hilbert series of ring/(leads), through degree ``left``.
 
-    ``leads`` holds ``_support`` tuples.  Variables get their exponents in
-    order, and a lead is tested once its last variable has one: a branch it
-    divides is cut there, since every completion stays divisible.
+    {grade: coefficient} by the colon recursion on the lead m of largest
+    degree: N(I' + (m)) = N(I') - grade(m) * N(I' : m).  Every term a lead
+    contributes has at least its degree, so leads above the degree still left
+    are dropped first; redundant leads change nothing and are dropped too.
     """
-    even = [i for i in range(ring.nvars) if i not in ring._odd]
-    if any(ring._degrees[i] <= 0 for i in even):
+    minimal = []
+    for e in sorted((e for e in leads if grade(e)[0] <= left), key=grade):
+        if not any(_divides(f, e) for f in minimal):
+            minimal.append(e)
+    if not minimal:
+        return Counter({grade(()): 1})
+    m = minimal.pop()
+    out = _numerator(minimal, left, grade)
+    colon = [tuple(a - b if a > b else 0 for a, b in zip(e, m)) for e in minimal]
+    gm = grade(m)
+    for g, c in _numerator(colon, left - gm[0], grade).items():
+        out[tuple(map(add, g, gm))] -= c
+    return out
+
+
+def hilbert_series(
+    presentation: IdealPresentation,
+    degree: int,
+    weight: tuple[int, ...] | None = None,
+) -> list[int]:
+    """F_p-dimensions of the degree 0..``degree`` components of ambient/ideal.
+
+    With ``weight``, of the components of that T-weight.  The leading ideal of
+    the Groebner basis through ``degree`` has the numerator of the Hilbert
+    series (graded by degree and, when asked, T-weight); each even variable
+    divides it by 1 - t^d s^w and each odd one multiplies it by 1 + t^d s^w.
+    """
+    ring = presentation.ring
+    bound = 2 * ring.p * ring.p + 2  # refuses runs whose basis would take long
+    if degree > bound:
+        raise BudgetError(f"degree {degree} exceeds the bound 2p^2 + 2 = {bound}")
+    if degree < 0:
+        return []
+    if any(d <= 0 for d in ring._degrees):
         raise DomainError("dimension counting needs positive variable degrees")
-    if any(not s for s in leads):  # the unit ideal
-        return
-    closing: dict[int, list] = {i: [] for i in even}
-    for s in leads:
-        closing[s[-1][0]].append(s)
-    e = [0] * ring.nvars
+    if weight is not None and len(weight) != ring.weight_len:
+        raise DomainError("weight vector has the wrong length")
+    weighted = weight is not None
 
-    def rec(pos, remaining):
-        if remaining == 0:
-            yield tuple(e)
-            return
-        if pos == len(even):
-            return
-        i = even[pos]
-        d = ring._degrees[i]
-        for k in range(remaining // d + 1):
-            e[i] = k
-            if k and any(all(e[a] >= b for a, b in s) for s in closing[i]):
-                break
-            yield from rec(pos + 1, remaining - k * d)
-        e[i] = 0
+    def grade(e):
+        return (ring.monomial_degree(e), *(ring.monomial_weight(e) if weighted else ()))
 
-    yield from rec(0, degree)
+    leads = [g.leading()[0] for g in buchberger(presentation, degree).basis]
+    # by_degree[k]: {weight (or ()): coefficient} of the series in degree k
+    by_degree = [Counter() for _ in range(degree + 1)]
+    for g, c in _numerator(leads, degree, grade).items():
+        by_degree[g[0]][g[1:]] += c
+    for i, (d, w) in enumerate(zip(ring._degrees, ring._weights)):
+        w = w if weighted else ()
+        # 1/(1 - x) reads the terms it has just made; 1 + x only the old ones
+        odd = i in ring._odd
+        for k in range(degree, d - 1, -1) if odd else range(d, degree + 1):
+            for wt, c in list(by_degree[k - d].items()):
+                by_degree[k][tuple(map(add, wt, w))] += c
+    key = tuple(weight) if weighted else ()
+    return [terms[key] for terms in by_degree]
 
 
 def graded_dimension(
     presentation: IdealPresentation,
     degree: int,
     weight: tuple[int, ...] | None = None,
-    degree_bound: int | None = None,
 ) -> int:
-    """F_p-dimension of the (degree[, weight]) component of ambient/ideal.
-
-    Exhaustive: standard even monomials (those not divisible by a Groebner
-    leading term) convolved with the exterior wedges; each even degree is
-    enumerated once.  The Groebner basis is only computed through ``degree``.
-    """
-    ring = presentation.ring
-    bound = degree_bound if degree_bound is not None else 2 * ring.p * ring.p + 2
-    if degree > bound:
-        raise BudgetError(
-            f"degree {degree} exceeds the enumeration bound {bound}; "
-            "pass degree_bound explicitly to extend it"
-        )
-    if degree < 0:
-        return 0
-    gb = buchberger(presentation, degree)
-    leads = [_support(g.leading()[0]) for g in gb.basis]
-    odd = list(ring._odd)
-    if weight is not None:
-        weight = tuple(weight)
-        if len(weight) != ring.weight_len:
-            raise DomainError("weight vector has the wrong length")
-
-    wedges = []
-    for rset in range(len(odd) + 1):
-        for subset in itertools.combinations(odd, rset):
-            d = sum(ring._degrees[i] for i in subset)
-            if d <= degree:
-                wedges.append((d, subset))
-
-    # standard monomials of each even degree, tallied by T-weight (or None)
-    weigh = ring.monomial_weight if weight is not None else lambda e: None
-    tallies: dict[int, Counter] = {}
-    count = 0
-    for wedge_deg, subset in wedges:
-        target = degree - wedge_deg
-        if target not in tallies:
-            tallies[target] = Counter(
-                map(weigh, _standard_monomials(ring, target, leads))
-            )
-        if weight is None:
-            count += tallies[target][None]
-        else:
-            wedge = ring.monomial_weight([int(i in subset) for i in range(ring.nvars)])
-            count += tallies[target][tuple(a - b for a, b in zip(weight, wedge))]
-    return count
+    """F_p-dimension of the (degree[, weight]) component of ambient/ideal."""
+    return hilbert_series(presentation, degree, weight)[degree] if degree >= 0 else 0
 
 
 # -- finite fields and point counting ----------------------------------------

@@ -201,8 +201,13 @@ class TestExitCodes:
             (None, ["variety", "components", "--q", "3,x"]),
             (None, ["variety", "count", "--group", "Ux", "--q", "3"]),
             (None, ["rootsys", "info", "--J", "x"]),
+            (None, ["model", "hilbert", "--family", "A", "--rank", "2", "--r", "2",
+                    "--degree", "-1"]),
+            (None, ["specseq", "aj-enumerate", "--family", "A", "--rank", "2",
+                    "--r", "2", "--degree", "-2", "--weight", "27,27"]),
         ],
-        ids=["env-budget", "negative-budget", "q-list", "group", "J"],
+        ids=["env-budget", "negative-budget", "q-list", "group", "J",
+             "negative-hilbert-degree", "negative-aj-degree"],
     )
     def test_malformed_value_is_config_error(self, capsys, monkeypatch, env, argv):
         if env is None:
@@ -249,6 +254,25 @@ class TestExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert code == 3
         assert doc["error"]["code"] == "budget"
+
+    def test_over_bound_degree_is_refused_as_asked(self, capsys):
+        code = run(["model", "hilbert", "--family", "A", "--rank", "2", "--r", "2",
+                    "--p", "3", "--degree", "30"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert doc["error"]["code"] == "budget"
+        assert "30" in doc["error"]["message"]
+        assert "degree_bound" not in doc["error"]["message"]
+
+    def test_parser_serves_a_run_after_a_malformed_one(self, capsys):
+        # the parser is built once per process; a failed parse must not mark it
+        code, doc = invoke(capsys, "variety", "count", "--group", "U3", "--q", "x")
+        assert code == 2 and doc["error"]["code"] == "config"
+        assert doc["command"] == "variety count"
+        code, doc = invoke(capsys, "variety", "count", "--group", "U3", "--r", "2",
+                           "--q", "3")
+        assert code == 0 and doc["payload"]["count"] == 297
+        assert doc["config"]["r"] == 2
 
     def test_unsupported_theta_configuration(self, capsys):
         # full U5 at p=3: the p-th power map does not vanish

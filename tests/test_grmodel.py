@@ -159,7 +159,7 @@ class TestSbarAndQ:
     def test_hilbert_against_independent_oracle(self):
         sbar = build_Sbar(u3())
         for d in range(0, 13, 2):
-            assert sbar.graded_dimension(d, degree_bound=12) == independent_principal_dim(d)
+            assert sbar.graded_dimension(d) == independent_principal_dim(d)
 
     def test_splitting_convolution_by_degree(self):
         ctx = u3()

@@ -1,0 +1,180 @@
+"""Hilbert series of the leading ideal against standard-monomial enumeration.
+
+The reference below lists, degree by degree, every even monomial that no
+leading term divides and convolves those counts with the exterior wedges of
+the odd variables.  It shares only the truncated Groebner basis with
+``hilbert_series``: neither the colon recursion nor the series expansion.
+"""
+
+import itertools
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from frobkern import grmodel
+from frobkern.errors import BudgetError
+from frobkern.polyalg import (
+    IdealPresentation,
+    PolyRing,
+    VariableDescriptor,
+    buchberger,
+    hilbert_series,
+)
+
+
+def standard_monomials(ring, degree, leads):
+    """Even monomials of cohomological degree ``degree`` that no lead divides.
+
+    ``leads`` holds (index, exponent) supports.  Variables get their exponents
+    in order, and a lead is tested once its last variable has one: a branch it
+    divides is cut there, since every completion stays divisible.
+    """
+    even = [i for i in range(ring.nvars) if i not in ring._odd]
+    if any(not s for s in leads):  # the unit ideal
+        return
+    closing = {i: [] for i in even}
+    for s in leads:
+        closing[s[-1][0]].append(s)
+    e = [0] * ring.nvars
+
+    def rec(pos, remaining):
+        if remaining == 0:
+            yield tuple(e)
+            return
+        if pos == len(even):
+            return
+        i = even[pos]
+        d = ring._degrees[i]
+        for k in range(remaining // d + 1):
+            e[i] = k
+            if k and any(all(e[a] >= b for a, b in s) for s in closing[i]):
+                break
+            yield from rec(pos + 1, remaining - k * d)
+        e[i] = 0
+
+    yield from rec(0, degree)
+
+
+def enumerated_dimensions(presentation, degree):
+    """{T-weight: dimension} of each degree 0..``degree``, by enumeration."""
+    ring = presentation.ring
+    leads = [
+        tuple((i, k) for i, k in enumerate(g.leading()[0]) if k)
+        for g in buchberger(presentation, degree).basis
+    ]
+    even_parts = [
+        Counter(map(ring.monomial_weight, standard_monomials(ring, d, leads)))
+        for d in range(degree + 1)
+    ]
+    out = [Counter() for _ in range(degree + 1)]
+    for size in range(len(ring._odd) + 1):
+        for subset in itertools.combinations(ring._odd, size):
+            wedge = [int(i in subset) for i in range(ring.nvars)]
+            shift = ring.monomial_degree(wedge)
+            wedge_weight = ring.monomial_weight(wedge)
+            for d in range(shift, degree + 1):
+                for w, n in even_parts[d - shift].items():
+                    out[d][tuple(a + b for a, b in zip(w, wedge_weight))] += n
+    return out
+
+
+def sbar(family, rank, r, p, stage=None):
+    ctx = grmodel.model_context(family, rank, stage=stage, r=r, p=p)
+    return grmodel.build_Sbar(ctx)
+
+
+# -- random rings ------------------------------------------------------------------
+
+
+@st.composite
+def graded_ideals(draw):
+    """Even and odd variables of several degrees and weights, with monomial
+    and binomial relations homogeneous in degree and T-weight."""
+    n_even = draw(st.integers(2, 4))
+    n_odd = draw(st.integers(0, 2))
+    # few distinct weights, so that binomials of one degree and weight exist
+    weight = st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1)])
+    variables = [
+        VariableDescriptor(f"x{i}", "even", draw(st.sampled_from([2, 4, 6])), draw(weight))
+        for i in range(n_even)
+    ] + [
+        VariableDescriptor(f"y{i}", "odd", draw(st.sampled_from([1, 3])), draw(weight))
+        for i in range(n_odd)
+    ]
+    ring = PolyRing(draw(st.sampled_from([3, 5])), variables)
+    names = [v.name for v in variables[:n_even]]
+    exps = [e for e in itertools.product(range(4), repeat=n_even) if any(e)]
+    grade = {}
+    for e in exps:
+        full = e + (0,) * n_odd
+        grade.setdefault((ring.monomial_degree(full), ring.monomial_weight(full)), []).append(e)
+    classes = [members for members in grade.values() if len(members) > 1]
+    relations = []
+    for _ in range(draw(st.integers(0, 4))):
+        if classes and draw(st.integers(0, 2)):
+            a, b = draw(st.lists(st.sampled_from(draw(st.sampled_from(classes))),
+                                 min_size=2, max_size=2, unique=True))
+            c = draw(st.integers(1, ring.p - 1))
+            terms = [(1, a), (c, b)]
+        else:
+            terms = [(1, draw(st.sampled_from(exps)))]
+        relations.append(ring.from_terms((c, dict(zip(names, e))) for c, e in terms))
+    target = draw(st.sampled_from(exps)) + (0,) * n_odd
+    return IdealPresentation(ring, relations), ring.monomial_weight(target)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graded_ideals())
+def test_series_matches_enumeration_on_random_rings(case):
+    presentation, weight = case
+    reference = enumerated_dimensions(presentation, 14)
+    assert hilbert_series(presentation, 14) == [sum(c.values()) for c in reference]
+    assert hilbert_series(presentation, 14, weight) == [c[weight] for c in reference]
+
+
+# -- model ideals ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        dict(family="A", rank=4, r=2, p=3),
+        dict(family="B", rank=3, r=2, p=3),
+        dict(family="A", rank=2, r=4, p=3),
+        dict(family="A", rank=3, stage=3, r=3, p=3),
+    ],
+    ids=["A4", "B3", "A2-r4", "A3-stage3"],
+)
+def test_series_matches_enumeration_on_workload_models(model):
+    pres = sbar(**model).ideal()
+    reference = enumerated_dimensions(pres, 12)
+    assert hilbert_series(pres, 12) == [sum(c.values()) for c in reference]
+
+
+def test_every_weight_of_sbar_a2_matches_enumeration():
+    pres = sbar("A", 2, r=2, p=3).ideal()
+    reference = enumerated_dimensions(pres, 12)
+    weights = set().union(*reference)
+    assert len(weights) > 100
+    for w in sorted(weights):
+        assert hilbert_series(pres, 12, w) == [c[w] for c in reference], w
+
+
+@pytest.mark.parametrize(
+    "rank, degree, dimension",
+    [(4, 20, 1_478_447), (5, 16, 2_566_160)],
+    ids=["A4-d20", "A5-d16"],
+)
+def test_frozen_dimensions_beyond_enumeration(rank, degree, dimension):
+    # enumeration agreed with both values, listing every standard monomial
+    assert hilbert_series(sbar("A", rank, r=2, p=3).ideal(), degree)[degree] == dimension
+
+
+def test_over_bound_degree_is_refused_before_any_work():
+    pres = sbar("A", 2, r=2, p=3).ideal()
+    with pytest.raises(BudgetError, match="degree 30 exceeds"):
+        hilbert_series(pres, 30)
+    assert pres._engine is None
+    assert hilbert_series(pres, -1) == []
