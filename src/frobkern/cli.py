@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import commvar, grmodel, polyalg, rootsys, specseq, verify
 from .errors import BudgetError, CheckFailure, ConfigError, FrobkernError
@@ -40,7 +40,6 @@ class RunConfig:
     enumeration_budget: int | None = None
     output: str | None = None
     seed: int = 0
-    extra: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         doc = asdict(self)
@@ -84,8 +83,8 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     return weight
 
 
-def _degree(text: str) -> int:
-    """A --degree value: a non-negative integer."""
+def _non_negative(text: str) -> int:
+    """A --degree or --pairs value: a non-negative integer."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"needs an integer >= 0, got {text!r}")
     return int(text)
@@ -273,20 +272,10 @@ def payload_variety_components(config: RunConfig, ns) -> dict:
     N = ns.N
     budget = _budget(config)
     q_list = config.q_list or (3,)
-    systems = commvar.component_candidates_U4(config.r) if N == 4 else None
     out: dict = {"N": N, "r": config.r, "q_list": list(q_list)}
-    if systems is not None:
-        y = commvar.y_variety_system(4, config.r)
-        per_q = {}
-        for q in q_list:
-            counts = {label: s.count(q, budget) for label, s in systems.items()}
-            total = y.count(q, budget)
-            per_q[str(q)] = {
-                "Y": total,
-                **counts,
-                "residual": total - (counts["V1"] + counts["V2"] - counts["V1&V2"]),
-            }
-        out["counts"] = per_q
+    if N == 4:
+        counts = commvar.u4_component_counts(config.r, q_list, budget)
+        out["counts"] = {str(q): c for q, c in counts.items()}
         out["claimed_dims"] = {"V1": 2 * config.r, "V2": config.r + 2}
     else:
         report = commvar.conjecture_check(N, config.r, q_list, budget)
@@ -444,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hilb = model_sub.add_parser("hilbert")
     _add_common(p_hilb, model=True)
     p_hilb.set_defaults(payload=payload_model_hilbert)
-    p_hilb.add_argument("--degree", type=_degree, required=True)
+    p_hilb.add_argument("--degree", type=_non_negative, required=True)
     p_hilb.add_argument("--weight", default=None)
     p_theta = model_sub.add_parser("theta-check")
     _add_common(p_theta, model=True)
@@ -452,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_brk = model_sub.add_parser("bracket-check")
     _add_common(p_brk, model=True)
     p_brk.set_defaults(payload=payload_model_bracket_check)
-    p_brk.add_argument("--pairs", type=int, default=100)
+    p_brk.add_argument("--pairs", type=_non_negative, default=100)
 
     p_var = sub.add_parser("variety", help="point counts of the quotient varieties")
     var_sub = p_var.add_subparsers(dest="action", required=True)
@@ -490,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
             p_act.add_argument("--kind", choices=["y", "x"], default="y")
             p_act.add_argument("--exponent", type=int, default=1)
         if name == "aj-enumerate":
-            p_act.add_argument("--degree", type=_degree, required=True)
+            p_act.add_argument("--degree", type=_non_negative, required=True)
             p_act.add_argument("--weight", required=True)
 
     p_conj = sub.add_parser("conjecture", help="sub-diagram component combinatorics")

@@ -285,6 +285,22 @@ def component_candidates_U4(r: int) -> dict[str, VarietySystem]:
     }
 
 
+def u4_component_counts(
+    r: int, q_list, budget: int | None = None
+) -> dict[int, dict[str, int]]:
+    """Per q: the counts of Y, V1, V2 and V1&V2, and the inclusion-exclusion
+    residual Y - (V1 + V2 - V1&V2), which is 0 when V1 and V2 cover Y."""
+    systems = component_candidates_U4(r)
+    y = y_variety_system(4, r)
+    out = {}
+    for q in q_list:
+        counts = {label: s.count(q, budget) for label, s in systems.items()}
+        total = y.count(q, budget)
+        residual = total - (counts["V1"] + counts["V2"] - counts["V1&V2"])
+        out[q] = {"Y": total, **counts, "residual": residual}
+    return out
+
+
 # -- reports ---------------------------------------------------------------------
 
 

@@ -56,7 +56,8 @@ class PairingHypothesisWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ModelGenerator:
-    """A basic model class x or y: root, twist, degree, weight scaling."""
+    """A basic class x or y at twist l: x[beta](l) is even of degree 2 and
+    weight p^{l+1} beta, y[beta](l) is odd of degree 1 and weight p^l beta."""
 
     kind: str  # "x" (degree 2) or "y" (degree 1)
     root: Root
@@ -73,13 +74,22 @@ class ModelGenerator:
     def degree(self) -> int:
         return 2 if self.kind == "x" else 1
 
+    @property
+    def scale(self) -> int:
+        """The power of p that multiplies the root in the weight."""
+        return self.p ** (self.twist + 1 if self.kind == "x" else self.twist)
+
     def weight(self) -> tuple[int, ...]:
-        scale = self.p ** (self.twist + 1 if self.kind == "x" else self.twist)
-        return tuple(scale * c for c in self.root.coeffs)
+        return tuple(self.scale * c for c in self.root.coeffs)
 
     @property
     def name(self) -> str:
         return f"{self.kind}[{self.root.label()}]({self.twist})"
+
+    def descriptor(self, name: str | None = None) -> VariableDescriptor:
+        """The ring variable of this class, under ``name`` if one is given."""
+        parity = "even" if self.kind == "x" else "odd"
+        return VariableDescriptor(name or self.name, parity, self.degree, self.weight())
 
 
 @dataclass(frozen=True)
@@ -282,9 +292,7 @@ def _ambient(ctx: ModelContext, max_level_excl: int):
         for twist in range(ctx.r):
             for alpha in ctx.roots_of_level(1):
                 gen = ModelGenerator("x", alpha, twist, ctx.p)
-                variables.append(
-                    VariableDescriptor(gen.name, "even", 2, gen.weight())
-                )
+                variables.append(gen.descriptor())
                 info[gen.name] = VarInfo("x", alpha, twist)
     powers, power_info = _power_variables(
         ctx, "w", range(max(ctx.i, 2), max_level_excl)

@@ -23,8 +23,10 @@ operation outside {P^0, P^{p^j}, bP^0, bP^{p^j}} raises.
 
 The file also carries the weight-space enumerator for the first page of
 the filtration-by-powers-of-the-augmentation-ideal spectral sequence,
-with the 1-dimensionality search used to pin down lifted classes.  No
-Steenrod operation is ever applied to that enumerator's data.
+with the 1-dimensionality search used to pin down lifted classes.  Both
+pages are rings on ``grmodel.ModelGenerator`` classes; the first page
+names the twist l class by its block n = l+1.  No Steenrod operation is
+ever applied to that enumerator's data.
 """
 
 from __future__ import annotations
@@ -32,35 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, UnsupportedOperationError
-from .grmodel import ModelContext
-from .polyalg import Poly, PolyRing, VariableDescriptor
+from .errors import BudgetError, DomainError, UnsupportedOperationError
+from .grmodel import ModelContext, ModelGenerator
+from .polyalg import Poly, PolyRing
 from .rootsys import Root, check_pairing_hypothesis, summand_pairs
-
-
-def _page_ring(p: int, r: int, base_roots, fiber_roots) -> PolyRing:
-    variables = []
-    for twist in range(r):
-        for root in (*base_roots, *fiber_roots):
-            variables.append(
-                VariableDescriptor(
-                    f"x[{root.label()}]({twist})",
-                    "even",
-                    2,
-                    tuple(p ** (twist + 1) * c for c in root.coeffs),
-                )
-            )
-    for twist in range(r):
-        for root in (*base_roots, *fiber_roots):
-            variables.append(
-                VariableDescriptor(
-                    f"y[{root.label()}]({twist})",
-                    "odd",
-                    1,
-                    tuple(p**twist * c for c in root.coeffs),
-                )
-            )
-    return PolyRing(p, variables)
 
 
 class ExtensionPage:
@@ -75,28 +52,29 @@ class ExtensionPage:
         self.base_roots = tuple(
             root for v in range(ctx.i, ctx.top_level) for root in ctx.roots_of_level(v)
         )
-        self.ring = _page_ring(ctx.p, ctx.r, self.base_roots, self.fiber_roots)
+        roots = (*self.base_roots, *self.fiber_roots)
+        #: the class of each ring variable: every x twist by twist, then every y
+        self.generators = tuple(
+            ModelGenerator(kind, root, twist, ctx.p)
+            for kind in "xy"
+            for twist in range(ctx.r)
+            for root in roots
+        )
+        self.ring = PolyRing(ctx.p, [g.descriptor() for g in self.generators])
         self._pctx = pctx
         self._fiber = set(self.fiber_roots)
-        self._meta = {}
-        for name in self.ring.index:
-            kind, rest = name[0], name[2:]
-            label, _, twist = rest.rpartition("](")
-            self._meta[name] = (kind, label, int(twist[:-1]))
-        fiber_labels = {root.label() for root in self.fiber_roots}
         # each variable's degree if it lives on a fiber root, else 0
         self._fiber_degrees = tuple(
-            v.degree if self._meta[v.name][1] in fiber_labels else 0
-            for v in self.ring.variables
+            g.degree if g.root in self._fiber else 0 for g in self.generators
         )
 
     # -- generator access ------------------------------------------------------
 
     def x(self, root: Root, twist: int) -> Poly:
-        return self.ring.var(f"x[{root.label()}]({twist})")
+        return self.ring.var(ModelGenerator("x", root, twist, self.ctx.p).name)
 
     def y(self, root: Root, twist: int) -> Poly:
-        return self.ring.var(f"y[{root.label()}]({twist})")
+        return self.ring.var(ModelGenerator("y", root, twist, self.ctx.p).name)
 
     def is_fiber(self, root: Root) -> bool:
         return root in self._fiber
@@ -188,7 +166,7 @@ def page_derivation(page: ExtensionPage, values: dict, f: Poly) -> Poly:
 def d2(page: ExtensionPage, f: Poly) -> Poly:
     """The second-page differential as a derivation (zero on x classes)."""
     values = {
-        f"y[{beta.label()}]({twist})": d2_on_y(page, beta, twist)
+        ModelGenerator("y", beta, twist, page.ctx.p).name: d2_on_y(page, beta, twist)
         for beta in page.fiber_roots
         for twist in range(page.ctx.r)
     }
@@ -253,7 +231,7 @@ def _parse_op(op) -> tuple[bool, int]:
         bock = text.startswith("b")
         if bock:
             text = text[1:]
-        if not text.startswith("P"):
+        if not (text.startswith("P") and text[1:].isdecimal()):
             raise UnsupportedOperationError(f"cannot parse operation {op!r}")
         n = int(text[1:])
     else:
@@ -291,16 +269,16 @@ def steenrod_apply(page: ExtensionPage, op, f: Poly) -> Poly:
     r = ctx.r
 
     def on_power(bock_flag: bool, s: int, index: int, e: int) -> Poly:
-        var = ring.variables[index]
-        kind, label, twist = page._meta[var.name]
-        if kind == "y":
+        gen = page.generators[index]
+        root, twist = gen.root, gen.twist
+        if gen.kind == "y":
             if s != 0:
                 return ring.zero()
             if bock_flag:
-                return ring.var(f"x[{label}]({twist})")
+                return page.x(root, twist)
             if twist + 1 >= r:
                 return ring.zero()
-            return ring.var(f"y[{label}]({twist + 1})")
+            return page.y(root, twist + 1)
         if bock_flag:
             return ring.zero()
         if s > e:
@@ -312,9 +290,9 @@ def steenrod_apply(page: ExtensionPage, op, f: Poly) -> Poly:
             return ring.zero()
         out = ring.const(c)
         if s:
-            out = out * ring.var(var.name) ** (ctx.p * s)
+            out = out * ring.var(gen.name) ** (ctx.p * s)
         if e - s:
-            out = out * ring.var(f"x[{label}]({twist + 1})") ** (e - s)
+            out = out * page.x(root, twist + 1) ** (e - s)
         return out
 
     def cartan(bock_flag: bool, budget: int, factors) -> Poly:
@@ -349,76 +327,64 @@ def steenrod_apply(page: ExtensionPage, op, f: Poly) -> Poly:
 # -- first-page weight enumerator ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AJGenerator:
-    """One generator of the filtration first page: block n, kind x or y.
+def aj_page(roots, r: int, p: int) -> tuple[PolyRing, tuple[ModelGenerator, ...]]:
+    """The first page on ``roots`` as a ring, and the class of each variable.
 
-    The x-kind at block n has degree 2, weight p^n root and filtration
-    index p^n per exponent; the y-kind has degree 1, weight p^{n-1} root
-    and filtration index p^{n-1}.
+    Block n (1 <= n <= r) holds the twist n-1 classes of each root:
+    ``x[root]{n}`` of degree 2 and weight p^n root, and the exterior
+    ``y[root]{n}`` of degree 1 and weight p^{n-1} root.  Variables run by
+    block, then root, x before y.
     """
-
-    kind: str
-    root: Root
-    block: int
-    p: int
-
-    @property
-    def degree(self) -> int:
-        return 2 if self.kind == "x" else 1
-
-    def weight(self) -> tuple[int, ...]:
-        scale = self.p**self.block if self.kind == "x" else self.p ** (self.block - 1)
-        return tuple(scale * c for c in self.root.coeffs)
-
-    @property
-    def filtration(self) -> int:
-        return self.p**self.block if self.kind == "x" else self.p ** (self.block - 1)
-
-    @property
-    def name(self) -> str:
-        return f"{self.kind}[{self.root.label()}]{{{self.block}}}"
+    gens = tuple(
+        ModelGenerator(kind, root, twist, p)
+        for twist in range(r)
+        for root in roots
+        for kind in "xy"
+    )
+    names = [f"{g.kind}[{g.root.label()}]{{{g.twist + 1}}}" for g in gens]
+    return PolyRing(p, [g.descriptor(n) for g, n in zip(gens, names)]), gens
 
 
 @dataclass(frozen=True)
 class AJMonomial:
-    factors: tuple[tuple[AJGenerator, int], ...]
+    """One first-page monomial: an exponent vector on the ring of ``aj_page``.
+
+    Its filtration index sums the weight scale of each factor: p^n for
+    ``x[root]{n}`` and p^{n-1} for ``y[root]{n}``.
+    """
+
+    ring: PolyRing
+    generators: tuple[ModelGenerator, ...]
+    exps: tuple[int, ...]
 
     @property
     def degree(self) -> int:
-        return sum(g.degree * e for g, e in self.factors)
+        return self.ring.monomial_degree(self.exps)
 
-    def weight(self) -> tuple[int, ...]:
-        if not self.factors:
-            return ()
-        acc = [0] * len(self.factors[0][0].root.coeffs)
-        for g, e in self.factors:
-            for k, w in enumerate(g.weight()):
-                acc[k] += e * w
-        return tuple(acc)
+    @property
+    def name(self) -> str:
+        return self.ring.monomial_str(self.exps)
+
+    def _factors(self):
+        return ((g, e) for g, e in zip(self.generators, self.exps) if e)
 
     @property
     def filtration(self) -> int:
-        return sum(g.filtration * e for g, e in self.factors)
+        return sum(g.scale * e for g, e in self._factors())
 
     def block_profile(self) -> tuple[dict, dict]:
         """({n: a_n}, {n: b_n}): symmetric and exterior exponents per block."""
         a: dict[int, int] = {}
         b: dict[int, int] = {}
-        for g, e in self.factors:
+        for g, e in self._factors():
             target = a if g.kind == "x" else b
-            target[g.block] = target.get(g.block, 0) + e
+            target[g.twist + 1] = target.get(g.twist + 1, 0) + e
         return a, b
 
-    @property
-    def name(self) -> str:
-        bits = []
-        for g, e in self.factors:
-            bits.append(g.name if e == 1 else f"{g.name}^{e}")
-        return "*".join(bits) if bits else "1"
-
     def block_y_roots(self, block: int) -> tuple[Root, ...]:
-        return tuple(g.root for g, _ in self.factors if g.kind == "y" and g.block == block)
+        return tuple(
+            g.root for g, _ in self._factors() if g.kind == "y" and g.twist + 1 == block
+        )
 
 
 def aj_summand_index(mono: AJMonomial) -> dict:
@@ -439,50 +405,63 @@ def aj_E1_enumerate(
     target_weight: tuple[int, ...],
     max_monomials: int = 200_000,
 ):
-    """All first-page monomials of the given degree and T-weight.
+    """All first-page monomials of the given degree and T-weight, by name.
 
-    Generators: for each block 1 <= n <= r and each root, a degree-2
-    polynomial class of weight p^n root and a degree-1 exterior class of
-    weight p^{n-1} root.  Weights are non-negative and non-zero, so the
-    search prunes on coordinate overshoot.
+    The search places the variables of ``aj_page`` from the largest weight
+    per degree down.  Weights are non-negative, so a branch is cut when a
+    coordinate overshoots, or when it still misses more than the degree
+    left times the best weight per degree among the variables not yet
+    placed.  Ratios are compared by integer cross-multiplication.
     """
-    from .errors import BudgetError
-
-    roots = tuple(roots)
+    ring, gens = aj_page(roots, r, p)
     target_weight = tuple(target_weight)
-    if any(w < 0 for w in target_weight):
-        return []
-    gens = []
-    for block in range(1, r + 1):
-        for root in roots:
-            gens.append(AJGenerator("x", root, block, p))
-            gens.append(AJGenerator("y", root, block, p))
-    out: list[AJMonomial] = []
+    if len(target_weight) != ring.weight_len:
+        raise DomainError("weight vector has the wrong length")
+    degrees = [v.degree for v in ring.variables]
+    weights = [v.weight for v in ring.variables]
+    scale = math.lcm(*degrees)
+    order = sorted(range(ring.nvars), key=lambda i: -sum(weights[i]) * scale // degrees[i])
+    # best[pos][k]: the largest weight per degree (num, den) in coordinate k
+    # among the variables order[pos:]
+    best = [[(0, 1)] * len(target_weight)]
+    for i in reversed(order):
+        best.append(
+            [
+                (w, degrees[i]) if w * den > num * degrees[i] else (num, den)
+                for w, (num, den) in zip(weights[i], best[-1])
+            ]
+        )
+    best.reverse()
+    found: list[tuple[int, ...]] = []
+    exps = [0] * ring.nvars
 
-    def overshoot(weight) -> bool:
-        return any(w > t for w, t in zip(weight, target_weight))
-
-    def rec(pos: int, degree_left: int, weight: tuple, chosen):
-        if len(out) > max_monomials:
-            raise BudgetError("first-page enumeration exceeded the budget")
+    def rec(pos: int, degree_left: int, missing: tuple) -> None:
         if degree_left == 0:
-            if weight == target_weight:
-                out.append(AJMonomial(tuple(chosen)))
+            if not any(missing):
+                found.append(tuple(exps))
+                if len(found) > max_monomials:
+                    raise BudgetError(
+                        f"first-page enumeration in degree {total_degree}, weight "
+                        f"{target_weight} exceeded the budget of {max_monomials} monomials"
+                    )
             return
-        if pos == len(gens):
+        if pos == len(order) or any(
+            m * den > degree_left * num for m, (num, den) in zip(missing, best[pos])
+        ):
             return
-        g = gens[pos]
-        max_e = degree_left // g.degree
-        if g.kind == "y":
-            max_e = min(max_e, 1)
-        gw = g.weight()
-        for e in range(max_e + 1):
-            w = tuple(a + e * b for a, b in zip(weight, gw))
-            if e and overshoot(w):
+        i = order[pos]
+        rec(pos + 1, degree_left, missing)
+        top = 1 if ring.variables[i].parity == "odd" else degree_left // degrees[i]
+        for e in range(1, top + 1):
+            missing = tuple(m - w for m, w in zip(missing, weights[i]))
+            if any(m < 0 for m in missing):
                 break
-            rec(pos + 1, degree_left - e * g.degree, w, chosen + [(g, e)] if e else chosen)
+            exps[i] = e
+            rec(pos + 1, degree_left - e * degrees[i], missing)
+        exps[i] = 0
 
-    rec(0, total_degree, (0,) * len(target_weight), [])
+    rec(0, total_degree, target_weight)
+    out = [AJMonomial(ring, gens, e) for e in found]
     out.sort(key=lambda m: m.name)
     return out
 

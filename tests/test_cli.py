@@ -205,9 +205,10 @@ class TestExitCodes:
                     "--degree", "-1"]),
             (None, ["specseq", "aj-enumerate", "--family", "A", "--rank", "2",
                     "--r", "2", "--degree", "-2", "--weight", "27,27"]),
+            (None, ["model", "bracket-check", "--r", "2", "--pairs", "-1"]),
         ],
         ids=["env-budget", "negative-budget", "q-list", "group", "J",
-             "negative-hilbert-degree", "negative-aj-degree"],
+             "negative-hilbert-degree", "negative-aj-degree", "negative-pairs"],
     )
     def test_malformed_value_is_config_error(self, capsys, monkeypatch, env, argv):
         if env is None:
@@ -235,16 +236,25 @@ class TestExitCodes:
         assert doc["error"]["code"] == "config"
         assert doc["command"] == "variety count"
 
-    @pytest.mark.parametrize("beta", ["1,x", "xa1"])
-    def test_malformed_root_is_reported(self, capsys, beta):
-        code = run(
-            ["specseq", "d2", "--family", "A", "--rank", "2", "--v", "3", "--r", "2",
-             "--p", "3", "--beta", beta, "--l", "0"]
-        )
+    @pytest.mark.parametrize(
+        "action, option, value, error",
+        [
+            ("d2", "--beta", "1,x", "domain"),
+            ("d2", "--beta", "xa1", "domain"),
+            ("steenrod", "--op", "P", "unsupported"),
+            ("steenrod", "--op", "Px", "unsupported"),
+        ],
+        ids=["1,x", "xa1", "op-P", "op-Px"],
+    )
+    def test_malformed_root_is_reported(self, capsys, action, option, value, error):
+        # a root or an operation that does not parse is named in the error
+        argv = ["specseq", action, "--family", "A", "--rank", "2", "--v", "3",
+                "--r", "2", "--p", "3", "--beta", "a1+a2", "--l", "0"]
+        code = run([*argv, option, value])
         doc = json.loads(capsys.readouterr().out)
         assert code == 2
-        assert doc["error"]["code"] == "domain"
-        assert beta in doc["error"]["message"]
+        assert doc["error"]["code"] == error
+        assert value in doc["error"]["message"]
 
     def test_budget_exhaustion(self, capsys):
         code = run(

@@ -14,6 +14,7 @@ from frobkern.commvar import (
     solution_rows,
     subdiagram_components,
     u3_y_closed_form,
+    u4_component_counts,
     x_variety_system,
     y_variety_system,
 )
@@ -97,6 +98,14 @@ class TestU4Components:
         assert systems["V1"].count(5) == 625
         assert systems["V2"].count(5) == 745
         assert systems["V1&V2"].count(5) == 145
+
+    def test_component_counts_carry_the_residual(self):
+        assert u4_component_counts(2, (3, 5)) == {
+            3: {"Y": 153, "V1": 81, "V2": 105, "V1&V2": 33, "residual": 0},
+            5: {"Y": 1225, "V1": 625, "V2": 745, "V1&V2": 145, "residual": 0},
+        }
+        with pytest.raises(BudgetError):
+            u4_component_counts(2, (3,), budget=10)
 
     def test_dim_estimates(self):
         systems = component_candidates_U4(2)

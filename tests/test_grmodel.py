@@ -21,7 +21,7 @@ from frobkern.grmodel import (
     top_free_factor,
     vr_coordinate_algebra,
 )
-from frobkern.polyalg import graded_dimension, normal_form
+from frobkern.polyalg import VariableDescriptor, graded_dimension, normal_form
 from frobkern.rootsys import Root
 
 A1, A2, A12 = Root((1, 0)), Root((0, 1)), Root((1, 1))
@@ -45,6 +45,9 @@ class TestGenerators:
         y = ModelGenerator("y", A12, 1, 3)
         assert (x.degree, x.weight()) == (2, (3, 3))
         assert (y.degree, y.weight()) == (1, (3, 3))
+        assert (x.scale, y.scale) == (3, 3)
+        assert x.descriptor() == VariableDescriptor("x[a1+a2](0)", "even", 2, (3, 3))
+        assert y.descriptor("y") == VariableDescriptor("y", "odd", 1, (3, 3))
 
     def test_u3_r2_ambient(self):
         pres = build_S_star(u3())

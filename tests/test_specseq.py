@@ -1,14 +1,23 @@
+import contextlib
+import hashlib
+import io
 import itertools
+import json
+import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frobkern.errors import DomainError, UnsupportedOperationError
+from frobkern.cli import run
+from frobkern.errors import BudgetError, DomainError, UnsupportedOperationError
 from frobkern.grmodel import model_context
-from frobkern.polyalg import Poly
+from frobkern.polyalg import IdealPresentation, Poly, hilbert_series
 from frobkern.rootsys import Root, summand_pairs
 from frobkern.specseq import (
     ExtensionPage,
     aj_E1_enumerate,
+    aj_page,
     aj_summand_index,
     d2,
     d2_on_y,
@@ -22,6 +31,11 @@ from frobkern.specseq import (
 A1, A2, A12 = Root((1, 0)), Root((0, 1)), Root((1, 1))
 B1, B2, B3 = Root((1, 0, 0)), Root((0, 1, 0)), Root((0, 0, 1))
 B12, B23 = Root((1, 1, 0)), Root((0, 1, 1))
+
+#: the benchmark's pinned exit codes and payload digests, by job
+REFERENCE_JOBS = json.loads(
+    (pathlib.Path(__file__).parents[1] / "perfbench" / "reference.json").read_text()
+)["jobs"]
 
 
 def u3_page(r=2, p=3):
@@ -220,6 +234,21 @@ class TestSteenrod:
             steenrod_apply(page, "P2", page.x(A1, 0))
         with pytest.raises(UnsupportedOperationError):
             steenrod_apply(page, "Q1", page.x(A1, 0))
+        for op in ("P", "Px", "bP"):
+            with pytest.raises(UnsupportedOperationError, match="cannot parse"):
+                steenrod_apply(page, op, page.x(A1, 0))
+
+    def test_generators_follow_the_ring(self):
+        page = u4_page(r=2)
+        assert [g.descriptor() for g in page.generators] == list(page.ring.variables)
+        # every x twist by twist, then every y; base roots before fiber roots
+        names = [v.name for v in u3_page(r=2).ring.variables]
+        assert names == [
+            f"{kind}[{root}]({twist})"
+            for kind in "xy"
+            for twist in (0, 1)
+            for root in ("a1", "a2", "a1+a2")
+        ]
 
 
 class TestPermanentCycles:
@@ -292,6 +321,83 @@ class TestAJEnumeration:
                 3 ** (n - 1) * e for n, e in b.items()
             )
             assert idx["degree"] == sum(2 * e for e in a.values()) + sum(b.values())
+
+
+def first_page_roots(family, rank, r, p):
+    ctx = model_context(family, rank, r=r, p=p)
+    return tuple(root for v in ctx.levels() for root in ctx.roots_of_level(v))
+
+
+@st.composite
+def first_page_slices(draw):
+    """(roots, r, p, degree, weight) at the degree and weight of a random monomial."""
+    # first pages of at most 24 variables keep the series cheap
+    family, rank, r = draw(
+        st.sampled_from(
+            [(f, 2, r) for f in "ABC" for r in (1, 2, 3)] + [("A", 3, 1), ("A", 3, 2)]
+        )
+    )
+    p = draw(st.sampled_from((3, 5)))
+    roots = first_page_roots(family, rank, r, p)
+    ring, _ = aj_page(roots, r, p)
+    exps = [0] * ring.nvars
+    for i in draw(st.lists(st.integers(0, ring.nvars - 1), max_size=6)):
+        exps[i] = 1 if ring.variables[i].parity == "odd" else exps[i] + 1
+    degree = ring.monomial_degree(exps)
+    assert degree <= 2 * p * p + 2
+    return roots, r, p, degree, ring.monomial_weight(exps)
+
+
+class TestFirstPageOracle:
+    """The enumeration against the Hilbert series of the relation-free page."""
+
+    @staticmethod
+    def check_weight_space(roots, r, p, degree, weight):
+        ring, _ = aj_page(roots, r, p)
+        out = aj_E1_enumerate(roots, r, p, degree, weight)
+        series = hilbert_series(IdealPresentation(ring, []), degree, weight)
+        # distinct monomials, each of the slice, as many as the slice's
+        # dimension: the list is the whole weight space
+        assert len(out) == series[degree]
+        assert len({m.name for m in out}) == len(out)
+        for m in out:
+            assert m.degree == degree
+            assert ring.monomial_weight(m.exps) == weight
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(first_page_slices())
+    def test_enumeration_is_the_weight_space(self, case):
+        self.check_weight_space(*case)
+
+    def test_uniqueness_slice_of_a2_r3(self):
+        roots = first_page_roots("A", 2, 3, 3)
+        out = self.check_weight_space(roots, 3, 3, 18, (27, 27))
+        assert len(out) == 108
+        assert out == sorted(out, key=lambda m: m.name)
+        assert "x[a1+a2]{1}^9" in {m.name for m in out}
+
+    def test_budget_names_the_slice(self):
+        roots = first_page_roots("A", 2, 3, 3)
+        with pytest.raises(BudgetError) as err:
+            aj_E1_enumerate(roots, 3, 3, 18, (27, 27), max_monomials=100)
+        message = str(err.value)
+        assert "100 monomials" in message
+        assert "degree 18" in message and "(27, 27)" in message
+
+    def test_wrong_weight_length(self):
+        with pytest.raises(DomainError):
+            aj_E1_enumerate([A1, A2, A12], r=2, p=3, total_degree=2, target_weight=(3,))
+
+
+@pytest.mark.parametrize("key", [k for k in REFERENCE_JOBS if k.startswith("specseq ")])
+def test_specseq_payload_matches_reference(key):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(key.split()) == REFERENCE_JOBS[key]["exit"]
+    payload = json.loads(out.getvalue())["payload"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_JOBS[key]["digest"]
 
 
 class TestUniqueness:
