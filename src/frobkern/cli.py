@@ -17,10 +17,11 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 from . import commvar, grmodel, polyalg, rootsys, specseq, verify
-from .errors import BudgetError, CheckFailure, ConfigError, FrobkernError
+from .errors import BudgetError, CheckFailure, ConfigError, DomainError, FrobkernError
 
 ENV_BUDGET = "FROBKERN_BUDGET"
 #: exit status per error code; every other library error is a configuration error
@@ -126,11 +127,11 @@ def _root(config: RunConfig, text: str) -> rootsys.Root:
 
 
 def payload_rootsys_info(config: RunConfig, ns) -> dict:
-    ctx = rootsys.context(config.family, config.rank, frozenset(config.J))
+    budget = _budget(config)
+    rootsys.check_scan_budget(config.family, config.rank, config.J, budget)
+    ctx = rootsys.context(config.family, config.rank, config.J)
+    pairing = rootsys.check_pairing_hypothesis(ctx, config.p, budget)
     radical = ctx.radical_roots()
-    histogram: dict[str, int] = {}
-    for beta in radical:
-        histogram[str(ctx.level(beta))] = histogram.get(str(ctx.level(beta)), 0) + 1
     return {
         "family": config.family,
         "rank": config.rank,
@@ -145,8 +146,8 @@ def payload_rootsys_info(config: RunConfig, ns) -> dict:
             }
             for b in radical
         ],
-        "level_histogram": histogram,
-        "pairing_hypothesis": rootsys.check_pairing_hypothesis(ctx, config.p).to_json_dict(),
+        "level_histogram": dict(Counter(str(ctx.level(b)) for b in radical)),
+        "pairing_hypothesis": pairing.to_json_dict(),
     }
 
 
@@ -200,6 +201,8 @@ def payload_model_bracket_check(config: RunConfig, ns) -> dict:
     bracket = grmodel.bracket_p(model)  # validates relation images
     rng = random.Random(config.seed)
     gens = [model.ring.var(v.name) for v in model.ring.variables]
+    if ns.pairs and not gens:
+        raise DomainError(f"{ctx.label()}: the model has no generators to probe")
     for _ in range(ns.pairs):
         f = model.ring.one()
         g = model.ring.zero()

@@ -32,9 +32,9 @@ along increasing Frobenius height.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CheckFailure, ConfigError, DomainError
 from .polyalg import (
@@ -120,7 +120,7 @@ class ModelContext:
         return self.stage - 1
 
     def parabolic(self) -> ParabolicContext:
-        return _parabolic(self.family, self.rank, tuple(sorted(self.J)))
+        return context(self.family, self.rank, self.J)
 
     def levels(self) -> range:
         return range(self.i, self.stage)
@@ -136,14 +136,9 @@ class ModelContext:
         )
 
 
-@lru_cache(maxsize=None)
-def _parabolic(family, rank, j_tuple):
-    return context(family, rank, frozenset(j_tuple))
-
-
 def model_context(family, rank, J=(), i=1, stage=None, r=1, p=3) -> ModelContext:
     """Convenience constructor; stage defaults to 'quotient by nothing'."""
-    pctx = _parabolic(family.upper(), rank, tuple(sorted(J)))
+    pctx = context(family, rank, J)
     if stage is None:
         stage = pctx.max_level() + 1
     return ModelContext(family.upper(), rank, frozenset(J), i, stage, r, p)
@@ -165,8 +160,11 @@ class VarInfo:
         return f"{self.species}[{self.root.label()}]({self.twist})"
 
 
-class ModelPresentation:
-    """Ambient model ring plus its relation list (empty for plain S*)."""
+class _Presentation:
+    """A ring of generators described by ``info``, plus its relation list."""
+
+    kind = ""  # the "kind" of the JSON form
+    noun = ""  # what the repr calls the ring's variables
 
     def __init__(self, ctx: ModelContext, ring: PolyRing, relations, info: dict):
         self.ctx = ctx
@@ -174,6 +172,57 @@ class ModelPresentation:
         self.relations = tuple(relations)
         self.info = dict(info)  # variable name -> VarInfo
         self._ideal = None
+
+    def ideal(self) -> IdealPresentation:
+        if self._ideal is None:
+            self._ideal = IdealPresentation(
+                self.ring, self.relations, require_homogeneous=True
+            )
+        return self._ideal
+
+    def to_json_dict(self) -> dict:
+        ring, ctx = self.ring, self.ctx
+        gens = []
+        for v in ring.variables:
+            vi = self.info[v.name]
+            gens.append(
+                {
+                    "name": v.name,
+                    "display": vi.display(),
+                    "kind": vi.species,
+                    "root": vi.root.label(),
+                    "root_coeffs": list(vi.root.coeffs),
+                    "twist": vi.twist,
+                    "power": vi.power_exp,
+                    "degree": v.degree,
+                    "weight": {f"a{i+1}": w for i, w in enumerate(v.weight)},
+                }
+            )
+        return {
+            "schema_version": 1,
+            "kind": self.kind,
+            "family": ctx.family,
+            "rank": ctx.rank,
+            "J": sorted(ctx.J),
+            "i": ctx.i,
+            "quotient_stage": ctx.stage,
+            "r": ctx.r,
+            "p": ctx.p,
+            "generators": gens,
+            "relations": [rel.to_json_dict() for rel in self.relations],
+        }
+
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}({self.ctx.label()}; {self.ring.nvars} "
+            f"{self.noun}, {len(self.relations)} relations)"
+        )
+
+
+class ModelPresentation(_Presentation):
+    """Ambient model ring plus its relation list (empty for plain S*)."""
+
+    kind, noun = "model", "generators"
 
     # -- generator access ----------------------------------------------------
 
@@ -201,64 +250,8 @@ class ModelPresentation:
             if vi.species == "w" and self.ctx.parabolic().level(vi.root) == v
         ]
 
-    # -- ideal machinery -------------------------------------------------------
-
-    def ideal(self) -> IdealPresentation:
-        if self._ideal is None:
-            self._ideal = IdealPresentation(
-                self.ring, self.relations, require_homogeneous=True
-            )
-        return self._ideal
-
     def graded_dimension(self, degree, weight=None) -> int:
         return graded_dimension(self.ideal(), degree, weight)
-
-    def to_json_dict(self) -> dict:
-        return _presentation_json(self, kind="model")
-
-    def __repr__(self):
-        return (
-            f"ModelPresentation({self.ctx.label()}; {self.ring.nvars} generators, "
-            f"{len(self.relations)} relations)"
-        )
-
-
-def _weight_dict(ring: PolyRing, weight) -> dict:
-    return {f"a{i+1}": w for i, w in enumerate(weight)}
-
-
-def _presentation_json(pres, kind: str) -> dict:
-    ring = pres.ring
-    gens = []
-    for v in ring.variables:
-        vi = pres.info[v.name]
-        gens.append(
-            {
-                "name": v.name,
-                "display": vi.display(),
-                "kind": vi.species,
-                "root": vi.root.label(),
-                "root_coeffs": list(vi.root.coeffs),
-                "twist": vi.twist,
-                "power": vi.power_exp,
-                "degree": v.degree,
-                "weight": _weight_dict(ring, v.weight),
-            }
-        )
-    ctx = pres.ctx
-    return {
-        "schema_version": 1,
-        "kind": kind,
-        "family": ctx.family,
-        "rank": ctx.rank,
-        "J": sorted(ctx.J),
-        "i": ctx.i,
-        "quotient_stage": ctx.stage,
-        "r": ctx.r,
-        "p": ctx.p,
-        "generators": gens,
-        "relations": [rel.to_json_dict() for rel in pres.relations],
-    }
 
 
 # -- ambient builders ----------------------------------------------------------
@@ -329,6 +322,17 @@ def _minor(ring: PolyRing, pairs, g, twist: int, twist2: int) -> Poly:
     return out
 
 
+def _commutations(ctx: ModelContext, levels, min_level: int = 1):
+    """(beta, pairs, l, l') for 0 <= l < l' < r and each root beta of ``levels``
+    with pairs, its two-term decompositions into roots of level >= min_level."""
+    for level in levels:
+        for beta in ctx.roots_of_level(level):
+            pairs = summand_pairs(beta, ctx.parabolic(), min_level)
+            if pairs:
+                for twist, twist2 in itertools.combinations(range(ctx.r), 2):
+                    yield beta, pairs, twist, twist2
+
+
 def commutation_relation(
     pres: ModelPresentation, beta: Root, twist: int, twist2: int
 ) -> Poly:
@@ -343,7 +347,6 @@ def commutation_relation(
 def build_relation_ideal(ctx: ModelContext, ambient: ModelPresentation | None = None):
     """Generators of the defining ideal, duplicate-free, in a fixed order."""
     pres = ambient if ambient is not None else build_S_star(ctx)
-    pctx = ctx.parabolic()
     rels: list[Poly] = []
     seen = set()
 
@@ -357,7 +360,7 @@ def build_relation_ideal(ctx: ModelContext, ambient: ModelPresentation | None = 
 
     if ctx.i == 1 and ctx.stage >= 3:
         for beta in ctx.roots_of_level(2):
-            pairs = summand_pairs(beta, pctx, min_level=1)
+            pairs = summand_pairs(beta, ctx.parabolic(), min_level=1)
             if len(pairs) >= ctx.p:
                 warnings.warn(
                     f"{ctx.label()}: root {beta.label()} has {len(pairs)} "
@@ -368,13 +371,8 @@ def build_relation_ideal(ctx: ModelContext, ambient: ModelPresentation | None = 
             for twist in range(ctx.r):
                 for j in range(ctx.r - twist - 1):
                     push(s2_relation(pres, beta, twist, j))
-    for level in range(2, ctx.stage):
-        for beta in ctx.roots_of_level(level):
-            if not summand_pairs(beta, pctx, min_level=ctx.i):
-                continue
-            for twist in range(ctx.r):
-                for twist2 in range(twist + 1, ctx.r):
-                    push(commutation_relation(pres, beta, twist, twist2))
+    for _, pairs, twist, twist2 in _commutations(ctx, range(2, ctx.stage), ctx.i):
+        push(_minor(pres.ring, pairs, pres.power_image, twist, twist2))
     return rels
 
 
@@ -410,25 +408,13 @@ def top_free_factor(ctx: ModelContext) -> IdealPresentation:
 # -- coordinate algebra of the commuting variety -------------------------------
 
 
-class CoordinatePresentation:
+class CoordinatePresentation(_Presentation):
     """k[V_r] of the quotient group: coordinates X[beta](l) and 2x2 minors."""
 
-    def __init__(self, ctx: ModelContext, ring: PolyRing, relations, info: dict):
-        self.ctx = ctx
-        self.ring = ring
-        self.relations = tuple(relations)
-        self.info = dict(info)
-        self._ideal = None
+    kind, noun = "coordinate", "coordinates"
 
     def var(self, root: Root, twist: int) -> Poly:
         return self.ring.var(f"X[{root.label()}]({twist})")
-
-    def ideal(self) -> IdealPresentation:
-        if self._ideal is None:
-            self._ideal = IdealPresentation(
-                self.ring, self.relations, require_homogeneous=True
-            )
-        return self._ideal
 
     def free_roots(self) -> list[Root]:
         """Roots whose coordinates appear in no relation (the affine factor)."""
@@ -445,15 +431,6 @@ class CoordinatePresentation:
                 seen.add(vi.root)
                 out.append(vi.root)
         return out
-
-    def to_json_dict(self) -> dict:
-        return _presentation_json(self, kind="coordinate")
-
-    def __repr__(self):
-        return (
-            f"CoordinatePresentation({self.ctx.label()}; {self.ring.nvars} "
-            f"coordinates, {len(self.relations)} relations)"
-        )
 
 
 def vr_coordinate_algebra(ctx: ModelContext) -> CoordinatePresentation:
@@ -474,20 +451,13 @@ def vr_coordinate_algebra(ctx: ModelContext) -> CoordinatePresentation:
             f"p={ctx.p} < min(N, stage)={min(N, ctx.stage)}: the p-th power map "
             "does not vanish, configuration unsupported"
         )
-    pctx = ctx.parabolic()
-    r = ctx.r
     variables, info = _power_variables(ctx, "X", ctx.levels())
-    ring = PolyRing(ctx.p, variables, label=f"k[V_{r}]({ctx.label()})")
+    ring = PolyRing(ctx.p, variables, label=f"k[V_{ctx.r}]({ctx.label()})")
     pres = CoordinatePresentation(ctx, ring, [], info)
-    relations = []
-    for level in range(2, ctx.stage):
-        for beta in ctx.roots_of_level(level):
-            pairs = summand_pairs(beta, pctx)
-            if not pairs:
-                continue
-            for twist in range(r):
-                for twist2 in range(twist + 1, r):
-                    relations.append(_minor(ring, pairs, pres.var, twist, twist2))
+    relations = [
+        _minor(ring, pairs, pres.var, twist, twist2)
+        for _, pairs, twist, twist2 in _commutations(ctx, range(2, ctx.stage))
+    ]
     return CoordinatePresentation(ctx, ring, relations, info)
 
 
@@ -579,27 +549,20 @@ def theta_power_identities(ctx: ModelContext, theta: AlgebraMap | None = None):
         theta = theta_substitution(ctx, validate=False)
     coord, sbar = theta.source, theta.target
     out = []
-    for beta in ctx.roots_of_level(2):
-        pairs = summand_pairs(beta, ctx.parabolic())
-        if not pairs:
-            continue
-        for twist in range(ctx.r):
-            for twist2 in range(twist + 1, ctx.r):
-                rel = _minor(coord.ring, pairs, coord.var, twist, twist2)
-                image = theta.apply(rel)
-                j = twist2 - twist - 1
-                power = ctx.r - twist2 - 1
-                base = s2_relation(sbar, beta, twist, j) ** (ctx.p**power)
-                if image == base:
-                    sign = 1
-                elif image == -base:
-                    sign = -1
-                else:
-                    raise CheckFailure(
-                        f"theta power identity fails for {beta.label()} at "
-                        f"(l,l')=({twist},{twist2})"
-                    )
-                out.append(PowerIdentity(beta, twist, twist2, power, sign))
+    for beta, pairs, twist, twist2 in _commutations(ctx, (2,)):
+        image = theta.apply(_minor(coord.ring, pairs, coord.var, twist, twist2))
+        power = ctx.r - twist2 - 1
+        base = s2_relation(sbar, beta, twist, twist2 - twist - 1) ** (ctx.p**power)
+        if image == base:
+            sign = 1
+        elif image == -base:
+            sign = -1
+        else:
+            raise CheckFailure(
+                f"theta power identity fails for {beta.label()} at "
+                f"(l,l')=({twist},{twist2})"
+            )
+        out.append(PowerIdentity(beta, twist, twist2, power, sign))
     return out
 
 
@@ -632,8 +595,6 @@ def theta_degree_U3(r: int, p: int, cross_check: bool | None = None) -> int:
                     f"localisation relation for twist {twist} not in the ideal"
                 )
         # count tuples (a, b_0, ..., b_{r-1}) with a < p^{r-1}, b_l < p^{r-l-1}
-        import itertools
-
         limits = [p ** (r - 1)] + [p ** (r - l - 1) for l in range(r)]
         box = sum(1 for _ in itertools.product(*(range(m) for m in limits)))
         if box != formula:

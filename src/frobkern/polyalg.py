@@ -18,7 +18,7 @@ import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, le
 
 import numpy as np
 
@@ -671,19 +671,29 @@ def hilbert_series(
     def grade(e):
         return (ring.monomial_degree(e), *(ring.monomial_weight(e) if weighted else ()))
 
+    key = tuple(weight) if weighted else ()
+    # with no negative variable weight, a class above the target in one
+    # coordinate never comes back to it, so it is dropped
+    monotone = weighted and min(itertools.chain(*ring._weights), default=0) >= 0
+
+    def keep(wt):
+        return not monotone or all(map(le, wt, key))
+
     leads = [g.leading()[0] for g in buchberger(presentation, degree).basis]
     # by_degree[k]: {weight (or ()): coefficient} of the series in degree k
     by_degree = [Counter() for _ in range(degree + 1)]
     for g, c in _numerator(leads, degree, grade).items():
-        by_degree[g[0]][g[1:]] += c
+        if keep(g[1:]):
+            by_degree[g[0]][g[1:]] += c
     for i, (d, w) in enumerate(zip(ring._degrees, ring._weights)):
         w = w if weighted else ()
         # 1/(1 - x) reads the terms it has just made; 1 + x only the old ones
         odd = i in ring._odd
         for k in range(degree, d - 1, -1) if odd else range(d, degree + 1):
             for wt, c in list(by_degree[k - d].items()):
-                by_degree[k][tuple(map(add, wt, w))] += c
-    key = tuple(weight) if weighted else ()
+                wt = tuple(map(add, wt, w))
+                if keep(wt):
+                    by_degree[k][wt] += c
     return [terms[key] for terms in by_degree]
 
 

@@ -8,6 +8,9 @@ its level (coefficient sum over simple roots outside ``J``) and its shape
 the unipotent radical is then read off level-wise: the ``v``-th stage is
 spanned by the roots of level >= v.
 
+Root systems and contexts are cached; a context keeps its level table and
+a root system the two-term decompositions of each root it was asked about.
+
 The fixed total order on roots compares coefficient vectors from the
 highest simple-root index downwards, so alpha < alpha + gamma whenever
 gamma is a nonzero non-negative combination (the order respects addition).
@@ -19,8 +22,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache, cached_property
+from operator import sub
 
-from .errors import ConfigError, DomainError
+from .errors import BudgetError, ConfigError, DomainError
+from .polyalg import DEFAULT_POINT_BUDGET
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -32,7 +38,7 @@ class Root:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
 
     @property
     def rank(self) -> int:
@@ -43,7 +49,7 @@ class Root:
         return sum(self.coeffs)
 
     def is_positive(self) -> bool:
-        return all(c >= 0 for c in self.coeffs) and any(self.coeffs)
+        return any(self.coeffs) and min(self.coeffs) >= 0
 
     def __add__(self, other: "Root") -> "Root":
         if len(self.coeffs) != len(other.coeffs):
@@ -105,66 +111,51 @@ def parse_root(text: str, rank: int) -> Root:
     return Root(tuple(coeffs))
 
 
-def _simple(rank: int, i: int) -> Root:
-    coeffs = [0] * rank
-    coeffs[i - 1] = 1
-    return Root(tuple(coeffs))
+def _segments(family: str, n: int) -> list[tuple[tuple[int, int, int], ...]]:
+    """Every positive root as segments (lo, hi, c): the sum of c(a_lo + ... + a_hi).
 
-
-def _interval(rank, lo, hi, weight=1):
-    """weight * (a_lo + ... + a_hi), empty when lo > hi."""
-    coeffs = [0] * rank
-    for k in range(lo, hi + 1):
-        coeffs[k - 1] = weight
-    return Root(tuple(coeffs))
+    A segment with lo > hi is empty.  The segments of one root are disjoint.
+    """
+    if family == "A":
+        return [((i, j, 1),) for i in range(1, n + 1) for j in range(i, n + 1)]
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    differences = [((i, j - 1, 1),) for i, j in pairs]  # e_i - e_j
+    if family == "B":
+        # e_i and e_i + e_j, with a_n the short root e_n
+        return (
+            differences
+            + [((i, n, 1),) for i in range(1, n + 1)]
+            + [((i, j - 1, 1), (j, n, 2)) for i, j in pairs]
+        )
+    if family == "C":
+        # e_i + e_j and 2e_i, with a_n the long root 2e_n
+        return (
+            differences
+            + [((i, j - 1, 1), (j, n - 1, 2), (n, n, 1)) for i, j in pairs]
+            + [((i, n - 1, 2), (n, n, 1)) for i in range(1, n + 1)]
+        )
+    if family == "D":
+        # e_i + e_n and e_i + e_j (j < n), with a_n the fork node e_{n-1} + e_n
+        return (
+            differences
+            + [((i, n - 2, 1), (n, n, 1)) for i in range(1, n)]
+            + [
+                ((i, j - 1, 1), (j, n - 2, 2), (n - 1, n - 1, 1), (n, n, 1))
+                for i, j in pairs
+                if j < n
+            ]
+        )
+    raise ConfigError(f"unknown family {family!r}")  # pragma: no cover
 
 
 def _positive_roots(family: str, n: int) -> list[Root]:
-    roots: list[Root] = []
-    if family == "A":
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                roots.append(_interval(n, i, j))
-    elif family == "B":
-        # e_i - e_j, e_i, e_i + e_j with a_n the short root e_n
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                roots.append(_interval(n, i, j - 1))
-        for i in range(1, n + 1):
-            roots.append(_interval(n, i, n))
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                roots.append(_interval(n, i, j - 1) + _interval(n, j, n, 2))
-    elif family == "C":
-        # a_n the long root 2e_n
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                roots.append(_interval(n, i, j - 1))
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                roots.append(
-                    _interval(n, i, j - 1) + _interval(n, j, n - 1, 2) + _simple(n, n)
-                )
-        for i in range(1, n + 1):
-            roots.append(_interval(n, i, n - 1, 2) + _simple(n, n))
-    elif family == "D":
-        # a_n the fork node e_{n-1} + e_n
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                roots.append(_interval(n, i, j - 1))
-        for i in range(1, n):
-            roots.append(_interval(n, i, n - 2) + _simple(n, n))
-        for i in range(1, n - 1):
-            for j in range(i + 1, n):
-                roots.append(
-                    _interval(n, i, j - 1)
-                    + _interval(n, j, n - 2, 2)
-                    + _simple(n, n - 1)
-                    + _simple(n, n)
-                )
-    else:  # pragma: no cover - guarded by build_root_system
-        raise ConfigError(f"unknown family {family!r}")
-    return sorted(set(roots), key=Root.sort_key)
+    roots = []
+    for segments in _segments(family, n):
+        coeffs = [0] * n
+        for lo, hi, c in segments:
+            coeffs[lo - 1 : hi] = [c] * (hi - lo + 1)
+        roots.append(Root(tuple(coeffs)))
+    return sorted(roots, key=Root.sort_key)
 
 
 def classical_positive_count(family: str, n: int) -> int:
@@ -181,6 +172,7 @@ class RootSystemData:
     rank: int
     simple_roots: tuple[str, ...]
     positive_roots: tuple[Root, ...]
+    _splittings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = classical_positive_count(self.family, self.rank)
@@ -199,18 +191,46 @@ class RootSystemData:
         except ValueError:
             raise ConfigError(f"unknown simple root {label!r}") from None
 
+    @cached_property
+    def _by_coeffs(self) -> dict[tuple[int, ...], Root]:
+        return {beta.coeffs: beta for beta in self.positive_roots}
+
     def contains(self, beta: Root) -> bool:
-        return beta in set(self.positive_roots)
+        return beta.coeffs in self._by_coeffs
+
+    def decompositions(self, beta: Root) -> tuple[tuple[Root, Root], ...]:
+        """Pairs alpha < alpha' of positive roots summing to beta, by alpha (memoised)."""
+        pairs = self._splittings.get(beta)
+        if pairs is None:
+            lookup, target = self._by_coeffs, beta.coeffs
+            found = []
+            for alpha in self.positive_roots:
+                rest = lookup.get(tuple(map(sub, target, alpha.coeffs)))
+                if rest is not None and alpha < rest:
+                    found.append((alpha, rest))
+            found.sort(key=lambda ab: ab[0].sort_key())
+            pairs = self._splittings[beta] = tuple(found)
+        return pairs
 
 
-def build_root_system(family: str, rank: int) -> RootSystemData:
-    """Positive-root table for a classical family, in the fixed order."""
+def _classical_type(family: str, rank: int) -> str:
+    """The family's letter, once (family, rank) is known to be a classical type."""
     family = family.upper()
     if family not in FAMILIES:
         raise ConfigError(f"family {family!r} not supported (use A, B, C or D)")
     min_rank = {"A": 1, "B": 2, "C": 2, "D": 3}[family]
     if rank < min_rank:
         raise ConfigError(f"{family}{rank} is not a valid classical type here")
+    return family
+
+
+def build_root_system(family: str, rank: int) -> RootSystemData:
+    """Positive-root table for a classical family, in the fixed order."""
+    return _root_system(_classical_type(family, rank), rank)
+
+
+@cache
+def _root_system(family: str, rank: int) -> RootSystemData:
     labels = tuple(f"a{i}" for i in range(1, rank + 1))
     return RootSystemData(family, rank, labels, tuple(_positive_roots(family, rank)))
 
@@ -231,24 +251,44 @@ class ParabolicContext:
     def rank(self) -> int:
         return self.system.rank
 
+    @cached_property
     def _outside_mask(self) -> tuple[bool, ...]:
         return tuple(lab not in self.J for lab in self.system.simple_roots)
 
+    def _level_of(self, beta: Root) -> int:
+        return sum(itertools.compress(beta.coeffs, self._outside_mask))
+
+    @cached_property
+    def _levels(self) -> dict[Root, int]:
+        """Level of every positive root."""
+        return {b: self._level_of(b) for b in self.system.positive_roots}
+
+    @cached_property
+    def _radical(self) -> tuple[Root, ...]:
+        return tuple(b for b, v in self._levels.items() if v >= 1)
+
+    @cached_property
+    def _layers(self) -> dict[int, tuple[Root, ...]]:
+        """Radical roots by level, each layer in the fixed order."""
+        layers: dict[int, list[Root]] = {}
+        for b in sorted(self._radical, key=Root.sort_key):
+            layers.setdefault(self._levels[b], []).append(b)
+        return {v: tuple(roots) for v, roots in layers.items()}
+
     def level(self, beta: Root) -> int:
-        mask = self._outside_mask()
-        return sum(c for c, out in zip(beta.coeffs, mask) if out)
+        level = self._levels.get(beta)
+        return self._level_of(beta) if level is None else level
 
     def shape(self, beta: Root) -> Root:
-        mask = self._outside_mask()
+        mask = self._outside_mask
         return Root(tuple(c if out else 0 for c, out in zip(beta.coeffs, mask)))
 
     def radical_roots(self) -> tuple[Root, ...]:
         """Roots of the unipotent radical: positive roots of level >= 1."""
-        return tuple(b for b in self.system.positive_roots if self.level(b) >= 1)
+        return self._radical
 
     def max_level(self) -> int:
-        levels = [self.level(b) for b in self.radical_roots()]
-        return max(levels) if levels else 0
+        return max(self._layers, default=0)
 
 
 @dataclass(frozen=True)
@@ -276,13 +316,14 @@ def gamma_roots(ctx: ParabolicContext, v: int) -> tuple[Root, ...]:
     """Roots of level >= v, in the fixed order (the v-th central-series stage)."""
     if v < 1:
         raise DomainError("central series stage v must be >= 1")
-    return tuple(
-        sorted((b for b in ctx.radical_roots() if ctx.level(b) >= v), key=Root.sort_key)
-    )
+    stage = (b for u, layer in ctx._layers.items() if u >= v for b in layer)
+    return tuple(sorted(stage, key=Root.sort_key))
 
 
 def roots_of_level(ctx: ParabolicContext, v: int) -> tuple[Root, ...]:
-    return tuple(b for b in gamma_roots(ctx, v) if ctx.level(b) == v)
+    if v < 1:
+        raise DomainError("central series stage v must be >= 1")
+    return ctx._layers.get(v, ())
 
 
 def summand_pairs(
@@ -297,14 +338,47 @@ def summand_pairs(
     """
     if not ctx.system.contains(beta):
         raise DomainError(f"{beta} is not a positive root")
-    radical = {r for r in ctx.radical_roots() if ctx.level(r) >= min_level}
-    pairs = []
-    for alpha in radical:
-        rest = beta - alpha
-        if rest.is_positive() and rest in radical and alpha < rest:
-            pairs.append((alpha, rest))
-    pairs.sort(key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()))
-    return pairs
+    levels, least = ctx._levels, max(min_level, 1)
+    return [
+        (a, b)
+        for a, b in ctx.system.decompositions(beta)
+        if levels[a] >= least and levels[b] >= least
+    ]
+
+
+def check_scan_budget(
+    family: str, rank: int, J: frozenset[str] | set[str] | tuple = (),
+    budget: int | None = None,
+) -> None:
+    """Refuse a level-2 pairing scan that would read more than ``budget`` coefficients.
+
+    The positive-root table holds (positive roots) x rank coefficients, and
+    the scan reads (level-2 roots) x (positive roots) x rank of them.  Levels
+    are counted on the segments of the roots, so no table is built here.
+    ``budget`` defaults to ``DEFAULT_POINT_BUDGET``.
+    """
+    family = _classical_type(family, rank)
+    budget = DEFAULT_POINT_BUDGET if budget is None else budget
+    table = classical_positive_count(family, rank) * rank
+    if table > budget:
+        raise BudgetError(
+            f"{family}{rank}: the positive-root table holds {table} coefficients, "
+            f"over the enumeration budget {budget}"
+        )
+    # outside[k]: how many of a1..ak lie outside J
+    outside = list(
+        itertools.accumulate((f"a{k}" not in J for k in range(1, rank + 1)), initial=0)
+    )
+    level2 = sum(
+        sum(c * (outside[hi] - outside[lo - 1]) for lo, hi, c in root) == 2
+        for root in _segments(family, rank)
+    )
+    if level2 * table > budget:
+        raise BudgetError(
+            f"{family}{rank}: the pairing scan reads {level2} level-2 roots x "
+            f"{table} table coefficients = {level2 * table}, over the enumeration "
+            f"budget {budget}"
+        )
 
 
 @dataclass(frozen=True)
@@ -336,25 +410,27 @@ class PairingReport:
         }
 
 
-def check_pairing_hypothesis(ctx: ParabolicContext, p: int) -> PairingReport:
+def check_pairing_hypothesis(
+    ctx: ParabolicContext, p: int, budget: int | None = None
+) -> PairingReport:
     """Scan level-2 roots for p disjoint two-term decompositions.
 
     Distinct decompositions of the same root are automatically disjoint
     (alpha + alpha' = alpha + alpha'' forces alpha' = alpha''), so 2p
     distinct level-1 roots pairing to beta exist exactly when beta has at
-    least p decompositions into level-1 summands.  On failure the first p
+    least p decompositions into level-1 summands (levels add, so both
+    summands of a level-2 root have level 1).  On failure the first p
     decompositions are flattened into the witness tuple.
+
+    ``budget`` bounds the scan as in ``check_scan_budget``.
     """
     if p < 3 or p % 2 == 0:
         raise DomainError("p must be an odd prime >= 3")
+    check_scan_budget(ctx.system.family, ctx.rank, ctx.J, budget)
     per_root = []
     witnesses = []
     for beta in roots_of_level(ctx, 2):
-        pairs = [
-            (a, b)
-            for a, b in summand_pairs(beta, ctx)
-            if ctx.level(a) == 1 and ctx.level(b) == 1
-        ]
+        pairs = summand_pairs(beta, ctx)
         ok = len(pairs) < p
         per_root.append((beta, len(pairs), ok))
         if not ok:
@@ -372,7 +448,13 @@ def check_pairing_hypothesis(ctx: ParabolicContext, p: int) -> PairingReport:
 
 
 def context(family: str, rank: int, J: frozenset[str] | set[str] | tuple = ()) -> ParabolicContext:
-    return ParabolicContext(build_root_system(family, rank), frozenset(J))
+    """The (cached) context of J in the named root system."""
+    return _context(family.upper(), rank, frozenset(J))
+
+
+@cache
+def _context(family: str, rank: int, J: frozenset[str]) -> ParabolicContext:
+    return ParabolicContext(build_root_system(family, rank), J)
 
 
 def type_a_matrix_position(beta: Root) -> tuple[int, int]:

@@ -47,7 +47,6 @@ class ExtensionPage:
         if ctx.top_level < max(ctx.i, 2) and ctx.i == 1:
             raise DomainError("the extension needs a fiber level >= 2")
         self.ctx = ctx
-        pctx = ctx.parabolic()
         self.fiber_roots = ctx.roots_of_level(ctx.top_level)
         self.base_roots = tuple(
             root for v in range(ctx.i, ctx.top_level) for root in ctx.roots_of_level(v)
@@ -61,7 +60,6 @@ class ExtensionPage:
             for root in roots
         )
         self.ring = PolyRing(ctx.p, [g.descriptor() for g in self.generators])
-        self._pctx = pctx
         self._fiber = set(self.fiber_roots)
         # each variable's degree if it lives on a fiber root, else 0
         self._fiber_degrees = tuple(
@@ -80,7 +78,7 @@ class ExtensionPage:
         return root in self._fiber
 
     def pairs(self, beta: Root):
-        return summand_pairs(beta, self._pctx, min_level=self.ctx.i)
+        return summand_pairs(beta, self.ctx.parabolic(), min_level=self.ctx.i)
 
     def monomial_bidegree(self, exps) -> tuple[int, int]:
         """(base degree, fiber degree) of one monomial."""
@@ -525,6 +523,8 @@ def uniqueness_witness(ctx: ModelContext, beta: Root, strict: bool = True) -> Un
                 "pairing hypothesis fails for this context; "
                 "the uniqueness search is not justified"
             )
+    if not pctx.system.contains(beta):
+        raise DomainError(f"{beta.label()} is not a positive root")
     if pctx.level(beta) != ctx.top_level:
         raise DomainError("the search targets roots of the extension's top level")
     r, p = ctx.r, ctx.p

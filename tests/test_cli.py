@@ -1,8 +1,11 @@
 import json
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from frobkern.cli import run
+from frobkern.cli import EXIT_STATUS, run
 
 
 def invoke(capsys, *argv):
@@ -302,6 +305,23 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_uniqueness_needs_a_positive_root(self, capsys):
+        # 3a1 - a2 has the top level 2 but is no root (it used to be searched)
+        code, doc = invoke(capsys, "specseq", "uniqueness", "--family", "A", "--rank",
+                           "2", "--r", "1", "--p", "3", "--beta", "3,-1")
+        assert code == 2 and doc["error"]["code"] == "domain"
+        assert "3a1+-1a2 is not a positive root" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("pairs, want", [("3", 2), ("0", 0)])
+    def test_bracket_check_without_generators(self, capsys, pairs, want):
+        # J holds every simple root, so the model has no generators to probe
+        code, doc = invoke(capsys, "model", "bracket-check", "--family", "A", "--rank",
+                           "2", "--J", "a1,a2", "--r", "2", "--v", "2", "--pairs", pairs)
+        assert code == want
+        if want:
+            assert doc["error"]["code"] == "domain"
+            assert "no generators" in doc["error"]["message"]
+
     def test_bad_subcommand(self, capsys):
         assert run(["no-such-command"]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "config"
@@ -316,3 +336,128 @@ class TestExitCodes:
         assert doc["payload"]["passed"] == 10
         assert doc["payload"]["known_discrepancies"] == ["10b", "7b"]
         assert "[PASS] criterion 1:" in captured.err
+
+
+class TestScanBudget:
+    def test_large_rank_is_refused_before_the_tables(self, capsys, monkeypatch):
+        monkeypatch.delenv("FROBKERN_BUDGET", raising=False)
+        start = time.perf_counter()
+        code, doc = invoke(capsys, "rootsys", "info", "--family", "A", "--rank", "150")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and doc["error"]["code"] == "budget"
+        message = doc["error"]["message"]
+        assert "149 level-2 roots" in message and "budget 10000000" in message
+
+    @pytest.mark.parametrize(
+        "env, argv",
+        [(None, ["--budget", "299"]), ("299", [])],
+        ids=["option", "env"],
+    )
+    def test_budget_bounds_the_scan(self, capsys, monkeypatch, env, argv):
+        # A5: 4 level-2 roots x 15 positive roots x rank 5 = 300 coefficients
+        monkeypatch.delenv("FROBKERN_BUDGET", raising=False)
+        if env is not None:
+            monkeypatch.setenv("FROBKERN_BUDGET", env)
+        base = ["rootsys", "info", "--family", "A", "--rank", "5"]
+        code, doc = invoke(capsys, *base, *argv)
+        assert code == 3 and "300" in doc["error"]["message"]
+        code, doc = invoke(capsys, *base, "--budget", "300")
+        assert code == 0 and doc["payload"]["pairing_hypothesis"]["ok"]
+
+
+def _pick(draw, good, bad=()):
+    """Mostly a good value; one draw in ten a bad one."""
+    if bad and draw(st.integers(0, 9)) == 5:
+        return draw(st.sampled_from(bad))
+    return draw(good if isinstance(good, st.SearchStrategy) else st.sampled_from(good))
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+@st.composite
+def command_lines(draw):
+    """argv for one subcommand, from small bounded values, some malformed."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    small = command in ("model hilbert", "model theta-check", "model bracket-check",
+                        "specseq uniqueness")
+    family = _pick(draw, ["A", "B", "C", "D"], ["a", "E", "x"])
+    least = {"B": 2, "C": 2, "D": 3}.get(family, 1)
+    top = 8 if command == "rootsys info" else 2 if small else 3
+    rank = draw(st.integers(least, max(least, top)))
+    labels = [f"a{k}" for k in range(1, rank + 1)] + [str(rank)]
+    opts = {
+        "--family": family,
+        "--rank": _pick(draw, [str(rank)], ["0", "-1", "x"]),
+        "--J": _pick(draw, st.lists(st.sampled_from(labels), max_size=2).map(",".join),
+                     ["x", "a0", f"a{rank + 1}"]),
+        "--p": _pick(draw, ["3", "5", "7"], ["-3", "1", "2", "9"]),
+        "--r": _pick(draw, _ints(1, 2 if small else 3), ["0", "x"]),
+    }
+    if command.split()[0] in ("model", "specseq") and draw(st.booleans()):
+        opts["--i"] = _pick(draw, _ints(1, 2), ["0", "3"])
+        opts["--v"] = _pick(draw, _ints(2, 4), ["0", "9"])
+    if draw(st.booleans()) or command.split()[0] in ("variety", "conjecture"):
+        opts["--budget"] = _pick(draw, _ints(0, 10**5), ["-2", "abc"])
+    for option, good, bad in SUBCOMMANDS[command]:
+        opts[option] = _pick(draw, good(rank) if callable(good) else good, bad)
+    argv = command.split()
+    for option, value in opts.items():
+        if value is not False:
+            argv += [option] if value is None else [option, value]
+    return argv
+
+
+def _weights(rank):
+    return st.lists(st.integers(0, 60), min_size=rank, max_size=rank).map(
+        lambda w: ",".join(map(str, w))
+    )
+
+
+_BETA = (["a1", "a2", "a1+a2", "a2+a3", "1,1", "0,1,1", "a1+2a2"],
+         ["2,2", "1,-1", "0,0", "a9", "x"])
+#: command -> (option, good values or a strategy (of the rank), bad values)
+SUBCOMMANDS = {
+    "rootsys info": [],
+    "model build": [("--what", ["sstar", "sbar", "q", "coord"], ["zz"])],
+    "model hilbert": [("--degree", _ints(0, 12), ["-1"]),
+                      ("--weight", _weights, ["", "1,x", "1,2,3,4,5"])],
+    "model theta-check": [],
+    "model bracket-check": [("--pairs", _ints(0, 20), ["-1"])],
+    "variety count": [("--group", ["U2", "U3", "U4", "U5", "U6"], ["V3", "Ux", "U0"]),
+                      ("--q", ["2", "3", "4", "5", "9", "27"], ["0", "1", "6", "x"])],
+    "variety components": [("--N", _ints(3, 6), ["-1", "2"]),
+                           ("--q", ["3", "5", "3,5", "4,9"], ["1", "6", "x", "3,,5"])],
+    "conjecture subdiagrams": [("--N", _ints(3, 6), ["-1", "2"]),
+                               ("--q", ["3", "5", "9"], ["1", "x"]),
+                               ("--count", [None, False], ())],
+    "specseq d2": [("--beta", *_BETA), ("--l", _ints(0, 2), ["-1", "5"])],
+    "specseq transgression": [("--beta", *_BETA), ("--l", _ints(0, 2), ["-1"]),
+                              ("--j", _ints(0, 2), ["-1", "9"])],
+    "specseq steenrod": [("--beta", *_BETA), ("--l", _ints(0, 2), ["-1"]),
+                         ("--op", ["P0", "bP0", "P1", "P3", "bP3", "P9", "P27"],
+                          ["P-1", "bP", "Q0", "P03"]),
+                         ("--kind", ["x", "y"], ["z"]),
+                         ("--exponent", _ints(0, 3), ["-1"])],
+    "specseq aj-enumerate": [("--degree", _ints(0, 12), ["-1"]),
+                             ("--weight", _weights, ["", "1,x", "-3"])],
+    "specseq uniqueness": [("--beta", *_BETA)],
+}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command_lines())
+def test_any_command_line_ends_in_a_report_or_a_json_error(capsys, monkeypatch, argv):
+    # a traceback escapes run() as an exception and fails the test with it
+    monkeypatch.delenv("FROBKERN_BUDGET", raising=False)
+    code = run(argv)
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert "Traceback" not in captured.err
+    if code == 0:
+        assert "payload" in doc
+    else:
+        assert code in (1, 2, 3)
+        assert EXIT_STATUS.get(doc["error"]["code"], 2) == code

@@ -172,6 +172,13 @@ def test_frozen_dimensions_beyond_enumeration(rank, degree, dimension):
     assert hilbert_series(sbar("A", rank, r=2, p=3).ideal(), degree)[degree] == dimension
 
 
+def test_a_negative_weight_keeps_every_class():
+    # x y has weight 0 although x alone lies above it: nothing may be dropped
+    ring = PolyRing(3, [VariableDescriptor("x", "even", 2, (1,)),
+                        VariableDescriptor("y", "even", 2, (-1,))])
+    assert hilbert_series(IdealPresentation(ring, []), 4, (0,)) == [1, 0, 0, 0, 1]
+
+
 def test_over_bound_degree_is_refused_before_any_work():
     pres = sbar("A", 2, r=2, p=3).ideal()
     with pytest.raises(BudgetError, match="degree 30 exceeds"):

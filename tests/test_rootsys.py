@@ -1,12 +1,16 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobkern.errors import ConfigError, DomainError
+from frobkern.errors import BudgetError, ConfigError, DomainError
 from frobkern.rootsys import (
+    ParabolicContext,
     Root,
     build_root_system,
     check_pairing_hypothesis,
+    check_scan_budget,
     classical_positive_count,
     classify_root,
     context,
@@ -234,3 +238,109 @@ def test_shape_plus_levi_part_reconstructs(rank, data):
             c == 0 for lab, c in zip(labels, levi_part.coeffs) if lab not in J
         )
         assert shape + levi_part == beta
+
+
+# -- the cached tables against a brute-force scan ------------------------------
+
+
+def brute_tables(system, J):
+    """Levels, layers and every decomposition, read off the coefficients."""
+    labels = system.simple_roots
+    roots = system.positive_roots
+
+    def level(beta):
+        return sum(c for c, lab in zip(beta.coeffs, labels) if lab not in J)
+
+    def sums_to(a, b, beta):
+        return all(x + y == z for x, y, z in zip(a.coeffs, b.coeffs, beta.coeffs))
+
+    radical = [b for b in roots if level(b) >= 1]
+    ordered = sorted(radical, key=Root.sort_key)
+    pairs = {
+        beta: [(a, b) for a in roots for b in roots if a < b and sums_to(a, b, beta)]
+        for beta in roots
+    }
+    return level, radical, ordered, pairs
+
+
+SYSTEMS = (
+    [("A", n) for n in range(1, 7)]
+    + [(f, n) for f in "BC" for n in (2, 3, 4)]
+    + [("D", n) for n in (3, 4, 5)]
+)
+
+
+@pytest.mark.parametrize("family,rank", SYSTEMS, ids=[f"{f}{n}" for f, n in SYSTEMS])
+def test_tables_match_a_brute_force_scan(family, rank):
+    system = build_root_system(family, rank)
+    labels = system.simple_roots
+    for size in range(rank + 1):
+        for J in itertools.combinations(labels, size):
+            ctx = context(family, rank, J)
+            level, radical, ordered, pairs = brute_tables(system, frozenset(J))
+            assert ctx.radical_roots() == tuple(radical)
+            for beta in system.positive_roots:
+                assert ctx.level(beta) == level(beta)
+            for v in range(1, 2 * rank + 2):
+                assert gamma_roots(ctx, v) == tuple(b for b in ordered if level(b) >= v)
+                assert roots_of_level(ctx, v) == tuple(b for b in ordered if level(b) == v)
+            for beta in system.positive_roots:
+                for min_level in (1, 2, 3):
+                    assert summand_pairs(beta, ctx, min_level) == [
+                        (a, b)
+                        for a, b in sorted(pairs[beta], key=lambda ab: ab[0].sort_key())
+                        if min(level(a), level(b)) >= min_level
+                    ]
+            for p in (3, 5):
+                per_root, witnesses = [], []
+                for beta in (b for b in ordered if level(b) == 2):
+                    split = [(a, b) for a, b in pairs[beta] if level(a) == level(b) == 1]
+                    split.sort(key=lambda ab: ab[0].sort_key())
+                    per_root.append((beta, len(split), len(split) < p))
+                    if len(split) >= p:
+                        witnesses.append((beta, tuple(itertools.chain(*split[:p]))))
+                report = check_pairing_hypothesis(ctx, p)
+                assert report.per_root == tuple(per_root)
+                assert report.witnesses == tuple(witnesses)
+                assert report.ok == (not witnesses)
+
+
+def test_returned_pairs_do_not_reach_the_memo():
+    beta = R(1, 1, 1, 1)
+    ctx = context("A", 4, {"a1"})  # a1 lies in the Levi, so a1 + (a2+a3+a4) drops
+    want = [(R(1, 1, 0, 0), R(0, 0, 1, 1)), (R(1, 1, 1, 0), R(0, 0, 0, 1))]
+    pairs = summand_pairs(beta, ctx)
+    assert pairs == want
+    pairs.clear()
+    assert summand_pairs(beta, ctx) == want
+    assert summand_pairs(beta, context("A", 4, ("a1",))) == want
+    # a second context object on the same (cached) root system
+    assert summand_pairs(beta, ParabolicContext(ctx.system, frozenset({"a1"}))) == want
+    full = [(R(1, 0, 0, 0), R(0, 1, 1, 1))] + want  # nothing filtered with J empty
+    pairs = summand_pairs(beta, context("A", 4))
+    assert pairs == full
+    pairs.clear()
+    assert summand_pairs(beta, context("A", 4)) == full
+    assert summand_pairs(beta, ctx) == want
+
+
+def test_a_vector_outside_the_table():
+    ctx = context("A", 2, {"a1"})
+    beta = R(2, 2)  # not a positive root: its level is computed, not looked up
+    assert ctx.level(beta) == 2
+    with pytest.raises(DomainError, match="not a positive root"):
+        summand_pairs(beta, ctx)
+    with pytest.raises(DomainError, match="not a positive root"):
+        classify_root(beta, ctx)
+
+
+def test_scan_budget_counts_without_building_a_table():
+    check_scan_budget("A", 60)  # 59 x 1830 x 60 = 6.5 M, under the default
+    with pytest.raises(BudgetError, match="149 level-2 roots"):
+        check_scan_budget("A", 150)
+    # with J every simple root there is nothing to scan, only the table
+    check_scan_budget("A", 150, [f"a{k}" for k in range(1, 151)])
+    with pytest.raises(BudgetError, match="positive-root table"):
+        check_scan_budget("A", 1000)
+    with pytest.raises(BudgetError, match="budget 9"):
+        check_pairing_hypothesis(context("A", 3), 3, budget=9)  # 2 x 6 x 3 = 36

@@ -377,6 +377,13 @@ class TestFirstPageOracle:
         assert out == sorted(out, key=lambda m: m.name)
         assert "x[a1+a2]{1}^9" in {m.name for m in out}
 
+    def test_slice_of_a_36_variable_page(self):
+        # a weighted series on a page this large took 10-78 s while it kept
+        # the weight classes above the target
+        roots = first_page_roots("A", 3, 3, 3)
+        assert len(aj_page(roots, 3, 3)[0].variables) == 36
+        assert len(self.check_weight_space(roots, 3, 3, 8, (15, 42, 40))) == 28
+
     def test_budget_names_the_slice(self):
         roots = first_page_roots("A", 2, 3, 3)
         with pytest.raises(BudgetError) as err:
