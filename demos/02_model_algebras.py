@@ -16,9 +16,8 @@ print(f"context: {ctx.label()}")
 
 sbar = build_Sbar(ctx)
 print("\n=== generators ===")
-for v in sbar.ring.variables:
-    info = sbar.info[v.name]
-    print(f"  {info.display():22s} degree {v.degree:2d}  weight {v.weight}")
+for g in sbar.generators:
+    print(f"  {g.display():22s} degree {g.degree:2d}  weight {g.weight()}")
 
 print("\n=== defining relations ===")
 for rel in sbar.relations:

@@ -32,17 +32,17 @@ target_ctx = model_context("A", 2, i=1, stage=3, r=2, p=3)
 target = build_Sbar(target_ctx)
 for s in (1, 2):
     print(f"  image of the {s}-fold composite into the height-2 model:")
-    for name in target.top_generators():
-        g = target.ring.var(name)
-        deg = target.ring.descriptor(name).degree
-        hit = in_bracket_image(target, g, s)
+    top = [g for g in target.generators if g.name in target.top_generators()]
+    for g in top:
+        hit = in_bracket_image(target, target.ring.var(g.name), s)
+        deg = g.degree
         note = f"degree {deg} < p^{s} = {3 ** s}" if deg < 3**s else f"degree {deg}"
-        print(f"    {name:14s} in image: {hit}   ({note})")
-    power = target.w_var(target.info[target.top_generators()[0]].root, 0) ** (3**s)
+        print(f"    {g.name:14s} in image: {hit}   ({note})")
+    power = target.w_var(top[0].root, 0) ** (3**s)
     print(f"    ...but its p^{s}-th power is hit: {in_bracket_image(target, power, s)}")
 
 print("\n=== composing two steps ===")
 low, apply2 = iterated_bracket(model, 2)
 print(f"  lands in: {low!r}")
-sample = model.w_var(model.info[model.top_generators()[0]].root, 0)
+sample = model.ring.var(model.top_generators()[0])
 print(f"  {sample} -> {apply2(sample)}")

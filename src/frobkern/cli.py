@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 
 from . import commvar, grmodel, polyalg, rootsys, specseq, verify
-from .errors import BudgetError, CheckFailure, ConfigError, DomainError, FrobkernError
+from .errors import BudgetError, CheckFailure, ConfigError, FrobkernError
 
 ENV_BUDGET = "FROBKERN_BUDGET"
 #: exit status per error code; every other library error is a configuration error
@@ -194,45 +194,16 @@ def payload_model_theta_check(config: RunConfig, ns) -> dict:
 
 
 def payload_model_bracket_check(config: RunConfig, ns) -> dict:
-    import random
-
     ctx = _model_ctx(config)
-    model = grmodel.build_Sbar(ctx)
-    bracket = grmodel.bracket_p(model)  # validates relation images
-    rng = random.Random(config.seed)
-    gens = [model.ring.var(v.name) for v in model.ring.variables]
-    if ns.pairs and not gens:
-        raise DomainError(f"{ctx.label()}: the model has no generators to probe")
-    for _ in range(ns.pairs):
-        f = model.ring.one()
-        g = model.ring.zero()
-        for _ in range(2):
-            f = f * rng.choice(gens) ** rng.randint(0, 2)
-            g = g + rng.choice(gens) ** rng.randint(0, 2) * rng.randint(1, 2)
-        if bracket.apply(f * g) != bracket.apply(f) * bracket.apply(g):
-            raise CheckFailure("bracket map failed a multiplicativity probe")
-    membership = []
-    for s in (1, 2):
-        for name in model.top_generators():
-            degree = model.ring.descriptor(name).degree
-            if degree < ctx.p**s:
-                membership.append(
-                    {
-                        "generator": name,
-                        "degree": degree,
-                        "s": s,
-                        "in_image": grmodel.in_bracket_image(
-                            model, model.ring.var(name), s
-                        ),
-                    }
-                )
-    if any(entry["in_image"] for entry in membership):
-        raise CheckFailure("a low-degree top generator appeared in the image")
+    misses = grmodel.bracket_probe(grmodel.build_Sbar(ctx), ns.pairs, config.seed)
     return {
         "context": ctx.label(),
         "relation_images_in_target_ideal": True,
         "random_pairs_checked": ns.pairs,
-        "collapse_probes": membership,
+        "collapse_probes": [
+            {"generator": name, "degree": degree, "s": s, "in_image": False}
+            for name, degree, s in misses
+        ],
     }
 
 
@@ -347,19 +318,7 @@ def payload_specseq_uniqueness(config: RunConfig, ns) -> dict:
 def payload_conjecture(config: RunConfig, ns) -> dict:
     N = ns.N
     family = commvar.subdiagram_components(N, config.r)
-    payload = {
-        "N": N,
-        "r": config.r,
-        "members": [
-            {
-                "label": d.label(),
-                "nodes": sorted(d.nodes),
-                "components": d.components,
-                "predicted_dim": d.predicted_dim(config.r),
-            }
-            for d in family.members
-        ],
-    }
+    payload = {"N": N, "r": config.r, "members": family.members_json()}
     if ns.count:
         q_list = config.q_list or (3,)
         report = commvar.conjecture_check(N, config.r, q_list, _budget(config))

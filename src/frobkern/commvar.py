@@ -17,6 +17,7 @@ never hard-fail on a mismatch.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -29,7 +30,7 @@ from .polyalg import (
     GF,
     IdealPresentation,
     count_points,
-    minor_terms,
+    pair_terms,
     plain_ring,
     solution_chunks,
 )
@@ -84,7 +85,9 @@ def _minor(a: str, b: str, l1: int, l2: int) -> tuple[SignedTerm, ...]:
     """X_a(l1) X_b(l2) - X_a(l2) X_b(l1) as signed terms."""
     return tuple(
         (sign, ((f, 1), (h, 1)))
-        for sign, f, h in minor_terms([(a, b)], _coordinate, l1, l2)
+        for sign, f, h in pair_terms(
+            [(a, b)], lambda s: _coordinate(s, l1), lambda s: _coordinate(s, l2)
+        )
     )
 
 
@@ -227,6 +230,17 @@ class SubdiagramFamily:
     def max_predicted_dim(self) -> int:
         return max(d.predicted_dim(self.r) for d in self.members)
 
+    def members_json(self) -> list[dict]:
+        return [
+            {
+                "label": d.label(),
+                "nodes": sorted(d.nodes),
+                "components": d.components,
+                "predicted_dim": d.predicted_dim(self.r),
+            }
+            for d in self.members
+        ]
+
 
 def subdiagram_components(N: int, r: int) -> SubdiagramFamily:
     """Recursive family: remove a node only if it splits off a new component."""
@@ -350,15 +364,7 @@ class ComponentReport:
             "r": self.r,
             "q_list": list(self.q_list),
             "conjectural": True,
-            "members": [
-                {
-                    "label": d.label(),
-                    "nodes": sorted(d.nodes),
-                    "components": d.components,
-                    "predicted_dim": d.predicted_dim(self.r),
-                }
-                for d in self.family.members
-            ],
+            "members": self.family.members_json(),
             "y_counts": {str(q): c for q, c in self.y_counts.items()},
             "component_counts": {
                 label: {str(q): c for q, c in counts.items()}
@@ -413,27 +419,15 @@ def conjecture_check(
     labels = [d.label() for d in family.members]
     for q in q_list:
         report.y_counts[q] = y_system.count(q, max_assignments)
-    for label, system in systems.items():
-        report.component_counts[label] = {
-            q: system.count(q, max_assignments) for q in q_list
-        }
-    for size in range(2, len(labels) + 1):
+        report.residuals[q] = report.y_counts[q]
+    for size in range(1, len(labels) + 1):
         for combo in itertools.combinations(labels, size):
-            merged = systems[combo[0]]
-            for other in combo[1:]:
-                merged = merged.union(systems[other])
-            report.subset_counts[combo] = {
-                q: merged.count(q, max_assignments) for q in q_list
-            }
-    for q in q_list:
-        total = 0
-        for size in range(1, len(labels) + 1):
-            sign = (-1) ** (size + 1)
-            for combo in itertools.combinations(labels, size):
-                if size == 1:
-                    c = report.component_counts[combo[0]][q]
-                else:
-                    c = report.subset_counts[combo][q]
-                total += sign * c
-        report.residuals[q] = report.y_counts[q] - total
+            merged = functools.reduce(VarietySystem.union, map(systems.get, combo))
+            counts = {q: merged.count(q, max_assignments) for q in q_list}
+            if size == 1:
+                report.component_counts[combo[0]] = counts
+            else:
+                report.subset_counts[combo] = counts
+            for q in q_list:
+                report.residuals[q] += (-1) ** size * counts[q]
     return report

@@ -33,6 +33,7 @@ along increasing Frobenius height.
 from __future__ import annotations
 
 import itertools
+import random
 import warnings
 from dataclasses import dataclass
 
@@ -43,8 +44,8 @@ from .polyalg import (
     PolyRing,
     VariableDescriptor,
     graded_dimension,
-    minor_terms,
     normal_form,
+    pair_sum,
 )
 from .rootsys import ParabolicContext, Root, context, roots_of_level, summand_pairs
 
@@ -56,28 +57,31 @@ class PairingHypothesisWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ModelGenerator:
-    """A basic class x or y at twist l: x[beta](l) is even of degree 2 and
-    weight p^{l+1} beta, y[beta](l) is odd of degree 1 and weight p^l beta."""
+    """A generator at twist l: x[beta](l) is even of degree 2 and weight
+    p^{l+1} beta, y[beta](l) is odd of degree 1 and weight p^l beta, and a
+    power generator w[beta](l) (model) or X[beta](l) (coordinate ring) of
+    power k stands for (x[beta](l))^{p^k}: degree 2p^k, weight p^{l+1+k} beta."""
 
-    kind: str  # "x" (degree 2) or "y" (degree 1)
+    kind: str  # "x", "w", "X" or "y"
     root: Root
     twist: int
     p: int
+    power: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("x", "y"):
-            raise DomainError(f"generator kind must be 'x' or 'y', got {self.kind!r}")
-        if self.twist < 0:
-            raise DomainError("twist must be non-negative")
+        if self.kind not in ("x", "w", "X", "y"):
+            raise DomainError(f"generator kind must be x, w, X or y, got {self.kind!r}")
+        if self.twist < 0 or self.power < 0:
+            raise DomainError("twist and power must be non-negative")
 
     @property
     def degree(self) -> int:
-        return 2 if self.kind == "x" else 1
+        return 1 if self.kind == "y" else 2 * self.p**self.power
 
     @property
     def scale(self) -> int:
         """The power of p that multiplies the root in the weight."""
-        return self.p ** (self.twist + 1 if self.kind == "x" else self.twist)
+        return self.p ** (self.twist + self.power + (self.kind != "y"))
 
     def weight(self) -> tuple[int, ...]:
         return tuple(self.scale * c for c in self.root.coeffs)
@@ -86,9 +90,16 @@ class ModelGenerator:
     def name(self) -> str:
         return f"{self.kind}[{self.root.label()}]({self.twist})"
 
+    def display(self) -> str:
+        """The name, with a model power generator written as the power it is."""
+        if self.kind != "w":
+            return self.name
+        base = f"x[{self.root.label()}]({self.twist})"
+        return f"({base})^p^{self.power}" if self.power else base
+
     def descriptor(self, name: str | None = None) -> VariableDescriptor:
         """The ring variable of this class, under ``name`` if one is given."""
-        parity = "even" if self.kind == "x" else "odd"
+        parity = "odd" if self.kind == "y" else "even"
         return VariableDescriptor(name or self.name, parity, self.degree, self.weight())
 
 
@@ -144,33 +155,20 @@ def model_context(family, rank, J=(), i=1, stage=None, r=1, p=3) -> ModelContext
     return ModelContext(family.upper(), rank, frozenset(J), i, stage, r, p)
 
 
-@dataclass(frozen=True)
-class VarInfo:
-    species: str  # "x" | "w" | "X" | "y"
-    root: Root
-    twist: int
-    power_exp: int = 0  # w[beta](l) stands for (x_beta^{(l)})^{p^{power_exp}}
-
-    def display(self) -> str:
-        base = f"x[{self.root.label()}]({self.twist})"
-        if self.species == "w" and self.power_exp:
-            return f"({base})^p^{self.power_exp}"
-        if self.species == "w":
-            return base
-        return f"{self.species}[{self.root.label()}]({self.twist})"
-
-
 class _Presentation:
-    """A ring of generators described by ``info``, plus its relation list."""
+    """The ring on ``generators``, one variable each in that order, plus a
+    relation list that the builders attach."""
 
     kind = ""  # the "kind" of the JSON form
     noun = ""  # what the repr calls the ring's variables
 
-    def __init__(self, ctx: ModelContext, ring: PolyRing, relations, info: dict):
+    def __init__(self, ctx: ModelContext, generators, label: str):
         self.ctx = ctx
-        self.ring = ring
-        self.relations = tuple(relations)
-        self.info = dict(info)  # variable name -> VarInfo
+        self.generators = tuple(generators)
+        self.ring = PolyRing(
+            ctx.p, [g.descriptor() for g in self.generators], f"{label}({ctx.label()})"
+        )
+        self.relations: tuple[Poly, ...] = ()
         self._ideal = None
 
     def ideal(self) -> IdealPresentation:
@@ -181,23 +179,21 @@ class _Presentation:
         return self._ideal
 
     def to_json_dict(self) -> dict:
-        ring, ctx = self.ring, self.ctx
-        gens = []
-        for v in ring.variables:
-            vi = self.info[v.name]
-            gens.append(
-                {
-                    "name": v.name,
-                    "display": vi.display(),
-                    "kind": vi.species,
-                    "root": vi.root.label(),
-                    "root_coeffs": list(vi.root.coeffs),
-                    "twist": vi.twist,
-                    "power": vi.power_exp,
-                    "degree": v.degree,
-                    "weight": {f"a{i+1}": w for i, w in enumerate(v.weight)},
-                }
-            )
+        ctx = self.ctx
+        gens = [
+            {
+                "name": g.name,
+                "display": g.display(),
+                "kind": g.kind,
+                "root": g.root.label(),
+                "root_coeffs": list(g.root.coeffs),
+                "twist": g.twist,
+                "power": g.power,
+                "degree": g.degree,
+                "weight": {f"a{i+1}": w for i, w in enumerate(g.weight())},
+            }
+            for g in self.generators
+        ]
         return {
             "schema_version": 1,
             "kind": self.kind,
@@ -243,11 +239,9 @@ class ModelPresentation(_Presentation):
         return self.w_var(root, twist)
 
     def top_generators(self) -> list[str]:
-        v = self.ctx.top_level
+        v, pctx = self.ctx.top_level, self.ctx.parabolic()
         return [
-            name
-            for name, vi in self.info.items()
-            if vi.species == "w" and self.ctx.parabolic().level(vi.root) == v
+            g.name for g in self.generators if g.kind == "w" and pctx.level(g.root) == v
         ]
 
     def graded_dimension(self, degree, weight=None) -> int:
@@ -257,47 +251,30 @@ class ModelPresentation(_Presentation):
 # -- ambient builders ----------------------------------------------------------
 
 
-def _power_variables(ctx: ModelContext, species: str, levels):
-    """Power generators ``species[beta](l)`` on the roots of ``levels``.
-
-    Each stands for (x_beta^{(l)})^{p^{r-l-1}}: degree 2p^{r-l-1}, weight
-    p^r beta.  Variables and info come twist-major, then by level and root.
-    """
-    p, r = ctx.p, ctx.r
-    variables: list[VariableDescriptor] = []
-    info: dict[str, VarInfo] = {}
-    for twist in range(r):
-        k = r - twist - 1
-        for level in levels:
-            for beta in ctx.roots_of_level(level):
-                name = f"{species}[{beta.label()}]({twist})"
-                weight = tuple(p**r * c for c in beta.coeffs)
-                variables.append(VariableDescriptor(name, "even", 2 * p**k, weight))
-                info[name] = VarInfo(species, beta, twist, power_exp=k)
-    return variables, info
+def _powers(ctx: ModelContext, kind: str, levels) -> list[ModelGenerator]:
+    """Power generators ``kind[beta](l)`` on the roots of ``levels``, each
+    standing for (x_beta^{(l)})^{p^{r-l-1}}; twist-major, then by level and root."""
+    return [
+        ModelGenerator(kind, beta, twist, ctx.p, ctx.r - twist - 1)
+        for twist in range(ctx.r)
+        for level in levels
+        for beta in ctx.roots_of_level(level)
+    ]
 
 
-def _ambient(ctx: ModelContext, max_level_excl: int):
-    """Variables and info for the model on levels [ctx.i, max_level_excl)."""
-    variables: list[VariableDescriptor] = []
-    info: dict[str, VarInfo] = {}
-    if ctx.i == 1:
-        for twist in range(ctx.r):
-            for alpha in ctx.roots_of_level(1):
-                gen = ModelGenerator("x", alpha, twist, ctx.p)
-                variables.append(gen.descriptor())
-                info[gen.name] = VarInfo("x", alpha, twist)
-    powers, power_info = _power_variables(
-        ctx, "w", range(max(ctx.i, 2), max_level_excl)
-    )
-    return variables + powers, {**info, **power_info}
+def _ambient(ctx: ModelContext, max_level_excl: int) -> list[ModelGenerator]:
+    """Generators of the model on levels [ctx.i, max_level_excl)."""
+    xs = [
+        ModelGenerator("x", alpha, twist, ctx.p)
+        for twist in range(ctx.r)
+        for alpha in ctx.roots_of_level(1)
+    ] if ctx.i == 1 else []
+    return xs + _powers(ctx, "w", range(max(ctx.i, 2), max_level_excl))
 
 
 def build_S_star(ctx: ModelContext) -> ModelPresentation:
     """The free model: coproduct ambient with an empty relation list."""
-    variables, info = _ambient(ctx, ctx.stage)
-    ring = PolyRing(ctx.p, variables, label=f"S*({ctx.label()})")
-    return ModelPresentation(ctx, ring, [], info)
+    return ModelPresentation(ctx, _ambient(ctx, ctx.stage), "S*")
 
 
 def s2_relation(pres: ModelPresentation, beta: Root, twist: int, j: int) -> Poly:
@@ -305,43 +282,28 @@ def s2_relation(pres: ModelPresentation, beta: Root, twist: int, j: int) -> Poly
     ctx = pres.ctx
     if twist + 1 + j >= ctx.r:
         raise DomainError("level-2 relations need twist+1+j < r")
-    pairs = summand_pairs(beta, ctx.parabolic(), min_level=ctx.i)
-    out = pres.ring.zero()
     q = ctx.p ** (j + 1)
-    for alpha, alpha2 in pairs:
-        out = out + pres.x_var(alpha, twist) ** q * pres.x_var(alpha2, twist + 1 + j)
-        out = out - pres.x_var(alpha2, twist) ** q * pres.x_var(alpha, twist + 1 + j)
-    return out
+    return pair_sum(
+        pres.ring,
+        summand_pairs(beta, ctx.parabolic(), min_level=ctx.i),
+        lambda a: pres.x_var(a, twist) ** q,
+        lambda b: pres.x_var(b, twist + 1 + j),
+    )
 
 
-def _minor(ring: PolyRing, pairs, g, twist: int, twist2: int) -> Poly:
-    """The commutation minor of ``minor_terms`` as an element of ``ring``."""
-    out = ring.zero()
-    for sign, f, h in minor_terms(pairs, g, twist, twist2):
-        out = out + f * h if sign > 0 else out - f * h
-    return out
-
-
-def _commutations(ctx: ModelContext, levels, min_level: int = 1):
-    """(beta, pairs, l, l') for 0 <= l < l' < r and each root beta of ``levels``
-    with pairs, its two-term decompositions into roots of level >= min_level."""
+def _commutations(ctx: ModelContext, ring: PolyRing, g, levels, min_level: int = 1):
+    """(beta, l, l', minor) for 0 <= l < l' < r and each root beta of ``levels``
+    with two-term decompositions (a, b) into roots of level >= min_level; the
+    minor is the pair sum of g(a, l) g(b, l') - g(a, l') g(b, l)."""
     for level in levels:
         for beta in ctx.roots_of_level(level):
             pairs = summand_pairs(beta, ctx.parabolic(), min_level)
             if pairs:
                 for twist, twist2 in itertools.combinations(range(ctx.r), 2):
-                    yield beta, pairs, twist, twist2
-
-
-def commutation_relation(
-    pres: ModelPresentation, beta: Root, twist: int, twist2: int
-) -> Poly:
-    """Commutation instance between designated powers, for twist < twist2."""
-    ctx = pres.ctx
-    if not 0 <= twist < twist2 < ctx.r:
-        raise DomainError("need 0 <= l < l' < r")
-    pairs = summand_pairs(beta, ctx.parabolic(), min_level=ctx.i)
-    return _minor(pres.ring, pairs, pres.power_image, twist, twist2)
+                    minor = pair_sum(
+                        ring, pairs, lambda a: g(a, twist), lambda b: g(b, twist2)
+                    )
+                    yield beta, twist, twist2, minor
 
 
 def build_relation_ideal(ctx: ModelContext, ambient: ModelPresentation | None = None):
@@ -371,15 +333,17 @@ def build_relation_ideal(ctx: ModelContext, ambient: ModelPresentation | None = 
             for twist in range(ctx.r):
                 for j in range(ctx.r - twist - 1):
                     push(s2_relation(pres, beta, twist, j))
-    for _, pairs, twist, twist2 in _commutations(ctx, range(2, ctx.stage), ctx.i):
-        push(_minor(pres.ring, pairs, pres.power_image, twist, twist2))
+    levels = range(2, ctx.stage)
+    for *_, minor in _commutations(ctx, pres.ring, pres.power_image, levels, ctx.i):
+        push(minor)
     return rels
 
 
 def build_Sbar(ctx: ModelContext) -> ModelPresentation:
     """Quotient model: full ambient with the defining relations attached."""
     pres = build_S_star(ctx)
-    return ModelPresentation(ctx, pres.ring, build_relation_ideal(ctx, pres), pres.info)
+    pres.relations = tuple(build_relation_ideal(ctx, pres))
+    return pres
 
 
 def build_Q(ctx: ModelContext) -> ModelPresentation:
@@ -389,10 +353,9 @@ def build_Q(ctx: ModelContext) -> ModelPresentation:
     Q tensor the free algebra on the top-level power generators; Q carries
     the full relation list rebuilt in the smaller ambient.
     """
-    variables, info = _ambient(ctx, ctx.top_level)
-    ring = PolyRing(ctx.p, variables, label=f"Q({ctx.label()})")
-    q_pres = ModelPresentation(ctx, ring, [], info)
-    return ModelPresentation(ctx, ring, build_relation_ideal(ctx, q_pres), info)
+    pres = ModelPresentation(ctx, _ambient(ctx, ctx.top_level), "Q")
+    pres.relations = tuple(build_relation_ideal(ctx, pres))
+    return pres
 
 
 def top_free_factor(ctx: ModelContext) -> IdealPresentation:
@@ -400,9 +363,8 @@ def top_free_factor(ctx: ModelContext) -> IdealPresentation:
     v = ctx.top_level
     if v < max(ctx.i, 2):
         raise DomainError("the splitting needs a top level >= 2")
-    variables, _ = _power_variables(ctx, "w", (v,))
-    ring = PolyRing(ctx.p, variables, label=f"top({ctx.label()})")
-    return IdealPresentation(ring, [])
+    top = ModelPresentation(ctx, _powers(ctx, "w", (v,)), "top")
+    return IdealPresentation(top.ring, [])
 
 
 # -- coordinate algebra of the commuting variety -------------------------------
@@ -418,19 +380,11 @@ class CoordinatePresentation(_Presentation):
 
     def free_roots(self) -> list[Root]:
         """Roots whose coordinates appear in no relation (the affine factor)."""
-        used = set()
-        for rel in self.relations:
-            for exps in rel.terms:
-                for i, e in enumerate(exps):
-                    if e:
-                        used.add(self.ring.variables[i].name)
-        out = []
-        seen = set()
-        for name, vi in self.info.items():
-            if name not in used and vi.root not in seen:
-                seen.add(vi.root)
-                out.append(vi.root)
-        return out
+        used = {
+            i for rel in self.relations for exps in rel.terms for i, e in enumerate(exps) if e
+        }
+        free = (g.root for i, g in enumerate(self.generators) if i not in used)
+        return list(dict.fromkeys(free))
 
 
 def vr_coordinate_algebra(ctx: ModelContext) -> CoordinatePresentation:
@@ -451,14 +405,11 @@ def vr_coordinate_algebra(ctx: ModelContext) -> CoordinatePresentation:
             f"p={ctx.p} < min(N, stage)={min(N, ctx.stage)}: the p-th power map "
             "does not vanish, configuration unsupported"
         )
-    variables, info = _power_variables(ctx, "X", ctx.levels())
-    ring = PolyRing(ctx.p, variables, label=f"k[V_{ctx.r}]({ctx.label()})")
-    pres = CoordinatePresentation(ctx, ring, [], info)
-    relations = [
-        _minor(ring, pairs, pres.var, twist, twist2)
-        for _, pairs, twist, twist2 in _commutations(ctx, range(2, ctx.stage))
-    ]
-    return CoordinatePresentation(ctx, ring, relations, info)
+    pres = CoordinatePresentation(ctx, _powers(ctx, "X", ctx.levels()), f"k[V_{ctx.r}]")
+    levels = range(2, ctx.stage)
+    commutations = _commutations(ctx, pres.ring, pres.var, levels)
+    pres.relations = tuple(minor for *_, minor in commutations)
+    return pres
 
 
 # -- algebra maps ----------------------------------------------------------------
@@ -518,9 +469,7 @@ def theta_substitution(ctx: ModelContext, validate: bool = True) -> AlgebraMap:
     """
     coord = vr_coordinate_algebra(ctx)
     sbar = build_Sbar(ctx)
-    images = {}
-    for name, vi in coord.info.items():
-        images[name] = sbar.power_image(vi.root, vi.twist)
+    images = {g.name: sbar.power_image(g.root, g.twist) for g in coord.generators}
     theta = AlgebraMap(coord, sbar, images, name="theta")
     if validate:
         theta.well_defined()
@@ -549,8 +498,8 @@ def theta_power_identities(ctx: ModelContext, theta: AlgebraMap | None = None):
         theta = theta_substitution(ctx, validate=False)
     coord, sbar = theta.source, theta.target
     out = []
-    for beta, pairs, twist, twist2 in _commutations(ctx, (2,)):
-        image = theta.apply(_minor(coord.ring, pairs, coord.var, twist, twist2))
+    for beta, twist, twist2, minor in _commutations(ctx, coord.ring, coord.var, (2,)):
+        image = theta.apply(minor)
         power = ctx.r - twist2 - 1
         base = s2_relation(sbar, beta, twist, twist2 - twist - 1) ** (ctx.p**power)
         if image == base:
@@ -586,9 +535,11 @@ def theta_degree_U3(r: int, p: int, cross_check: bool | None = None) -> int:
         q_model = build_Q(ctx)
         a1, a2 = Root((1, 0)), Root((0, 1))
         for twist in range(1, r):
-            candidate = (
-                q_model.x_var(a1, twist) * q_model.x_var(a2, 0) ** (p**twist)
-                - q_model.x_var(a2, twist) * q_model.x_var(a1, 0) ** (p**twist)
+            candidate = pair_sum(
+                q_model.ring,
+                [(a1, a2)],
+                lambda a: q_model.x_var(a, twist),
+                lambda b: q_model.x_var(b, 0) ** (p**twist),
             )
             if not normal_form(candidate, q_model.relations).is_zero():
                 raise CheckFailure(
@@ -621,13 +572,13 @@ def bracket_p(model: ModelPresentation, validate: bool = True) -> AlgebraMap:
     low = ModelContext(ctx.family, ctx.rank, ctx.J, ctx.i, ctx.stage, ctx.r - 1, ctx.p)
     target = build_Sbar(low)
     images = {}
-    for name, vi in model.info.items():
-        if vi.twist == ctx.r - 1:
-            images[name] = target.ring.zero()
-        elif vi.species == "x":
-            images[name] = target.x_var(vi.root, vi.twist)
+    for g in model.generators:
+        if g.twist == ctx.r - 1:
+            images[g.name] = target.ring.zero()
+        elif g.kind == "x":
+            images[g.name] = target.x_var(g.root, g.twist)
         else:
-            images[name] = target.w_var(vi.root, vi.twist) ** ctx.p
+            images[g.name] = target.w_var(g.root, g.twist) ** ctx.p
     bracket = AlgebraMap(model, target, images, name="bracket_p")
     if validate:
         bracket.well_defined()
@@ -666,9 +617,41 @@ def in_bracket_image(target: ModelPresentation, f: Poly, s: int) -> bool:
     if f.ring != target.ring:
         raise DomainError("element does not live in the target model")
     ps = target.ctx.p**s
-    for exps in f.terms:
-        for i, e in enumerate(exps):
-            name = target.ring.variables[i].name
-            if target.info[name].species == "w" and e % ps:
-                return False
-    return True
+    return not any(
+        g.kind == "w" and e % ps
+        for exps in f.terms
+        for g, e in zip(target.generators, exps)
+    )
+
+
+def bracket_probe(model: ModelPresentation, pairs: int, seed: int):
+    """Check ``bracket_p`` on ``model`` and the collapse of its top level.
+
+    The bracket must send the relations into the smaller ideal and respect
+    ``pairs`` random products f*g (drawn from ``seed``), and no top generator
+    of degree < p^s may lie in the image of the s-fold composite, s = 1, 2.
+    Returns (name, degree, s) for each such generator; raises CheckFailure.
+    """
+    bracket = bracket_p(model)
+    rng = random.Random(seed)
+    gens = [model.ring.var(g.name) for g in model.generators]
+    if pairs and not gens:
+        raise DomainError(f"{model.ctx.label()}: the model has no generators to probe")
+    for _ in range(pairs):
+        f, g = model.ring.one(), model.ring.zero()
+        for _ in range(2):
+            f = f * rng.choice(gens) ** rng.randint(0, 2)
+            g = g + rng.choice(gens) ** rng.randint(0, 2) * rng.randint(1, 2)
+        if bracket.apply(f * g) != bracket.apply(f) * bracket.apply(g):
+            raise CheckFailure("bracket map failed a multiplicativity probe")
+    top = model.top_generators()
+    misses = [
+        (g.name, g.degree, s)
+        for s in (1, 2)
+        for g in model.generators
+        if g.name in top and g.degree < model.ctx.p**s
+    ]
+    for name, _, s in misses:
+        if in_bracket_image(model, model.ring.var(name), s):
+            raise CheckFailure(f"top generator {name} lies in the image at s={s}")
+    return misses

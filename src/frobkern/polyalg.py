@@ -963,13 +963,19 @@ def plain_ring(p: int, names, label: str = "") -> PolyRing:
     return PolyRing(p, [VariableDescriptor(n) for n in names], label=label)
 
 
-def minor_terms(pairs, g, l: int, l2: int):
-    """Terms of the commutation minor: the sum over (a, b) in ``pairs`` of
-    g(a, l) g(b, l2) - g(a, l2) g(b, l), as (sign, factor, factor) triples.
+def pair_terms(pairs, f, g):
+    """Terms of the pair sum over (a, b) in ``pairs`` of f(a) g(b) - g(a) f(b),
+    as (sign, factor, factor) triples.
 
-    The factors are whatever ``g`` returns: ring elements for the coordinate
-    algebra and its model images, variable names for the integer systems.
+    Every relation family has this form: with f and g the same class at two
+    twists it is a commutation minor.  The factors are whatever ``f`` and
+    ``g`` return: ring elements, or variable names for the integer systems.
     """
     for a, b in pairs:
-        yield 1, g(a, l), g(b, l2)
-        yield -1, g(a, l2), g(b, l)
+        yield 1, f(a), g(b)
+        yield -1, g(a), f(b)
+
+
+def pair_sum(ring: PolyRing, pairs, f, g) -> Poly:
+    """The pair sum of ``pair_terms`` as an element of ``ring``."""
+    return sum(((u * v).scale(s) for s, u, v in pair_terms(pairs, f, g)), ring.zero())

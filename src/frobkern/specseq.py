@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError, UnsupportedOperationError
 from .grmodel import ModelContext, ModelGenerator
-from .polyalg import Poly, PolyRing
+from .polyalg import Poly, PolyRing, pair_sum
 from .rootsys import Root, check_pairing_hypothesis, summand_pairs
 
 
@@ -99,10 +99,8 @@ def d2_on_y(page: ExtensionPage, beta: Root, twist: int) -> Poly:
         raise DomainError(f"{beta.label()} is not a fiber root of this page")
     if not 0 <= twist < ctx.r:
         raise DomainError(f"twist {twist} outside [0, {ctx.r})")
-    out = page.ring.zero()
-    for alpha, alpha2 in page.pairs(beta):
-        out = out + page.y(alpha, twist) * page.y(alpha2, twist)
-    return out
+    products = (page.y(a, twist) * page.y(b, twist) for a, b in page.pairs(beta))
+    return sum(products, page.ring.zero())
 
 
 def transgression_power(page: ExtensionPage, beta: Root, twist: int, j: int) -> Poly:
@@ -114,12 +112,12 @@ def transgression_power(page: ExtensionPage, beta: Root, twist: int, j: int) -> 
         raise DomainError(f"{beta.label()} is not a fiber root of this page")
     if twist + 1 + j >= ctx.r:
         return page.ring.zero()
-    q = ctx.p**j
-    out = page.ring.zero()
-    for alpha, alpha2 in page.pairs(beta):
-        out = out + page.x(alpha, twist) ** q * page.y(alpha2, twist + 1 + j)
-        out = out - page.x(alpha2, twist) ** q * page.y(alpha, twist + 1 + j)
-    return out
+    return pair_sum(
+        page.ring,
+        page.pairs(beta),
+        lambda a: page.x(a, twist) ** (ctx.p**j),
+        lambda b: page.y(b, twist + 1 + j),
+    )
 
 
 def page_derivation(page: ExtensionPage, values: dict, f: Poly) -> Poly:

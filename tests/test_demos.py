@@ -1,4 +1,8 @@
-"""Every narrated demo runs to completion against the current library."""
+"""Every narrated demo runs to completion and prints its recorded output.
+
+The recorded output of ``demos/<name>.py`` is ``tests/golden/demos/<name>.txt``;
+a change that alters what a demo prints must re-record it on purpose.
+"""
 
 import os
 import pathlib
@@ -9,6 +13,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -21,3 +26,4 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()

@@ -1,12 +1,20 @@
+import contextlib
+import hashlib
+import io
 import itertools
+import json
+import pathlib
+import warnings
 
 import pytest
 
+from frobkern.cli import run
 from frobkern.errors import CheckFailure, ConfigError, DomainError
 from frobkern.grmodel import (
     ModelGenerator,
     PairingHypothesisWarning,
     bracket_p,
+    bracket_probe,
     build_Q,
     build_relation_ideal,
     build_S_star,
@@ -23,6 +31,7 @@ from frobkern.grmodel import (
 )
 from frobkern.polyalg import VariableDescriptor, graded_dimension, normal_form
 from frobkern.rootsys import Root
+from frobkern.specseq import ExtensionPage
 
 A1, A2, A12 = Root((1, 0)), Root((0, 1)), Root((1, 1))
 
@@ -386,6 +395,15 @@ class TestBracket:
             assert in_bracket_image(model, model.w_var(A12, 0) ** (ctx.p**s), s)
             assert in_bracket_image(model, model.x_var(A1, 0) ** 2, s)
 
+    def test_probe_scans_degrees_below_p_powers(self):
+        # at p = 5 the top generators have degrees 10 (twist 0) and 2 (twist 1)
+        misses = bracket_probe(build_Sbar(u3(p=5)), 5, seed=0)
+        assert misses == [
+            ("w[a1+a2](1)", 2, 1),
+            ("w[a1+a2](0)", 10, 2),
+            ("w[a1+a2](1)", 2, 2),
+        ]
+
     def test_iterated_bracket_composition(self):
         ctx = u3(r=3)
         model = build_Sbar(ctx)
@@ -393,3 +411,89 @@ class TestBracket:
         assert target.ctx.r == 1
         assert apply(model.w_var(A12, 0)) == target.w_var(A12, 0) ** 9
         assert apply(model.x_var(A1, 2)).is_zero()
+
+
+#: the benchmark's pinned exit codes and payload digests, by job
+REFERENCE_JOBS = json.loads(
+    (pathlib.Path(__file__).parents[1] / "perfbench" / "reference.json").read_text()
+)["jobs"]
+MODEL_JOBS = ("model build", "model theta-check", "model bracket-check")
+
+
+@pytest.mark.parametrize("key", [k for k in REFERENCE_JOBS if k.startswith(MODEL_JOBS)])
+def test_model_payload_matches_reference(key):
+    # the bracket probes draw from the seed, but the payload records none of them
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(key.replace("{seed}", "1").split()) == REFERENCE_JOBS[key]["exit"]
+    payload = json.loads(out.getvalue())["payload"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_JOBS[key]["digest"]
+
+
+def generator_rings(ctx):
+    """(name, ring, generators, expected (kind, root, twist) set) for every
+    ring built on generator records over ``ctx``."""
+    pctx = ctx.parabolic()
+    by_level = {}
+    for beta in pctx.radical_roots():
+        by_level.setdefault(pctx.level(beta), []).append(beta)
+
+    def classes(kind, levels):
+        return {
+            (kind, beta, l)
+            for v in levels
+            for beta in by_level.get(v, ())
+            for l in range(ctx.r)
+        }
+
+    def model(top):
+        xs = classes("x", [1]) if ctx.i == 1 else set()
+        return xs | classes("w", range(max(ctx.i, 2), top))
+
+    for name, build, top in (
+        ("S*", build_S_star, ctx.stage),
+        ("Sbar", build_Sbar, ctx.stage),
+        ("Q", build_Q, ctx.top_level),
+    ):
+        pres = build(ctx)
+        yield name, pres.ring, pres.generators, model(top)
+    levels = range(ctx.i, ctx.stage)
+    if ctx.family == "A" and ctx.i == 1 and ctx.p >= min(ctx.rank + 1, ctx.stage):
+        coord = vr_coordinate_algebra(ctx)
+        yield "coord", coord.ring, coord.generators, classes("X", levels)
+    if ctx.top_level >= 2:
+        page = ExtensionPage(ctx)
+        expected = classes("x", levels) | classes("y", levels)
+        yield "page", page.ring, page.generators, expected
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize(
+    "family,rank", [("A", 2), ("A", 3), ("A", 4), ("B", 3), ("C", 3), ("D", 4)]
+)
+def test_generator_records_describe_their_rings(family, rank, p):
+    for i, r in itertools.product((1, 2), (1, 2, 3)):
+        ctx = model_context(family, rank, i=i, r=r, p=p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PairingHypothesisWarning)
+            rings = list(generator_rings(ctx))
+        for name, ring, gens, expected in rings:
+            where = f"{name} of {ctx.label()}"
+            assert [g.descriptor() for g in gens] == list(ring.variables), where
+            assert {(g.kind, g.root, g.twist) for g in gens} == expected, where
+            assert len(gens) == len(expected), where
+            for g in gens:
+                beta, l = g.root.coeffs, g.twist
+                if g.kind == "x":
+                    degree, scale = 2, p ** (l + 1)
+                elif g.kind == "y":
+                    degree, scale = 1, p**l
+                else:  # w or X: (x[beta](l))^{p^{r-l-1}}
+                    assert g.power == r - l - 1, where
+                    degree, scale = 2 * p ** (r - l - 1), p**r
+                assert g.degree == degree, (where, g)
+                assert g.weight() == tuple(scale * c for c in beta), (where, g)
+                if g.kind == "w" and g.power:
+                    label = g.root.label()
+                    assert g.display() == f"(x[{label}]({l}))^p^{g.power}", where
