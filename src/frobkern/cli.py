@@ -262,7 +262,7 @@ def payload_specseq_d2(config: RunConfig, ns) -> dict:
     beta = _root(config, ns.beta)
     value = specseq.d2_on_y(page, beta, ns.twist)
     return {
-        "class": f"y[{beta.label()}]({ns.twist})",
+        "class": rootsys.generator_name("y", beta.label(), ns.twist),
         "page": 2,
         "value": value.to_json_dict(),
     }

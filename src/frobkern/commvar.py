@@ -34,6 +34,7 @@ from .polyalg import (
     plain_ring,
     solution_chunks,
 )
+from .rootsys import generator_name
 
 #: solution rows materialised when listing points for the Frobenius check
 DEFAULT_POINT_LIST_BUDGET = 600_000
@@ -77,22 +78,20 @@ class VarietySystem:
         return count_points(self.presentation(char), q, max_assignments=max_assignments)
 
 
-def _coordinate(label: str, twist: int) -> str:
-    return f"X[{label}]({twist})"
-
-
 def _minor(a: str, b: str, l1: int, l2: int) -> tuple[SignedTerm, ...]:
     """X_a(l1) X_b(l2) - X_a(l2) X_b(l1) as signed terms."""
     return tuple(
         (sign, ((f, 1), (h, 1)))
         for sign, f, h in pair_terms(
-            [(a, b)], lambda s: _coordinate(s, l1), lambda s: _coordinate(s, l2)
+            [(a, b)],
+            lambda s: generator_name("X", s, l1),
+            lambda s: generator_name("X", s, l2),
         )
     )
 
 
 def _chain_variables(N: int, r: int) -> tuple[str, ...]:
-    return tuple(_coordinate(f"a{s}", l) for l in range(r) for s in range(1, N))
+    return tuple(generator_name("X", f"a{s}", l) for l in range(r) for s in range(1, N))
 
 
 def y_variety_system(N: int, r: int) -> VarietySystem:
@@ -125,7 +124,7 @@ def x_variety_system(N: int, r: int) -> VarietySystem:
     labels = [f"a{s}" for s in range(1, N)] + [f"a{s}+a{s + 1}" for s in range(1, N - 1)]
     return VarietySystem(
         label=f"X_{r}(U{N}/G3)",
-        variables=tuple(_coordinate(label, l) for l in range(r) for label in labels),
+        variables=tuple(generator_name("X", label, l) for l in range(r) for label in labels),
         relations=y.relations,
         free_rank=y.free_rank,
     )

@@ -47,7 +47,9 @@ from .polyalg import (
     normal_form,
     pair_sum,
 )
-from .rootsys import ParabolicContext, Root, context, roots_of_level, summand_pairs
+from .rootsys import (
+    ParabolicContext, Root, context, generator_name, roots_of_level, summand_pairs
+)
 
 
 class PairingHypothesisWarning(UserWarning):
@@ -88,13 +90,13 @@ class ModelGenerator:
 
     @property
     def name(self) -> str:
-        return f"{self.kind}[{self.root.label()}]({self.twist})"
+        return generator_name(self.kind, self.root.label(), self.twist)
 
     def display(self) -> str:
         """The name, with a model power generator written as the power it is."""
         if self.kind != "w":
             return self.name
-        base = f"x[{self.root.label()}]({self.twist})"
+        base = generator_name("x", self.root.label(), self.twist)
         return f"({base})^p^{self.power}" if self.power else base
 
     def descriptor(self, name: str | None = None) -> VariableDescriptor:
@@ -223,10 +225,10 @@ class ModelPresentation(_Presentation):
     # -- generator access ----------------------------------------------------
 
     def x_var(self, root: Root, twist: int) -> Poly:
-        return self.ring.var(f"x[{root.label()}]({twist})")
+        return self.ring.var(generator_name("x", root.label(), twist))
 
     def w_var(self, root: Root, twist: int) -> Poly:
-        return self.ring.var(f"w[{root.label()}]({twist})")
+        return self.ring.var(generator_name("w", root.label(), twist))
 
     def power_image(self, root: Root, twist: int) -> Poly:
         """The element (x_root^{(twist)})^{p^{r-twist-1}} of this model."""
@@ -376,7 +378,7 @@ class CoordinatePresentation(_Presentation):
     kind, noun = "coordinate", "coordinates"
 
     def var(self, root: Root, twist: int) -> Poly:
-        return self.ring.var(f"X[{root.label()}]({twist})")
+        return self.ring.var(generator_name("X", root.label(), twist))
 
     def free_roots(self) -> list[Root]:
         """Roots whose coordinates appear in no relation (the affine factor)."""
@@ -416,7 +418,8 @@ def vr_coordinate_algebra(ctx: ModelContext) -> CoordinatePresentation:
 
 
 class AlgebraMap:
-    """A substitution homomorphism between presented algebras."""
+    """A monomial substitution: each source variable goes to zero or to one
+    term of a target ring without exterior variables."""
 
     def __init__(self, source, target, images: dict, name: str = "map"):
         self.source = source
@@ -426,19 +429,40 @@ class AlgebraMap:
         missing = [v.name for v in source.ring.variables if v.name not in self.images]
         if missing:
             raise DomainError(f"{name}: no image given for {missing}")
+        if any(v.parity == "odd" for v in target.ring.variables):
+            raise DomainError(f"{name}: the target ring has exterior variables")
+        # per source variable: None, or the image's nonzero (index, exponent) and coeff
+        self._terms = []
+        for v in source.ring.variables:
+            image = self.images[v.name]
+            terms = [
+                (tuple((j, k) for j, k in enumerate(e) if k), c)
+                for e, c in image.terms.items()
+            ]
+            if image.ring != target.ring or len(terms) > 1:
+                raise DomainError(f"{name}: {v.name} does not map to one term of the target")
+            self._terms.append(terms[0] if terms else None)
 
     def apply(self, f: Poly) -> Poly:
         if f.ring != self.source.ring:
             raise DomainError(f"{self.name}: argument from the wrong ring")
         ring = self.target.ring
-        out = ring.zero()
+        out: dict = {}
         for exps, coeff in f.terms.items():
-            term = ring.const(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * self.images[self.source.ring.variables[i].name] ** e
-            out = out + term
-        return out
+            image = [0] * ring.nvars
+            for e, term in zip(exps, self._terms):
+                if not e:
+                    continue
+                if term is None:
+                    break
+                sparse, c = term
+                coeff = coeff * pow(c, e, ring.p)
+                for j, k in sparse:
+                    image[j] += e * k
+            else:
+                key = tuple(image)
+                out[key] = out.get(key, 0) + coeff
+        return Poly(ring, out)
 
     def relation_images(self):
         return [(rel, self.apply(rel)) for rel in self.source.relations]

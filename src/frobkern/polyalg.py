@@ -247,6 +247,11 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative powers are not defined")
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            if n >= 2 and any(e[i] for i in self.ring._odd):
+                return self.ring.zero()
+            return Poly(self.ring, {tuple(n * x for x in e): pow(c, n, self.ring.p)})
         result = self.ring.one()
         base = self
         while n:

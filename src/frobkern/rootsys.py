@@ -85,6 +85,11 @@ class Root:
         return f"Root({self.label()})"
 
 
+def generator_name(kind: str, label: str, twist: int) -> str:
+    """The name kind[label](twist) of a twisted generator or coordinate."""
+    return f"{kind}[{label}]({twist})"
+
+
 def parse_root(text: str, rank: int) -> Root:
     """Parse either a comma list of coefficients or a label like a1+2a3."""
     text = text.strip()
@@ -111,32 +116,33 @@ def parse_root(text: str, rank: int) -> Root:
     return Root(tuple(coeffs))
 
 
-def _segments(family: str, n: int) -> list[tuple[tuple[int, int, int], ...]]:
+@cache
+def _segments(family: str, n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """Every positive root as segments (lo, hi, c): the sum of c(a_lo + ... + a_hi).
 
     A segment with lo > hi is empty.  The segments of one root are disjoint.
     """
     if family == "A":
-        return [((i, j, 1),) for i in range(1, n + 1) for j in range(i, n + 1)]
+        return tuple(((i, j, 1),) for i in range(1, n + 1) for j in range(i, n + 1))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     differences = [((i, j - 1, 1),) for i, j in pairs]  # e_i - e_j
     if family == "B":
         # e_i and e_i + e_j, with a_n the short root e_n
-        return (
+        return tuple(
             differences
             + [((i, n, 1),) for i in range(1, n + 1)]
             + [((i, j - 1, 1), (j, n, 2)) for i, j in pairs]
         )
     if family == "C":
         # e_i + e_j and 2e_i, with a_n the long root 2e_n
-        return (
+        return tuple(
             differences
             + [((i, j - 1, 1), (j, n - 1, 2), (n, n, 1)) for i, j in pairs]
             + [((i, n - 1, 2), (n, n, 1)) for i in range(1, n + 1)]
         )
     if family == "D":
         # e_i + e_n and e_i + e_j (j < n), with a_n the fork node e_{n-1} + e_n
-        return (
+        return tuple(
             differences
             + [((i, n - 2, 1), (n, n, 1)) for i in range(1, n)]
             + [

@@ -407,7 +407,8 @@ def aj_E1_enumerate(
     per degree down.  Weights are non-negative, so a branch is cut when a
     coordinate overshoots, or when it still misses more than the degree
     left times the best weight per degree among the variables not yet
-    placed.  Ratios are compared by integer cross-multiplication.
+    placed; ratios are compared by integer cross-multiplication.  A state
+    (position, degree left, weight missing) that found nothing is never redone.
     """
     ring, gens = aj_page(roots, r, p)
     target_weight = tuple(target_weight)
@@ -430,8 +431,9 @@ def aj_E1_enumerate(
     best.reverse()
     found: list[tuple[int, ...]] = []
     exps = [0] * ring.nvars
+    dead = set()  # the exponents from pos on are zero on entry to a state
 
-    def rec(pos: int, degree_left: int, missing: tuple) -> None:
+    def rec(pos: int, degree_left: int, missing: tuple) -> bool:
         if degree_left == 0:
             if not any(missing):
                 found.append(tuple(exps))
@@ -440,21 +442,25 @@ def aj_E1_enumerate(
                         f"first-page enumeration in degree {total_degree}, weight "
                         f"{target_weight} exceeded the budget of {max_monomials} monomials"
                     )
-            return
-        if pos == len(order) or any(
+            return not any(missing)
+        state = (pos, degree_left, missing)  # missing is rebound below
+        if state in dead or pos == len(order) or any(
             m * den > degree_left * num for m, (num, den) in zip(missing, best[pos])
         ):
-            return
+            return False
         i = order[pos]
-        rec(pos + 1, degree_left, missing)
+        hit = rec(pos + 1, degree_left, missing)
         top = 1 if ring.variables[i].parity == "odd" else degree_left // degrees[i]
         for e in range(1, top + 1):
             missing = tuple(m - w for m, w in zip(missing, weights[i]))
             if any(m < 0 for m in missing):
                 break
             exps[i] = e
-            rec(pos + 1, degree_left - e * degrees[i], missing)
+            hit |= rec(pos + 1, degree_left - e * degrees[i], missing)
         exps[i] = 0
+        if not hit:
+            dead.add(state)
+        return hit
 
     rec(0, total_degree, target_weight)
     out = [AJMonomial(ring, gens, e) for e in found]

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import pathlib
+import random
 import warnings
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from frobkern.cli import run
 from frobkern.errors import CheckFailure, ConfigError, DomainError
 from frobkern.grmodel import (
+    AlgebraMap,
     ModelGenerator,
     PairingHypothesisWarning,
     bracket_p,
@@ -411,6 +413,80 @@ class TestBracket:
         assert target.ctx.r == 1
         assert apply(model.w_var(A12, 0)) == target.w_var(A12, 0) ** 9
         assert apply(model.x_var(A1, 2)).is_zero()
+
+
+def random_polys(ring, seed, count=25):
+    """Seeded polynomials of up to 4 terms, exponents up to p + 1."""
+    rng = random.Random(seed)
+    names = [v.name for v in ring.variables]
+
+    def term():
+        support = rng.sample(names, rng.randint(0, 3))
+        exps = {name: rng.randint(1, ring.p + 1) for name in support}
+        return ring.monomial(exps, rng.randint(1, ring.p - 1))
+
+    for _ in range(count):
+        yield sum((term() for _ in range(rng.randint(0, 4))), ring.zero())
+
+
+def substitute(algebra_map, f):
+    """f with every variable x replaced by images[x]: the sum of
+    c * prod images[x]**e over its terms, by repeated multiplication."""
+    source, target = algebra_map.source.ring, algebra_map.target.ring
+    out = target.zero()
+    for exps, coeff in f.terms.items():
+        term = target.const(coeff)
+        for var, e in zip(source.variables, exps):
+            for _ in range(e):
+                term = term * algebra_map.images[var.name]
+        out = out + term
+    return out
+
+
+#: (map, rank of A, r, p); theta needs p >= min(N, stage), so p = 5 on A3
+ORACLE_MAPS = [
+    ("theta", 2, 2, 3),
+    ("theta", 2, 3, 3),
+    ("theta", 3, 2, 5),
+    *[("bracket", rank, r, p) for rank in (2, 3) for r in (2, 3) for p in (3, 5)],
+]
+
+
+class TestAlgebraMapOracle:
+    """apply against the substitution written out by Poly arithmetic."""
+
+    @pytest.mark.parametrize("kind,rank,r,p", ORACLE_MAPS)
+    def test_apply_is_the_substitution(self, kind, rank, r, p):
+        ctx = model_context("A", rank, r=r, p=p)
+        if kind == "theta":
+            algebra_map = theta_substitution(ctx, validate=False)
+        else:
+            algebra_map = bracket_p(build_Sbar(ctx), validate=False)
+        for f in random_polys(algebra_map.source.ring, f"{kind} A{rank} r={r} p={p}"):
+            assert algebra_map.apply(f) == substitute(algebra_map, f)
+
+    def test_image_coefficients_multiply(self):
+        # theta and bracket_p send generators to monic terms; scale them
+        theta = theta_substitution(u3(r=3), validate=False)
+        images = {name: image.scale(2) for name, image in theta.images.items()}
+        scaled = AlgebraMap(theta.source, theta.target, images)
+        for f in random_polys(theta.source.ring, "scaled theta"):
+            assert scaled.apply(f) == substitute(scaled, f)
+
+    def test_two_term_image_rejected(self):
+        theta = theta_substitution(u3(), validate=False)
+        images = dict(theta.images)
+        images["X[a1](0)"] = images["X[a1](0)"] + images["X[a2](0)"]
+        with pytest.raises(DomainError, match="one term of the target"):
+            AlgebraMap(theta.source, theta.target, images)
+
+    def test_exterior_target_rejected(self):
+        ctx = u3(r=1)
+        page = ExtensionPage(ctx)
+        source = build_S_star(ctx)
+        images = {g.name: page.x(g.root, g.twist) for g in source.generators}
+        with pytest.raises(DomainError, match="exterior"):
+            AlgebraMap(source, page, images)
 
 
 #: the benchmark's pinned exit codes and payload digests, by job

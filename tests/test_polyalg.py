@@ -145,6 +145,22 @@ class TestRingLaws:
                 a + b for a, b in zip(f.uniform_weight(), g.uniform_weight())
             )
 
+    @settings(max_examples=120, deadline=None)
+    @given(monomials(RING), st.integers(0, 6))
+    def test_single_term_power_is_repeated_product(self, f, n):
+        product = RING.one()
+        for _ in range(n):
+            product = product * f
+        assert f**n == product
+
+    def test_single_term_power_edge_cases(self):
+        x1, y1 = RING.var("x1"), RING.var("y1")
+        for f in (y1, x1 * y1, RING.const(2), x1.scale(2)):
+            assert f**0 == RING.one()
+            assert f**1 == f
+        assert (x1 * y1) ** 2 == 0 and y1**3 == 0
+        assert x1.scale(2) ** 3 == RING.monomial({"x1": 3}, 8)
+
 
 class TestBuchberger:
     def test_principal(self):

@@ -384,6 +384,19 @@ class TestFirstPageOracle:
         assert len(aj_page(roots, 3, 3)[0].variables) == 36
         assert len(self.check_weight_space(roots, 3, 3, 8, (15, 42, 40))) == 28
 
+    def test_large_slice_of_a2_r3(self):
+        # degree 30 is over the series' bound 2p^2 + 2 = 20, so the slice is
+        # pinned by its size and checked monomial by monomial
+        roots = first_page_roots("A", 2, 3, 3)
+        ring, _ = aj_page(roots, 3, 3)
+        out = aj_E1_enumerate(roots, 3, 3, 30, (81, 82))
+        names = [m.name for m in out]
+        assert len(out) == 3298
+        assert len(set(names)) == len(out) and names == sorted(names)
+        for m in out:
+            assert m.degree == 30
+            assert ring.monomial_weight(m.exps) == (81, 82)
+
     def test_budget_names_the_slice(self):
         roots = first_page_roots("A", 2, 3, 3)
         with pytest.raises(BudgetError) as err:
