@@ -4,12 +4,11 @@ Run with: python3 demos/03_theta_and_varieties.py
 """
 
 from frobkern.commvar import (
-    component_candidates_U4,
     conjecture_check,
     dim_estimate,
     u3_y_closed_form,
+    u4_component_counts,
     x_variety_system,
-    y_variety_system,
 )
 from frobkern.grmodel import (
     model_context,
@@ -46,13 +45,9 @@ for r in (1, 2, 3):
         )
 
 print("\n=== the two four-strand components at height 2 ===")
-systems = component_candidates_U4(2)
-y = y_variety_system(4, 2)
-for q in (3, 5):
-    counts = {label: s.count(q) for label, s in systems.items()}
-    total = y.count(q)
-    residual = total - (counts["V1"] + counts["V2"] - counts["V1&V2"])
-    print(f"  q={q}: Y={total}  {counts}  inclusion-exclusion residual {residual}")
+for q, c in u4_component_counts(2, (3, 5)).items():
+    counts = {label: c[label] for label in ("V1", "V2", "V1&V2")}
+    print(f"  q={q}: Y={c['Y']}  {counts}  inclusion-exclusion residual {c['residual']}")
 
 print("\n=== five strands: conjectural component family, evidence only ===")
 report = conjecture_check(5, 2, q_list=(3,))

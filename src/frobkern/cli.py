@@ -250,7 +250,10 @@ def payload_variety_components(config: RunConfig, ns) -> dict:
     if N == 4:
         counts = commvar.u4_component_counts(config.r, q_list, budget)
         out["counts"] = {str(q): c for q, c in counts.items()}
-        out["claimed_dims"] = {"V1": 2 * config.r, "V2": config.r + 2}
+        dims = commvar.subdiagram_components(4, config.r).predicted_dims()
+        out["claimed_dims"] = {
+            v: dims[label] for v, label in commvar.U4_COMPONENTS.items()
+        }
     else:
         report = commvar.conjecture_check(N, config.r, q_list, budget)
         out["report"] = report.to_json_dict()

@@ -16,9 +16,7 @@ never hard-fail on a mismatch.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -36,8 +34,12 @@ from .polyalg import (
 )
 from .rootsys import generator_name
 
-#: solution rows materialised when listing points for the Frobenius check
+#: solution rows that ``solution_rows`` may list; it is the brute-force
+#: oracle that the tests check ``count_points`` against
 DEFAULT_POINT_LIST_BUDGET = 600_000
+
+#: how far log_q of a count may sit from the predicted dimension
+DIM_WINDOW = 0.5
 
 SignedTerm = tuple[int, tuple[tuple[str, int], ...]]
 
@@ -50,7 +52,6 @@ class VarietySystem:
     variables: tuple[str, ...]
     relations: tuple[tuple[SignedTerm, ...], ...]
     free_rank: int = 0  # affine factor split off the ambient quotient variety
-    claimed_dim: int | None = None
 
     def presentation(self, char: int) -> IdealPresentation:
         ring = plain_ring(char, self.variables, label=self.label)
@@ -59,7 +60,7 @@ class VarietySystem:
             [ring.from_terms((c, dict(exps)) for c, exps in rel) for rel in self.relations],
         )
 
-    def union(self, other: "VarietySystem", label: str | None = None) -> "VarietySystem":
+    def union(self, other: "VarietySystem") -> "VarietySystem":
         if self.variables != other.variables:
             raise DomainError("systems over different variable sets")
         merged = list(self.relations)
@@ -67,7 +68,7 @@ class VarietySystem:
             if rel not in merged:
                 merged.append(rel)
         return VarietySystem(
-            label or f"{self.label} & {other.label}",
+            f"{self.label} & {other.label}",
             self.variables,
             tuple(merged),
             free_rank=self.free_rank,
@@ -108,7 +109,6 @@ def y_variety_system(N: int, r: int) -> VarietySystem:
         variables=_chain_variables(N, r),
         relations=tuple(relations),
         free_rank=(N - 2) * r,
-        claimed_dim=None,
     )
 
 
@@ -153,30 +153,6 @@ def solution_rows(
     chunks = solution_chunks(system.presentation(char), GF(q, char=char))
     found = np.concatenate(list(chunks))
     return np.stack([(found // q**i % q).astype(np.int32) for i in range(n)], axis=1)
-
-
-def frobenius_injectivity_evidence(system: VarietySystem, q: int) -> dict:
-    """Apply coordinatewise p-th powers to every F_q point and re-check.
-
-    Evidence only: the map is checked to land back in the solution set and
-    to be injective on the finite point set.
-    """
-    char = GF._factor(q)[0]
-    rows = solution_rows(system, q)
-    gf = GF(q, char=char)
-    image = gf.pow_vec(rows, char)
-    original = {tuple(map(int, row)) for row in rows}
-    image_tuples = [tuple(map(int, row)) for row in image]
-    closed = all(t in original for t in image_tuples)
-    injective = len(set(image_tuples)) == len(image_tuples)
-    return {
-        "system": system.label,
-        "q": q,
-        "points": int(rows.shape[0]),
-        "image_in_solution_set": bool(closed),
-        "injective_on_points": bool(injective),
-        "evidence_only": True,
-    }
 
 
 # -- sub-diagram component combinatorics ---------------------------------------
@@ -281,37 +257,35 @@ def component_system(N: int, r: int, diagram: Subdiagram) -> VarietySystem:
         label=f"V[{diagram.label()}]",
         variables=variables,
         relations=tuple(relations),
-        claimed_dim=diagram.predicted_dim(r),
     )
 
 
-def component_candidates_U4(r: int) -> dict[str, VarietySystem]:
-    """The two four-strand components and their intersection system."""
-    family = subdiagram_components(4, r)
-    by_label = {d.label(): d for d in family.members}
-    v2 = component_system(4, r, by_label["a1-a3"])  # full diagram: all minors
-    v1 = component_system(4, r, by_label["a1|a3"])  # middle node removed
-    return {
-        "V1": VarietySystem("V1", v1.variables, v1.relations, claimed_dim=2 * r),
-        "V2": VarietySystem("V2", v2.variables, v2.relations, claimed_dim=r + 2),
-        "V1&V2": v1.union(v2, label="V1&V2"),
-    }
+#: the four-strand components: V1 drops the middle node, V2 keeps it
+U4_COMPONENTS = {"V1": "a1|a3", "V2": "a1-a3"}
 
 
 def u4_component_counts(
     r: int, q_list, budget: int | None = None
 ) -> dict[int, dict[str, int]]:
     """Per q: the counts of Y, V1, V2 and V1&V2, and the inclusion-exclusion
-    residual Y - (V1 + V2 - V1&V2), which is 0 when V1 and V2 cover Y."""
-    systems = component_candidates_U4(r)
-    y = y_variety_system(4, r)
-    out = {}
-    for q in q_list:
-        counts = {label: s.count(q, budget) for label, s in systems.items()}
-        total = y.count(q, budget)
-        residual = total - (counts["V1"] + counts["V2"] - counts["V1&V2"])
-        out[q] = {"Y": total, **counts, "residual": residual}
-    return out
+    residual Y - (V1 + V2 - V1&V2), which is 0 when V1 and V2 cover Y.
+
+    A relabelling of ``conjecture_check(4, r, ...)``, whose family is exactly
+    V1 and V2."""
+    report = conjecture_check(4, r, q_list, budget)
+    (both,) = report.subset_counts.values()
+    return {
+        q: {
+            "Y": report.y_counts[q],
+            **{
+                v: report.component_counts[label][q]
+                for v, label in U4_COMPONENTS.items()
+            },
+            "V1&V2": both[q],
+            "residual": report.residuals[q],
+        }
+        for q in report.q_list
+    }
 
 
 # -- reports ---------------------------------------------------------------------
@@ -329,7 +303,6 @@ class ComponentReport:
     component_counts: dict[str, dict[int, int]] = field(default_factory=dict)
     subset_counts: dict[tuple[str, ...], dict[int, int]] = field(default_factory=dict)
     residuals: dict[int, int] = field(default_factory=dict)
-    dim_window: float = 0.5
 
     def dim_estimates(self) -> dict[str, dict[int, float]]:
         out: dict[str, dict[int, float]] = {"Y": {}}
@@ -342,7 +315,7 @@ class ComponentReport:
     def max_dim_matches(self) -> dict[int, bool]:
         best = self.family.max_predicted_dim()
         return {
-            q: abs(dim_estimate(c, q) - best) <= self.dim_window
+            q: abs(dim_estimate(c, q) - best) <= DIM_WINDOW
             for q, c in self.y_counts.items()
         }
 
@@ -351,7 +324,7 @@ class ComponentReport:
         dims = self.family.predicted_dims()
         for label, counts in self.component_counts.items():
             out[label] = {
-                q: abs(dim_estimate(c, q) - dims[label]) <= self.dim_window
+                q: abs(dim_estimate(c, q) - dims[label]) <= DIM_WINDOW
                 for q, c in counts.items()
             }
         return out
@@ -380,22 +353,6 @@ class ComponentReport:
             },
             "max_dim_matches": {str(q): v for q, v in self.max_dim_matches().items()},
         }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["system", "q", "count"])
-        for q in self.q_list:
-            writer.writerow(["Y", q, self.y_counts[q]])
-        for label, counts in sorted(self.component_counts.items()):
-            for q in self.q_list:
-                writer.writerow([label, q, counts[q]])
-        for key, counts in sorted(self.subset_counts.items()):
-            for q in self.q_list:
-                writer.writerow(["&".join(key), q, counts[q]])
-        for q in self.q_list:
-            writer.writerow(["residual", q, self.residuals[q]])
-        return buf.getvalue()
 
 
 def conjecture_check(

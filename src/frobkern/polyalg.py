@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import add, le
@@ -220,9 +221,6 @@ class Poly:
         if isinstance(other, int):
             other = self.ring.const(other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, c: int) -> "Poly":
         return Poly(self.ring, {e: c * v for e, v in self.terms.items()})
@@ -714,114 +712,69 @@ def graded_dimension(
 # -- finite fields and point counting ----------------------------------------
 
 
-def _poly_mul_mod(a, b, modulus, p):
-    """Multiply F_p[t] digit vectors and reduce by the monic ``modulus``."""
-    k = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    for i in range(len(prod) - 1, k - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(k):
-                prod[i - k + j] = (prod[i - k + j] - c * modulus[j]) % p
-    return prod[:k]
-
-
-def _find_irreducible(p: int, k: int) -> list[int]:
-    """Coefficients [c0..ck] (ck = 1) of an irreducible degree-k poly over F_p."""
-
-    def divides(d, f):
-        # trial division f / d over F_p, both coefficient lists, d monic
-        rem = list(f)
-        while len(rem) >= len(d) and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < len(d):
-                break
-            c = rem[-1]
-            shift = len(rem) - len(d)
-            for i, dc in enumerate(d):
-                rem[shift + i] = (rem[shift + i] - c * dc) % p
-        return not any(rem)
-
-    lower: list[list[int]] = []
-    for deg in range(1, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=deg):
-            lower.append(list(tail) + [1])
-    for tail in itertools.product(range(p), repeat=k):
-        f = list(tail) + [1]
-        if f[0] == 0:
-            continue
-        if not any(divides(d, f) for d in lower):
-            return f
-    raise ConfigError(f"no irreducible polynomial of degree {k} over F_{p}")
-
-
 class GF:
-    """F_q with q = p^k, elements indexed 0..q-1 by base-p digit vectors.
+    """F_q with q = p^k, elements indexed 0..q-1 by base-p digit vectors: the
+    coefficients of 1, x, ..., x^(k-1) modulo a primitive degree-k f.
 
     Index c < p is the constant c, so F_p-coefficients embed as themselves.
-    Arithmetic is table-driven; the tables double as numpy gather targets.
+    Addition is digit-wise; multiplication adds discrete logarithms to the
+    base x.  The tables double as numpy gather targets.
     """
 
     def __init__(self, q: int, char: int | None = None):
-        p, k = self._factor(q)
-        if char is not None and p != char:
-            raise ConfigError(f"q = {q} is not a power of the characteristic {char}")
+        p, k = self._factor(q, char)
         self.q, self.p, self.k = q, p, k
-        if k == 1:
-            idx = np.arange(q, dtype=np.int64)
-            self.add_table = ((idx[:, None] + idx[None, :]) % q).astype(np.int32)
-            self.mul_table = ((idx[:, None] * idx[None, :]) % q).astype(np.int32)
-        else:
-            modulus = _find_irreducible(p, k)
-            digits = [self._digits(i) for i in range(q)]
-            add = np.zeros((q, q), dtype=np.int32)
-            mul = np.zeros((q, q), dtype=np.int32)
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = self._index(
-                        [(x + y) % p for x, y in zip(digits[a], digits[b])]
-                    )
-                    mul[a, b] = self._index(
-                        _poly_mul_mod(digits[a], digits[b], modulus, p)
-                    )
-            self.add_table, self.mul_table = add, mul
-        self.neg_table = np.argmax(self.add_table == 0, axis=1).astype(np.int32)
-        self.inv_table = np.argmax(self.mul_table == 1, axis=1).astype(np.int32)
+        # exp[i] = x^i for i < 2(q - 1), so a sum of two logarithms needs no mod
+        exp = np.array(self._powers_of_x(p, k) * 2, dtype=np.int32)
+        log = np.zeros(q, dtype=np.int32)
+        log[exp[: q - 1]] = np.arange(q - 1, dtype=np.int32)
+        idx = np.arange(q, dtype=np.int32)
+        self.add_table = np.zeros((q, q), dtype=np.int32)
+        self.neg_table = np.zeros(q, dtype=np.int32)
+        for j in range(k):  # digit j of every index, worth p^j
+            d = idx // p**j % p
+            self.add_table += (d[:, None] + d[None, :]) % p * p**j
+            self.neg_table += -d % p * p**j
+        self.mul_table = np.zeros((q, q), dtype=np.int32)
+        self.mul_table[1:, 1:] = exp[log[1:, None] + log[None, 1:]]
+        self.inv_table = np.zeros(q, dtype=np.int32)
+        self.inv_table[1:] = exp[q - 1 - log[1:]]
 
     @staticmethod
-    def _factor(q: int) -> tuple[int, int]:
+    def _factor(q: int, char: int | None = None) -> tuple[int, int]:
+        """(p, k) with q = p^k, by trial division up to the square root; a q
+        that is no power of ``char`` (when given) is a configuration error."""
         if q < 2:
             raise ConfigError("q must be at least 2")
-        for p in range(2, q + 1):
-            if q % p == 0:
-                k = 0
-                m = q
-                while m % p == 0:
-                    m //= p
-                    k += 1
-                if m != 1:
-                    raise ConfigError(f"q = {q} is not a prime power")
-                return p, k
-        raise ConfigError(f"q = {q} is not a prime power")
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        k, m = 0, q
+        while m % p == 0:
+            m //= p
+            k += 1
+        if m != 1:
+            raise ConfigError(f"q = {q} is not a prime power")
+        if char is not None and p != char:
+            raise ConfigError(f"q = {q} is not a power of the characteristic {char}")
+        return p, k
 
-    def _digits(self, i: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(i % self.p)
-            i //= self.p
-        return out
-
-    def _index(self, digits) -> int:
-        out = 0
-        for d in reversed(list(digits)):
-            out = out * self.p + d
-        return out
+    @staticmethod
+    def _powers_of_x(p: int, k: int) -> list[int]:
+        """Indices of x^0, ..., x^(q-2) modulo the first monic degree-k f, by
+        coefficient tuple (c0, ..., c(k-1)), in which x has order q - 1.
+        Distinct nonzero powers make f primitive, hence irreducible."""
+        for tail in itertools.product(range(p), repeat=k):
+            if not tail[0]:
+                continue  # f(0) = 0: x is no unit
+            powers, digits = [1], [1] + [0] * (k - 1)
+            while True:  # x is a unit, so its powers return to 1
+                top = digits[-1]  # x^k = -(c0 + c1 x + ... + c(k-1) x^(k-1))
+                digits = [(d - top * c) % p for d, c in zip([0] + digits[:-1], tail)]
+                index = sum(d * p**j for j, d in enumerate(digits))
+                if index == 1:
+                    break
+                powers.append(index)
+            if len(powers) == p**k - 1:
+                return powers
 
     def add_vec(self, a, b):
         return self.add_table[a, b]
@@ -932,14 +885,15 @@ def count_points(
     ring = system.ring
     if ring._odd:
         raise UnsupportedOperationError("point counting needs an even-variable ring")
-    gf = GF(q, char=ring.p)
+    GF._factor(q, ring.p)
     n = ring.nvars
     total = q**n
     budget = DEFAULT_POINT_BUDGET if max_assignments is None else max_assignments
-    if total > budget:
+    if total > budget:  # before the q x q field tables are built
         raise BudgetError(
             f"{q}^{n} = {total} assignments exceed the enumeration budget {budget}"
         )
+    gf = GF(q, char=ring.p)
     cover, unknowns = _cover(system.relations)
     filters, fibre = [], []
     for rel in system.relations:

@@ -461,14 +461,3 @@ def context(family: str, rank: int, J: frozenset[str] | set[str] | tuple = ()) -
 @cache
 def _context(family: str, rank: int, J: frozenset[str]) -> ParabolicContext:
     return ParabolicContext(build_root_system(family, rank), J)
-
-
-def type_a_matrix_position(beta: Root) -> tuple[int, int]:
-    """Interpret a type-A root a_i+...+a_{j-1} as the matrix position (i, j)."""
-    support = [k for k, c in enumerate(beta.coeffs, start=1) if c]
-    if not support or any(beta.coeffs[k - 1] != 1 for k in support):
-        raise DomainError(f"{beta} is not a type-A positive root")
-    i, j = support[0], support[-1] + 1
-    if support != list(range(i, j)):
-        raise DomainError(f"{beta} is not an interval root")
-    return i, j

@@ -488,7 +488,6 @@ class UniquenessReport:
     monomials: tuple[AJMonomial, ...]
     paired: tuple[tuple[AJMonomial, str], ...]
     survivors: tuple[AJMonomial, ...]
-    heuristic: bool = True
 
     @property
     def surviving_count(self) -> int:
@@ -511,7 +510,7 @@ class UniquenessReport:
         }
 
 
-def uniqueness_witness(ctx: ModelContext, beta: Root, strict: bool = True) -> UniquenessReport:
+def uniqueness_witness(ctx: ModelContext, beta: Root) -> UniquenessReport:
     """Search the (2p^{r-1}, p^r beta) weight space of the quotient's first page.
 
     Requires the decomposition-count hypothesis for the context (every
@@ -520,13 +519,11 @@ def uniqueness_witness(ctx: ModelContext, beta: Root, strict: bool = True) -> Un
     reported.
     """
     pctx = ctx.parabolic()
-    if strict:
-        report = check_pairing_hypothesis(pctx, ctx.p)
-        if not report.ok:
-            raise DomainError(
-                "pairing hypothesis fails for this context; "
-                "the uniqueness search is not justified"
-            )
+    if not check_pairing_hypothesis(pctx, ctx.p).ok:
+        raise DomainError(
+            "pairing hypothesis fails for this context; "
+            "the uniqueness search is not justified"
+        )
     if not pctx.system.contains(beta):
         raise DomainError(f"{beta.label()} is not a positive root")
     if pctx.level(beta) != ctx.top_level:

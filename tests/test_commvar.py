@@ -6,11 +6,9 @@ import pytest
 from frobkern.commvar import (
     ComponentReport,
     Subdiagram,
-    component_candidates_U4,
     component_system,
     conjecture_check,
     dim_estimate,
-    frobenius_injectivity_evidence,
     solution_rows,
     subdiagram_components,
     u3_y_closed_form,
@@ -60,10 +58,13 @@ class TestSystems:
 
 
 class TestU3Counts:
-    @pytest.mark.parametrize("q", [3, 5])
+    @pytest.mark.parametrize("q", [3, 5, 9, 27])
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_y_counts_match_closed_form(self, q, r):
-        assert y_variety_system(3, r).count(q) == u3_y_closed_form(q, r)
+        # the nominal 27^6 of r = 3 is past the default budget; the cover
+        # enumerates only 27^3 assignments
+        y = y_variety_system(3, r)
+        assert y.count(q, q ** len(y.variables)) == u3_y_closed_form(q, r)
 
     @pytest.mark.parametrize("q", [3, 5])
     @pytest.mark.parametrize("r", [1, 2])
@@ -82,9 +83,17 @@ class TestU3Counts:
                 assert abs(dim_estimate(total, q) - (2 * r + 1)) <= 0.5
 
 
+def _u4_systems(r):
+    """The four-strand components V1 = a1|a3, V2 = a1-a3 and their intersection."""
+    family = subdiagram_components(4, r).members
+    systems = {d.label(): component_system(4, r, d) for d in family}
+    v1, v2 = systems["a1|a3"], systems["a1-a3"]
+    return {"V1": v1, "V2": v2, "V1&V2": v1.union(v2)}
+
+
 class TestU4Components:
     def test_frozen_counts_q3(self):
-        systems = component_candidates_U4(2)
+        systems = _u4_systems(2)
         y = y_variety_system(4, 2)
         assert y.count(3) == 153
         assert systems["V1"].count(3) == 81
@@ -93,7 +102,7 @@ class TestU4Components:
         assert 81 + 105 - 33 == 153
 
     def test_frozen_counts_q5(self):
-        systems = component_candidates_U4(2)
+        systems = _u4_systems(2)
         assert y_variety_system(4, 2).count(5) == 1225
         assert systems["V1"].count(5) == 625
         assert systems["V2"].count(5) == 745
@@ -108,10 +117,9 @@ class TestU4Components:
             u4_component_counts(2, (3,), budget=10)
 
     def test_dim_estimates(self):
-        systems = component_candidates_U4(2)
-        for q in (3, 5):
-            assert abs(dim_estimate(systems["V1"].count(q), q) - 4) <= 0.5
-            assert abs(dim_estimate(systems["V2"].count(q), q) - 4) <= 0.5
+        for q, counts in u4_component_counts(2, (3, 5)).items():
+            assert abs(dim_estimate(counts["V1"], q) - 4) <= 0.5
+            assert abs(dim_estimate(counts["V2"], q) - 4) <= 0.5
 
     def test_r1_is_irreducible_affine(self):
         # every relation degenerates at r = 1: single component A^3
@@ -122,7 +130,7 @@ class TestU4Components:
         assert full.count(3) == 27
 
     def test_intersection_points_satisfy_both(self):
-        systems = component_candidates_U4(2)
+        systems = _u4_systems(2)
         inter = {tuple(map(int, row)) for row in solution_rows(systems["V1&V2"], 3)}
         v1 = {tuple(map(int, row)) for row in solution_rows(systems["V1"], 3)}
         v2 = {tuple(map(int, row)) for row in solution_rows(systems["V2"], 3)}
@@ -265,33 +273,12 @@ class TestConjecture:
         assert report.y_counts[3] == u3_y_closed_form(3, 2)
         assert report.residuals[3] == 0
 
-    def test_json_and_csv(self):
+    def test_json(self):
         report = conjecture_check(4, 2, q_list=(3,))
         doc = report.to_json_dict()
         assert doc["conjectural"] is True
         assert doc["residuals"] == {"3": 0}
-        text = report.to_csv()
-        assert text.splitlines()[0] == "system,q,count"
-        assert "residual,3,0" in text
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             conjecture_check(5, 3, q_list=(5,))
-
-
-class TestFrobeniusEvidence:
-    def test_u3(self):
-        result = frobenius_injectivity_evidence(y_variety_system(3, 2), 3)
-        assert result["points"] == 33
-        assert result["image_in_solution_set"] and result["injective_on_points"]
-        assert result["evidence_only"] is True
-
-    def test_u4(self):
-        result = frobenius_injectivity_evidence(y_variety_system(4, 2), 3)
-        assert result["points"] == 153
-        assert result["image_in_solution_set"] and result["injective_on_points"]
-
-    def test_extension_field(self):
-        result = frobenius_injectivity_evidence(y_variety_system(3, 1), 9)
-        assert result["points"] == 81
-        assert result["image_in_solution_set"] and result["injective_on_points"]

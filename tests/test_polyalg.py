@@ -464,6 +464,18 @@ class TestCountPoints:
         with pytest.raises(BudgetError):
             count_points(IdealPresentation(ring, []), 3, max_assignments=100)
 
+    def test_budget_before_field_tables(self, monkeypatch):
+        # a refused q never builds its q x q tables
+        def no_tables(self, q, char=None):
+            raise AssertionError("field tables built before the budget check")
+
+        monkeypatch.setattr(GF, "__init__", no_tables)
+        ring = plain_ring(1_000_003, ["x"])
+        with pytest.raises(BudgetError):
+            count_points(IdealPresentation(ring, []), 1_000_003, max_assignments=10**6)
+        with pytest.raises(ConfigError):  # the characteristic is checked first
+            count_points(IdealPresentation(ring, []), 3**13, max_assignments=10)
+
     def test_chunking_consistent(self):
         ring = plain_ring(3, ["a", "b", "c"])
         rel = ring.var("a") * ring.var("b") - ring.var("c")
@@ -485,9 +497,29 @@ class TestGF:
         # multiplicative group of nonzero elements
         assert (gf.mul_table[1] == idx).all()
         for a in range(1, 9):
-            assert sorted(gf.mul_table[a][1:] if a == 0 else gf.mul_table[a]) or True
             row = sorted(gf.mul_table[a][i] for i in range(1, 9))
             assert row == list(range(1, 9))
+
+    @pytest.mark.parametrize("q", [3, 9, 25, 27])
+    def test_field_axioms_by_gather(self, q):
+        import numpy as np
+
+        gf = GF(q)
+        add, mul = gf.add_table, gf.mul_table
+        idx = np.arange(q)
+        a, b, c = np.ix_(idx, idx, idx)
+        assert (add[add[a, b], c] == add[a, add[b, c]]).all()
+        assert (mul[mul[a, b], c] == mul[a, mul[b, c]]).all()
+        assert (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all()
+        assert (add == add.T).all() and (mul == mul.T).all()
+        assert (add[0] == idx).all() and (mul[1] == idx).all() and not mul[0].any()
+        assert not add[idx, gf.neg_table].any()
+        assert (mul[idx[1:], gf.inv_table[1:]] == 1).all()
+        # index c < p is the constant c
+        const = np.arange(gf.p)
+        s, t = np.ix_(const, const)
+        assert (add[s, t] == (s + t) % gf.p).all()
+        assert (mul[s, t] == s * t % gf.p).all()
 
     def test_frobenius_fixed_field(self):
         import numpy as np

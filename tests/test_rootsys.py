@@ -18,7 +18,6 @@ from frobkern.rootsys import (
     parse_root,
     roots_of_level,
     summand_pairs,
-    type_a_matrix_position,
 )
 
 
@@ -214,12 +213,6 @@ class TestParsing:
 
     def test_coefficient_form(self):
         assert parse_root("0,1,1", 3) == R(0, 1, 1)
-
-    def test_matrix_positions(self):
-        assert type_a_matrix_position(R(1, 0, 0)) == (1, 2)
-        assert type_a_matrix_position(R(0, 1, 1)) == (2, 4)
-        with pytest.raises(DomainError):
-            type_a_matrix_position(R(1, 0, 1))
 
 
 @settings(max_examples=60, deadline=None)
