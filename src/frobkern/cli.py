@@ -1,11 +1,12 @@
 """Command-line front end: reproducible runs emitting JSON reports.
 
 Every subcommand builds a payload that is a pure function of its options
-(and the seed, where randomness is involved); the report wraps the payload
-with a command echo, the parsed configuration, wall time and budget
-counters.  Human-readable lines, where printed, are rendered from the same
-payload.  Exit codes: 0 success, 1 check failure, 2 configuration error,
-3 budget exhaustion.
+(and the seed, where randomness is involved), and takes no option that its
+payload does not read.  The report wraps the payload with a command echo,
+those options as parsed (the ``config``), wall time and budget counters.
+Human-readable lines, where printed, are rendered from the same payload.
+Exit codes: 0 success, 1 check failure, 2 configuration error, 3 budget
+exhaustion.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
 
 from . import commvar, grmodel, polyalg, rootsys, specseq, verify
 from .errors import BudgetError, CheckFailure, ConfigError, FrobkernError
@@ -28,28 +28,8 @@ ENV_BUDGET = "FROBKERN_BUDGET"
 EXIT_STATUS = {"check": 1, "budget": 3}
 
 
-@dataclass
-class RunConfig:
-    family: str = "A"
-    rank: int = 2
-    J: tuple[str, ...] = ()
-    i: int = 1
-    v: int | None = None  # quotient stage; None means the full group
-    r: int = 1
-    p: int = 3
-    q_list: tuple[int, ...] = ()
-    enumeration_budget: int | None = None
-    output: str | None = None
-    seed: int = 0
-
-    def to_json_dict(self) -> dict:
-        doc = asdict(self)
-        doc["J"] = sorted(self.J)
-        doc["q_list"] = list(self.q_list)
-        return doc
-
-
 def _parse_J(text: str) -> tuple[str, ...]:
+    """A --J value: simple roots as labels or indices, sorted and deduplicated."""
     out = []
     for token in text.split(","):
         token = token.strip()
@@ -58,15 +38,23 @@ def _parse_J(text: str) -> tuple[str, ...]:
         elif token.isdigit():
             out.append(f"a{int(token)}")
         elif token:
-            raise ConfigError(f"--J needs simple roots like a2,a3 or 2,3, got {text!r}")
+            raise argparse.ArgumentTypeError(
+                f"needs simple roots like a2,a3 or 2,3, got {text!r}"
+            )
     return tuple(sorted(set(out)))
 
 
 def _parse_q_list(text: str) -> tuple[int, ...]:
+    """The list form of --q: one or more comma-separated integers."""
     try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
+        q_list = tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
-        raise ConfigError(f"--q needs comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"needs comma-separated integers, got {text!r}"
+        ) from None
+    if not q_list:
+        raise argparse.ArgumentTypeError(f"needs at least one q, got {text!r}")
+    return q_list
 
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
@@ -91,9 +79,9 @@ def _non_negative(text: str) -> int:
     return int(text)
 
 
-def _budget(config: RunConfig) -> int | None:
+def _budget(ns) -> int | None:
     """--budget, else $FROBKERN_BUDGET, else None (each library default)."""
-    budget = config.enumeration_budget
+    budget = getattr(ns, "budget", None)  # verify-all takes no --budget
     if budget is None:
         env = os.environ.get(ENV_BUDGET)
         if not env:
@@ -107,35 +95,27 @@ def _budget(config: RunConfig) -> int | None:
     return budget
 
 
-def _model_ctx(config: RunConfig) -> grmodel.ModelContext:
+def _model_ctx(ns) -> grmodel.ModelContext:
+    """The model of the options, once its root table is known to fit the budget."""
+    rootsys.check_scan_budget(ns.family, ns.rank, ns.J, _budget(ns))
     return grmodel.model_context(
-        config.family,
-        config.rank,
-        J=config.J,
-        i=config.i,
-        stage=config.v,
-        r=config.r,
-        p=config.p,
+        ns.family, ns.rank, J=ns.J, i=ns.i, stage=ns.v, r=ns.r, p=ns.p
     )
-
-
-def _root(config: RunConfig, text: str) -> rootsys.Root:
-    return rootsys.parse_root(text, config.rank)
 
 
 # -- payload builders -------------------------------------------------------------
 
 
-def payload_rootsys_info(config: RunConfig, ns) -> dict:
-    budget = _budget(config)
-    rootsys.check_scan_budget(config.family, config.rank, config.J, budget)
-    ctx = rootsys.context(config.family, config.rank, config.J)
-    pairing = rootsys.check_pairing_hypothesis(ctx, config.p, budget)
+def payload_rootsys_info(ns) -> dict:
+    budget = _budget(ns)
+    rootsys.check_scan_budget(ns.family, ns.rank, ns.J, budget)
+    ctx = rootsys.context(ns.family, ns.rank, ns.J)
+    pairing = rootsys.check_pairing_hypothesis(ctx, ns.p, budget)
     radical = ctx.radical_roots()
     return {
-        "family": config.family,
-        "rank": config.rank,
-        "J": sorted(config.J),
+        "family": ns.family,
+        "rank": ns.rank,
+        "J": sorted(ns.J),
         "positive_roots": [b.label() for b in ctx.system.positive_roots],
         "radical_roots": [
             {
@@ -151,20 +131,20 @@ def payload_rootsys_info(config: RunConfig, ns) -> dict:
     }
 
 
-def payload_model_build(config: RunConfig, ns) -> dict:
+def payload_model_build(ns) -> dict:
     build = {
         "sstar": grmodel.build_S_star,
         "sbar": grmodel.build_Sbar,
         "q": grmodel.build_Q,
         "coord": grmodel.vr_coordinate_algebra,
     }[ns.what]
-    return build(_model_ctx(config)).to_json_dict()
+    return build(_model_ctx(ns)).to_json_dict()
 
 
-def payload_model_hilbert(config: RunConfig, ns) -> dict:
-    ctx = _model_ctx(config)
+def payload_model_hilbert(ns) -> dict:
+    ctx = _model_ctx(ns)
     sbar = grmodel.build_Sbar(ctx)
-    w = _parse_weight(ns.weight, config.rank) if ns.weight else None
+    w = _parse_weight(ns.weight, ns.rank) if ns.weight else None
     dims = polyalg.hilbert_series(sbar.ideal(), ns.degree, weight=w)
     return {
         "context": ctx.label(),
@@ -173,8 +153,8 @@ def payload_model_hilbert(config: RunConfig, ns) -> dict:
     }
 
 
-def payload_model_theta_check(config: RunConfig, ns) -> dict:
-    ctx = _model_ctx(config)
+def payload_model_theta_check(ns) -> dict:
+    ctx = _model_ctx(ns)
     theta = grmodel.theta_substitution(ctx)  # raises CheckFailure on failure
     identities = grmodel.theta_power_identities(ctx, theta)
     return {
@@ -193,9 +173,9 @@ def payload_model_theta_check(config: RunConfig, ns) -> dict:
     }
 
 
-def payload_model_bracket_check(config: RunConfig, ns) -> dict:
-    ctx = _model_ctx(config)
-    misses = grmodel.bracket_probe(grmodel.build_Sbar(ctx), ns.pairs, config.seed)
+def payload_model_bracket_check(ns) -> dict:
+    ctx = _model_ctx(ns)
+    misses = grmodel.bracket_probe(grmodel.build_Sbar(ctx), ns.pairs, ns.seed)
     return {
         "context": ctx.label(),
         "relation_images_in_target_ideal": True,
@@ -207,14 +187,14 @@ def payload_model_bracket_check(config: RunConfig, ns) -> dict:
     }
 
 
-def payload_variety_count(config: RunConfig, ns) -> dict:
+def payload_variety_count(ns) -> dict:
     group, q = ns.group.upper().strip(), ns.q
     if not (group.startswith("U") and group[1:].isdigit()):
         raise ConfigError(f"expected a group of the form U<N>, got {ns.group!r}")
     N = int(group[1:])
-    budget = _budget(config)
-    x_system = commvar.x_variety_system(N, config.r)
-    y_system = commvar.y_variety_system(N, config.r)
+    budget = _budget(ns)
+    x_system = commvar.x_variety_system(N, ns.r)
+    y_system = commvar.y_variety_system(N, ns.r)
     y_count = y_system.count(q, budget)
     product = y_count * q**x_system.free_rank
     total_space = q ** len(x_system.variables)
@@ -231,7 +211,7 @@ def payload_variety_count(config: RunConfig, ns) -> dict:
     return {
         "group": group,
         "quotient_stage": 3,
-        "r": config.r,
+        "r": ns.r,
         "q": q,
         "y_count": y_count,
         "free_rank": x_system.free_rank,
@@ -242,27 +222,26 @@ def payload_variety_count(config: RunConfig, ns) -> dict:
     }
 
 
-def payload_variety_components(config: RunConfig, ns) -> dict:
+def payload_variety_components(ns) -> dict:
     N = ns.N
-    budget = _budget(config)
-    q_list = config.q_list or (3,)
-    out: dict = {"N": N, "r": config.r, "q_list": list(q_list)}
+    budget = _budget(ns)
+    out: dict = {"N": N, "r": ns.r, "q_list": list(ns.q)}
     if N == 4:
-        counts = commvar.u4_component_counts(config.r, q_list, budget)
+        counts = commvar.u4_component_counts(ns.r, ns.q, budget)
         out["counts"] = {str(q): c for q, c in counts.items()}
-        dims = commvar.subdiagram_components(4, config.r).predicted_dims()
+        dims = commvar.subdiagram_components(4, ns.r).predicted_dims()
         out["claimed_dims"] = {
             v: dims[label] for v, label in commvar.U4_COMPONENTS.items()
         }
     else:
-        report = commvar.conjecture_check(N, config.r, q_list, budget)
+        report = commvar.conjecture_check(N, ns.r, ns.q, budget)
         out["report"] = report.to_json_dict()
     return out
 
 
-def payload_specseq_d2(config: RunConfig, ns) -> dict:
-    page = specseq.ExtensionPage(_model_ctx(config))
-    beta = _root(config, ns.beta)
+def payload_specseq_d2(ns) -> dict:
+    page = specseq.ExtensionPage(_model_ctx(ns))
+    beta = rootsys.parse_root(ns.beta, ns.rank)
     value = specseq.d2_on_y(page, beta, ns.twist)
     return {
         "class": rootsys.generator_name("y", beta.label(), ns.twist),
@@ -271,21 +250,21 @@ def payload_specseq_d2(config: RunConfig, ns) -> dict:
     }
 
 
-def payload_specseq_transgression(config: RunConfig, ns) -> dict:
-    page = specseq.ExtensionPage(_model_ctx(config))
-    beta = _root(config, ns.beta)
+def payload_specseq_transgression(ns) -> dict:
+    page = specseq.ExtensionPage(_model_ctx(ns))
+    beta = rootsys.parse_root(ns.beta, ns.rank)
     value = specseq.transgression_power(page, beta, ns.twist, ns.j)
     return {
-        "class": f"(x[{beta.label()}]({ns.twist}))^{config.p}^{ns.j}",
-        "page": 2 * config.p**ns.j + 1,
+        "class": f"(x[{beta.label()}]({ns.twist}))^{ns.p}^{ns.j}",
+        "page": 2 * ns.p**ns.j + 1,
         "value": value.to_json_dict(),
         "zero": value.is_zero(),
     }
 
 
-def payload_specseq_steenrod(config: RunConfig, ns) -> dict:
-    page = specseq.ExtensionPage(_model_ctx(config))
-    beta = _root(config, ns.beta)
+def payload_specseq_steenrod(ns) -> dict:
+    page = specseq.ExtensionPage(_model_ctx(ns))
+    beta = rootsys.parse_root(ns.beta, ns.rank)
     if ns.kind == "y":
         target = page.y(beta, ns.twist)
     else:
@@ -298,11 +277,11 @@ def payload_specseq_steenrod(config: RunConfig, ns) -> dict:
     }
 
 
-def payload_specseq_aj_enumerate(config: RunConfig, ns) -> dict:
-    ctx = _model_ctx(config)
+def payload_specseq_aj_enumerate(ns) -> dict:
+    ctx = _model_ctx(ns)
     roots = tuple(root for v in ctx.levels() for root in ctx.roots_of_level(v))
-    weight = _parse_weight(ns.weight, config.rank)
-    monomials = specseq.aj_E1_enumerate(roots, config.r, config.p, ns.degree, weight)
+    weight = _parse_weight(ns.weight, ns.rank)
+    monomials = specseq.aj_E1_enumerate(roots, ns.r, ns.p, ns.degree, weight)
     return {
         "degree": ns.degree,
         "weight": list(weight),
@@ -313,24 +292,23 @@ def payload_specseq_aj_enumerate(config: RunConfig, ns) -> dict:
     }
 
 
-def payload_specseq_uniqueness(config: RunConfig, ns) -> dict:
-    ctx = _model_ctx(config)
-    return specseq.uniqueness_witness(ctx, _root(config, ns.beta)).to_json_dict()
+def payload_specseq_uniqueness(ns) -> dict:
+    ctx = _model_ctx(ns)
+    return specseq.uniqueness_witness(ctx, rootsys.parse_root(ns.beta, ns.rank)).to_json_dict()
 
 
-def payload_conjecture(config: RunConfig, ns) -> dict:
+def payload_conjecture(ns) -> dict:
     N = ns.N
-    family = commvar.subdiagram_components(N, config.r)
-    payload = {"N": N, "r": config.r, "members": family.members_json()}
+    family = commvar.subdiagram_components(N, ns.r)
+    payload = {"N": N, "r": ns.r, "members": family.members_json()}
     if ns.count:
-        q_list = config.q_list or (3,)
-        report = commvar.conjecture_check(N, config.r, q_list, _budget(config))
+        report = commvar.conjecture_check(N, ns.r, ns.q, _budget(ns))
         payload["evidence"] = report.to_json_dict()
     return payload
 
 
-def payload_verify_all(config: RunConfig, ns) -> dict:
-    results = verify.verify_all(seed=config.seed)
+def payload_verify_all(ns) -> dict:
+    results = verify.verify_all(seed=ns.seed)
     for res in results:
         print(res.line(), file=sys.stderr)
     return {
@@ -347,24 +325,27 @@ def payload_verify_all(config: RunConfig, ns) -> dict:
 
 # -- argument parsing ---------------------------------------------------------------
 
-
-def _add_common(parser, model=False):
-    parser.add_argument("--family", default="A")
-    parser.add_argument("--rank", type=int, default=2)
-    parser.add_argument("--J", default="", help="comma list of simple roots (a2,a3)")
-    parser.add_argument("--p", type=int, default=3)
-    parser.add_argument("--r", type=int, default=1)
-    if model:
-        parser.add_argument("--i", type=int, default=1, help="central-series start")
-        parser.add_argument(
-            "--v",
-            type=int,
-            default=None,
-            help="quotient stage m (model Gamma_i/Gamma_m); default: full group",
-        )
-    parser.add_argument("--output", default=None, help="also write the report here")
-    parser.add_argument("--budget", type=int, default=None, dest="budget")
-    parser.add_argument("--seed", type=int, default=0)
+#: options that several subcommands read, each declared once
+_SHARED = {
+    "--family": {"default": "A"},
+    "--rank": {"type": int, "default": 2},
+    "--J": {"type": _parse_J, "default": "", "help": "comma list of simple roots (a2,a3)"},
+    "--p": {"type": int, "default": 3},
+    "--r": {"type": int, "default": 1},
+    "--i": {"type": int, "default": 1, "help": "central-series start"},
+    "--v": {
+        "type": int,
+        "default": None,
+        "help": "quotient stage m (model Gamma_i/Gamma_m); default: full group",
+    },
+    "--budget": {"type": int, "default": None},
+    "--seed": {"type": int, "default": 0},
+    "--q": {"type": _parse_q_list, "default": "3", "help": "comma list of prime powers"},
+    "--degree": {"type": _non_negative, "required": True},
+}
+#: what a root table, and a model over it, is built from
+_ROOT_OPTIONS = ("--family", "--rank", "--J", "--p", "--budget")
+_MODEL_OPTIONS = (*_ROOT_OPTIONS, "--r", "--i", "--v")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -372,6 +353,20 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
+
+
+def _leaf(subparsers, name: str, payload, *shared: str, **kwargs):
+    """A subcommand that reads the named shared options and --output.
+
+    Options match only in full, so an option the subcommand does not take
+    is refused even where it is a prefix of one it does (--r of --rank).
+    """
+    parser = subparsers.add_parser(name, allow_abbrev=False, **kwargs)
+    for option in shared:
+        parser.add_argument(option, **_SHARED[option])
+    parser.add_argument("--output", default=None, help="also write the report here")
+    parser.set_defaults(payload=payload)
+    return parser
 
 
 @functools.cache
@@ -385,41 +380,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_root = sub.add_parser("rootsys", help="root-system information")
     root_sub = p_root.add_subparsers(dest="action", required=True)
-    p_info = root_sub.add_parser("info")
-    _add_common(p_info)
-    p_info.set_defaults(payload=payload_rootsys_info)
+    _leaf(root_sub, "info", payload_rootsys_info, *_ROOT_OPTIONS)
 
     p_model = sub.add_parser("model", help="model algebras and their maps")
     model_sub = p_model.add_subparsers(dest="action", required=True)
-    p_build = model_sub.add_parser("build")
-    _add_common(p_build, model=True)
+    p_build = _leaf(model_sub, "build", payload_model_build, *_MODEL_OPTIONS)
     p_build.add_argument("--what", default="sbar", choices=["sstar", "sbar", "q", "coord"])
-    p_build.set_defaults(payload=payload_model_build)
-    p_hilb = model_sub.add_parser("hilbert")
-    _add_common(p_hilb, model=True)
-    p_hilb.set_defaults(payload=payload_model_hilbert)
-    p_hilb.add_argument("--degree", type=_non_negative, required=True)
+    p_hilb = _leaf(model_sub, "hilbert", payload_model_hilbert, *_MODEL_OPTIONS, "--degree")
     p_hilb.add_argument("--weight", default=None)
-    p_theta = model_sub.add_parser("theta-check")
-    _add_common(p_theta, model=True)
-    p_theta.set_defaults(payload=payload_model_theta_check)
-    p_brk = model_sub.add_parser("bracket-check")
-    _add_common(p_brk, model=True)
-    p_brk.set_defaults(payload=payload_model_bracket_check)
+    _leaf(model_sub, "theta-check", payload_model_theta_check, *_MODEL_OPTIONS)
+    p_brk = _leaf(
+        model_sub, "bracket-check", payload_model_bracket_check, *_MODEL_OPTIONS, "--seed"
+    )
     p_brk.add_argument("--pairs", type=_non_negative, default=100)
 
     p_var = sub.add_parser("variety", help="point counts of the quotient varieties")
     var_sub = p_var.add_subparsers(dest="action", required=True)
-    p_count = var_sub.add_parser("count")
-    _add_common(p_count)
-    p_count.set_defaults(payload=payload_variety_count)
+    p_count = _leaf(var_sub, "count", payload_variety_count, "--r", "--budget")
     p_count.add_argument("--group", required=True, help="U3, U4, ...")
     p_count.add_argument("--q", type=int, required=True)
-    p_comp = var_sub.add_parser("components")
-    _add_common(p_comp)
-    p_comp.set_defaults(payload=payload_variety_components)
+    p_comp = _leaf(var_sub, "components", payload_variety_components, "--r", "--budget", "--q")
     p_comp.add_argument("--N", type=int, default=4)
-    p_comp.add_argument("--q", default="3", help="comma list of prime powers")
 
     p_ss = sub.add_parser("specseq", help="differentials, Steenrod fragment, enumerators")
     ss_sub = p_ss.add_subparsers(dest="action", required=True)
@@ -430,9 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("aj-enumerate", payload_specseq_aj_enumerate),
         ("uniqueness", payload_specseq_uniqueness),
     ):
-        p_act = ss_sub.add_parser(name)
-        _add_common(p_act, model=True)
-        p_act.set_defaults(payload=payload)
+        p_act = _leaf(ss_sub, name, payload, *_MODEL_OPTIONS)
         if name in ("d2", "transgression", "steenrod", "uniqueness"):
             p_act.add_argument("--beta", required=True, help="root label or coeff list")
         if name in ("d2", "transgression", "steenrod"):
@@ -444,43 +423,27 @@ def build_parser() -> argparse.ArgumentParser:
             p_act.add_argument("--kind", choices=["y", "x"], default="y")
             p_act.add_argument("--exponent", type=int, default=1)
         if name == "aj-enumerate":
-            p_act.add_argument("--degree", type=_non_negative, required=True)
+            p_act.add_argument("--degree", **_SHARED["--degree"])
             p_act.add_argument("--weight", required=True)
 
     p_conj = sub.add_parser("conjecture", help="sub-diagram component combinatorics")
     conj_sub = p_conj.add_subparsers(dest="action", required=True)
-    p_sd = conj_sub.add_parser("subdiagrams")
-    _add_common(p_sd)
-    p_sd.set_defaults(payload=payload_conjecture)
+    p_sd = _leaf(conj_sub, "subdiagrams", payload_conjecture, "--r", "--budget", "--q")
     p_sd.add_argument("--N", type=int, required=True)
     p_sd.add_argument("--count", action="store_true", help="also run the point counts")
-    p_sd.add_argument("--q", default="3")
 
-    p_verify = sub.add_parser("verify-all", help="run the acceptance criteria")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--output", default=None)
-    p_verify.set_defaults(payload=payload_verify_all)
+    _leaf(sub, "verify-all", payload_verify_all, "--seed", help="run the acceptance criteria")
 
     return parser
 
 
-def _config_from(ns) -> RunConfig:
-    q_list: tuple[int, ...] = ()
-    if getattr(ns, "q", None) is not None and isinstance(ns.q, str):
-        q_list = _parse_q_list(ns.q)
-    return RunConfig(
-        family=getattr(ns, "family", "A"),
-        rank=getattr(ns, "rank", 2),
-        J=_parse_J(getattr(ns, "J", "")),
-        i=getattr(ns, "i", 1),
-        v=getattr(ns, "v", None),
-        r=getattr(ns, "r", 1),
-        p=getattr(ns, "p", 3),
-        q_list=q_list,
-        enumeration_budget=getattr(ns, "budget", None),
-        output=getattr(ns, "output", None),
-        seed=getattr(ns, "seed", 0),
-    )
+def _echo(ns) -> dict:
+    """The report's config: every option of the subcommand, as parsed."""
+    return {
+        dest: list(value) if isinstance(value, tuple) else value
+        for dest, value in vars(ns).items()
+        if dest not in ("command", "action", "payload")
+    }
 
 
 def run(argv=None) -> int:
@@ -491,39 +454,44 @@ def run(argv=None) -> int:
     config = None  # echoed as null when the options themselves are malformed
     try:
         ns = build_parser().parse_args(argv)
-        config = _config_from(ns)
-        budget = _budget(config)
-        payload = ns.payload(config, ns)
+        config = _echo(ns)
+        budget = _budget(ns)
+        payload = ns.payload(ns)
+        report = {
+            "schema_version": 1,
+            "command": command,
+            "config": config,
+            "payload": payload,
+            "wall_time_s": round(time.perf_counter() - start, 4),
+            "budget": {
+                "enumeration_budget": budget,
+                "env_override": os.environ.get(ENV_BUDGET),
+            },
+        }
+        text = json.dumps(report, sort_keys=True, indent=2)
+        if ns.output:  # written before printing, so a failed write prints one document
+            try:
+                with open(ns.output, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise ConfigError(
+                    f"cannot write --output {ns.output!r}: {exc.strerror}"
+                ) from None
     except SystemExit:  # --help printed its text
         return 0
     except FrobkernError as exc:
         _emit_error(command, config, exc)
         return EXIT_STATUS.get(exc.code, 2)
-    report = {
-        "schema_version": 1,
-        "command": command,
-        "config": config.to_json_dict(),
-        "payload": payload,
-        "wall_time_s": round(time.perf_counter() - start, 4),
-        "budget": {
-            "enumeration_budget": budget,
-            "env_override": os.environ.get(ENV_BUDGET),
-        },
-    }
-    text = json.dumps(report, sort_keys=True, indent=2)
     print(text)
-    if config.output:
-        with open(config.output, "w") as fh:
-            fh.write(text + "\n")
     # verify-all counts its failed criteria; any failure is a check failure
     return 1 if payload.get("failed") else 0
 
 
-def _emit_error(command: str, config: RunConfig | None, exc: FrobkernError) -> None:
+def _emit_error(command: str, config: dict | None, exc: FrobkernError) -> None:
     report = {
         "schema_version": 1,
         "command": command,
-        "config": config.to_json_dict() if config is not None else None,
+        "config": config,
         "error": {"code": exc.code, "message": str(exc)},
     }
     print(json.dumps(report, sort_keys=True, indent=2))

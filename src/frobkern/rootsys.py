@@ -371,20 +371,26 @@ def check_scan_budget(
             f"{family}{rank}: the positive-root table holds {table} coefficients, "
             f"over the enumeration budget {budget}"
         )
-    # outside[k]: how many of a1..ak lie outside J
-    outside = list(
-        itertools.accumulate((f"a{k}" not in J for k in range(1, rank + 1)), initial=0)
-    )
-    level2 = sum(
-        sum(c * (outside[hi] - outside[lo - 1]) for lo, hi, c in root) == 2
-        for root in _segments(family, rank)
-    )
+    level2 = _level2_count(family, rank, frozenset(J))
     if level2 * table > budget:
         raise BudgetError(
             f"{family}{rank}: the pairing scan reads {level2} level-2 roots x "
             f"{table} table coefficients = {level2 * table}, over the enumeration "
             f"budget {budget}"
         )
+
+
+@cache
+def _level2_count(family: str, rank: int, J: frozenset[str]) -> int:
+    """How many positive roots have level 2, counted on their segments."""
+    # outside[k]: how many of a1..ak lie outside J
+    outside = list(
+        itertools.accumulate((f"a{k}" not in J for k in range(1, rank + 1)), initial=0)
+    )
+    return sum(
+        sum(c * (outside[hi] - outside[lo - 1]) for lo, hi, c in root) == 2
+        for root in _segments(family, rank)
+    )
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from frobkern.cli import EXIT_STATUS, run
+from frobkern.cli import EXIT_STATUS, build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -149,6 +150,18 @@ class TestReportContract:
         on_disk = json.loads(target.read_text())
         assert on_disk["payload"] == doc["payload"]
 
+    def test_output_into_a_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code = run(["rootsys", "info", "--family", "A", "--rank", "2",
+                    "--output", str(target)])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)  # the error report is the only document
+        assert code == 2 and doc["error"]["code"] == "config"
+        assert str(target) in doc["error"]["message"]
+        assert doc["config"]["output"] == str(target)
+        assert "payload" not in doc and "Traceback" not in captured.err
+        assert not target.parent.exists()
+
     def test_golden_rootsys_a2(self, capsys):
         import pathlib
 
@@ -169,6 +182,89 @@ class TestReportContract:
             (pathlib.Path(__file__).parent / "golden" / "model_sbar_u3_r2_p3.json").read_text()
         )
         assert doc["payload"] == golden
+
+
+_ROOT = {"family", "rank", "J", "p", "budget", "output"}
+_MODEL = _ROOT | {"r", "i", "v"}
+_COUNT = {"r", "budget", "output"}
+#: subcommand -> (its other arguments in one example, the dests its config echoes)
+CONFIG_ECHO = {
+    "rootsys info": ("", _ROOT),
+    "model build": ("--r 2", _MODEL | {"what"}),
+    "model hilbert": ("--r 2 --degree 4", _MODEL | {"degree", "weight"}),
+    "model theta-check": ("--r 2", _MODEL),
+    "model bracket-check": ("--r 2 --pairs 5", _MODEL | {"seed", "pairs"}),
+    "variety count": ("--group U3 --q 3", _COUNT | {"group", "q"}),
+    "variety components": ("--N 4", _COUNT | {"N", "q"}),
+    "conjecture subdiagrams": ("--N 4", _COUNT | {"N", "count", "q"}),
+    "specseq d2": ("--v 3 --r 2 --beta a1+a2", _MODEL | {"beta", "twist"}),
+    "specseq transgression": ("--v 3 --r 2 --beta a1+a2", _MODEL | {"beta", "twist", "j"}),
+    "specseq steenrod": ("--v 3 --r 2 --beta a1+a2 --op P0",
+                         _MODEL | {"beta", "twist", "op", "kind", "exponent"}),
+    "specseq aj-enumerate": ("--r 2 --degree 4 --weight 9,9",
+                             _MODEL | {"degree", "weight"}),
+    "specseq uniqueness": ("--v 3 --r 2 --beta a1+a2", _MODEL | {"beta"}),
+    "verify-all": ("", {"seed", "output"}),
+}
+
+
+def _leaves(parser=None, words=()) -> dict:
+    """command -> leaf parser, walked from build_parser() itself."""
+    parser = parser or build_parser()
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                out.update(_leaves(child, (*words, name)))
+    return out or {" ".join(words): parser}
+
+
+def _options(command) -> list[str]:
+    """The option strings a subcommand accepts, help excluded."""
+    return [
+        action.option_strings[0]
+        for action in _leaves()[command]._actions
+        if action.option_strings and action.dest != "help"
+    ]
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_ECHO))
+def test_config_echoes_exactly_the_options_read(capsys, command):
+    args, dests = CONFIG_ECHO[command]
+    code, doc = invoke(capsys, *command.split(), *args.split())
+    assert code in (0, 1)  # verify-all fails its two known criteria
+    assert set(doc["config"]) == dests
+
+
+#: (subcommand, option) pairs no payload reads, refused by the parser
+REMOVED = [
+    *(("rootsys info", o) for o in ("--r", "--seed")),
+    *((c, "--seed") for c in ("model build", "model hilbert", "model theta-check",
+                             "specseq d2", "specseq transgression", "specseq steenrod",
+                             "specseq aj-enumerate", "specseq uniqueness")),
+    *((c, o) for c in ("variety count", "variety components", "conjecture subdiagrams")
+      for o in ("--family", "--rank", "--J", "--p", "--seed")),
+]
+
+
+def test_each_subcommand_has_exactly_the_options_it_reads():
+    # one option per echoed dest (--l stores into twist): 123 in all
+    assert set(_leaves()) == set(CONFIG_ECHO)
+    for command, (_, dests) in CONFIG_ECHO.items():
+        assert len(_options(command)) == len(dests)
+    assert sum(len(_options(c)) for c in _leaves()) == 123
+    for command, option in REMOVED:
+        assert option not in _options(command)
+
+
+@pytest.mark.parametrize("command, option", REMOVED)
+def test_an_option_nothing_reads_is_refused(capsys, command, option):
+    # the example of CONFIG_ECHO, valid but for the one option added
+    args, _ = CONFIG_ECHO[command]
+    value = {"--family": "A", "--J": "a1"}.get(option, "2")
+    code, doc = invoke(capsys, *command.split(), *args.split(), option, value)
+    assert code == 2 and doc["error"]["code"] == "config"
+    assert doc["config"] is None and option in doc["error"]["message"]
 
 
 class TestExitCodes:
@@ -202,6 +298,8 @@ class TestExitCodes:
             (None, ["variety", "count", "--group", "U3", "--r", "2", "--q", "3",
                     "--budget", "-5"]),
             (None, ["variety", "components", "--q", "3,x"]),
+            (None, ["variety", "components", "--N", "4", "--q", ""]),
+            (None, ["conjecture", "subdiagrams", "--N", "4", "--count", "--q", ","]),
             (None, ["variety", "count", "--group", "Ux", "--q", "3"]),
             (None, ["rootsys", "info", "--J", "x"]),
             (None, ["model", "hilbert", "--family", "A", "--rank", "2", "--r", "2",
@@ -210,7 +308,8 @@ class TestExitCodes:
                     "--r", "2", "--degree", "-2", "--weight", "27,27"]),
             (None, ["model", "bracket-check", "--r", "2", "--pairs", "-1"]),
         ],
-        ids=["env-budget", "negative-budget", "q-list", "group", "J",
+        ids=["env-budget", "negative-budget", "q-list", "empty-q-list",
+             "empty-q-list-subdiagrams", "group", "J",
              "negative-hilbert-degree", "negative-aj-degree", "negative-pairs"],
     )
     def test_malformed_value_is_config_error(self, capsys, monkeypatch, env, argv):
@@ -364,6 +463,36 @@ class TestScanBudget:
         code, doc = invoke(capsys, *base, "--budget", "300")
         assert code == 0 and doc["payload"]["pairing_hypothesis"]["ok"]
 
+    def test_a_model_over_a_large_table_is_refused(self, capsys, monkeypatch):
+        monkeypatch.delenv("FROBKERN_BUDGET", raising=False)
+        start = time.perf_counter()
+        code, doc = invoke(capsys, "model", "build", "--family", "A", "--rank", "200",
+                           "--what", "sstar")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and "199 level-2 roots" in doc["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["model", "build", "--what", "sstar"],
+         ["specseq", "d2", "--v", "3", "--beta", "a1+a2"]],
+        ids=["model", "specseq"],
+    )
+    @pytest.mark.parametrize(
+        "env, argv",
+        [(None, ["--budget", "35"]), ("35", [])],
+        ids=["option", "env"],
+    )
+    def test_budget_bounds_a_model_table(self, capsys, monkeypatch, command, env, argv):
+        # A3: 2 level-2 roots x 6 positive roots x rank 3 = 36 coefficients
+        monkeypatch.delenv("FROBKERN_BUDGET", raising=False)
+        if env is not None:
+            monkeypatch.setenv("FROBKERN_BUDGET", env)
+        base = [*command, "--family", "A", "--rank", "3", "--r", "2"]
+        code, doc = invoke(capsys, *base, *argv)
+        assert code == 3 and "36" in doc["error"]["message"]
+        code, doc = invoke(capsys, *base, "--budget", "36")
+        assert code == 0 and doc["config"]["budget"] == 36
+
 
 def _pick(draw, good, bad=()):
     """Mostly a good value; one draw in ten a bad one."""
@@ -387,23 +516,36 @@ def command_lines(draw):
     top = 8 if command == "rootsys info" else 2 if small else 3
     rank = draw(st.integers(least, max(least, top)))
     labels = [f"a{k}" for k in range(1, rank + 1)] + [str(rank)]
-    opts = {
+    shared = {
         "--family": family,
         "--rank": _pick(draw, [str(rank)], ["0", "-1", "x"]),
         "--J": _pick(draw, st.lists(st.sampled_from(labels), max_size=2).map(",".join),
                      ["x", "a0", f"a{rank + 1}"]),
         "--p": _pick(draw, ["3", "5", "7"], ["-3", "1", "2", "9"]),
         "--r": _pick(draw, _ints(1, 2 if small else 3), ["0", "x"]),
+        "--budget": False,
+        "--i": False,
+        "--v": False,
+        "--seed": False,
+        "--output": False,  # the fuzz writes no files
     }
-    if command.split()[0] in ("model", "specseq") and draw(st.booleans()):
-        opts["--i"] = _pick(draw, _ints(1, 2), ["0", "3"])
-        opts["--v"] = _pick(draw, _ints(2, 4), ["0", "9"])
+    if draw(st.booleans()):
+        shared["--i"] = _pick(draw, _ints(1, 2), ["0", "3"])
+        shared["--v"] = _pick(draw, _ints(2, 4), ["0", "9"])
     if draw(st.booleans()) or command.split()[0] in ("variety", "conjecture"):
-        opts["--budget"] = _pick(draw, _ints(0, 10**5), ["-2", "abc"])
-    for option, good, bad in SUBCOMMANDS[command]:
-        opts[option] = _pick(draw, good(rank) if callable(good) else good, bad)
+        shared["--budget"] = _pick(draw, _ints(0, 10**5), ["-2", "abc"])
+    if draw(st.booleans()):
+        shared["--seed"] = _pick(draw, _ints(0, 99), ["x"])
+    own = {
+        option: _pick(draw, good(rank) if callable(good) else good, bad)
+        for option, good, bad in SUBCOMMANDS[command]
+    }
+    # the options come from the parser, so a value missing here is a KeyError
+    options = _options(command)
+    assert set(own) <= set(options)
     argv = command.split()
-    for option, value in opts.items():
+    for option in options:
+        value = own[option] if option in own else shared[option]
         if value is not False:
             argv += [option] if value is None else [option, value]
     return argv

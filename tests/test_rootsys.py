@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobkern import rootsys, verify
 from frobkern.errors import BudgetError, ConfigError, DomainError
 from frobkern.rootsys import (
     ParabolicContext,
@@ -325,6 +326,15 @@ def test_a_vector_outside_the_table():
         summand_pairs(beta, ctx)
     with pytest.raises(DomainError, match="not a positive root"):
         classify_root(beta, ctx)
+
+
+def test_the_pairing_scan_sizes_each_context_once():
+    # criterion 10a checks 126 contexts at p = 3 and p = 5
+    verify._pairing_scan.cache_clear()
+    rootsys._level2_count.cache_clear()
+    contexts, _ = verify._pairing_scan()
+    assert contexts == 252
+    assert rootsys._level2_count.cache_info().misses == 126
 
 
 def test_scan_budget_counts_without_building_a_table():
