@@ -1,11 +1,15 @@
 """Point-counting evidence for the commuting-nilpotent varieties.
 
-Systems are stored with signed integer coefficients so the same equations
-can be counted over fields of different characteristics; a presentation is
-materialised per characteristic on demand.  Everything here is exhaustive
-enumeration: dimensions are bracketed by log_q of exact counts over two
-primes rather than computed symbolically, and component decompositions are
-checked by inclusion-exclusion over unions of relation systems.
+Every system here is a chain condition on the level-1 coordinates: N - 1
+nodes, each an r-vector X[a_s](0..r-1), of which some vanish and some pairs
+are proportional (all their 2x2 minors vanish).  The integer relations are
+derived from that condition, and a presentation is materialised per
+characteristic on demand.  Counts need only the strata of the condition:
+for every zero pattern of the free nodes, the nonzero nodes fall into
+classes joined by the proportional pairs, and a stratum of c classes and k
+nonzero nodes has (q^r - 1)^c (q - 1)^(k - c) points over F_q.  Dimensions
+are bracketed by log_q of exact counts over two primes, and component
+decompositions are checked by inclusion-exclusion over unions of systems.
 
 The component systems attached to sub-diagrams follow the pattern of the
 worked four-strand case: coordinates on removed nodes vanish, coordinates
@@ -19,24 +23,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
+from .errors import ConfigError, DomainError
+from .polyalg import IdealPresentation, check_point_count, pair_terms, plain_ring
 
-from .errors import BudgetError, ConfigError, DomainError
-from .polyalg import (
-    GF,
-    IdealPresentation,
-    count_points,
-    pair_terms,
-    plain_ring,
-    solution_chunks,
-)
+# re-exported: ``commvar.count_points`` names the enumeration oracle of the
+# counts here, and perfbench's tracer wraps it under that name
+from .polyalg import count_points  # noqa: F401
 from .rootsys import generator_name
-
-#: solution rows that ``solution_rows`` may list; it is the brute-force
-#: oracle that the tests check ``count_points`` against
-DEFAULT_POINT_LIST_BUDGET = 600_000
 
 #: how far log_q of a count may sit from the predicted dimension
 DIM_WINDOW = 0.5
@@ -46,12 +42,43 @@ SignedTerm = tuple[int, tuple[tuple[str, int], ...]]
 
 @dataclass(frozen=True)
 class VarietySystem:
-    """A polynomial system with integer coefficients over named variables."""
+    """A chain condition on the nodes 1..N-1, each an r-vector: the ``zero``
+    nodes vanish and the two nodes of each of ``pairs`` are proportional.
+    Each label of ``extra`` adds coordinates X[label](0..r-1) that no
+    relation involves; at every twist they follow the nodes."""
 
     label: str
-    variables: tuple[str, ...]
-    relations: tuple[tuple[SignedTerm, ...], ...]
-    free_rank: int = 0  # affine factor split off the ambient quotient variety
+    N: int
+    r: int
+    zero: tuple[int, ...] = ()
+    pairs: tuple[tuple[int, int], ...] = ()
+    extra: tuple[str, ...] = ()
+
+    @functools.cached_property
+    def variables(self) -> tuple[str, ...]:
+        labels = [f"a{s}" for s in range(1, self.N)] + list(self.extra)
+        return tuple(generator_name("X", x, l) for l in range(self.r) for x in labels)
+
+    @property
+    def free_rank(self) -> int:
+        """Rank of the affine factor of the ``extra`` coordinates."""
+        return len(self.extra) * self.r
+
+    @functools.cached_property
+    def relations(self) -> tuple[tuple[SignedTerm, ...], ...]:
+        """Each zero coordinate, then each minor of each pair, as signed terms."""
+        twists = range(self.r)
+        zeros = [
+            ((1, ((generator_name("X", f"a{s}", l), 1),)),)
+            for s in self.zero
+            for l in twists
+        ]
+        minors = [
+            _minor(f"a{s}", f"a{t}", l1, l2)
+            for s, t in self.pairs
+            for l1, l2 in itertools.combinations(twists, 2)
+        ]
+        return tuple(zeros + minors)
 
     def presentation(self, char: int) -> IdealPresentation:
         ring = plain_ring(char, self.variables, label=self.label)
@@ -61,22 +88,64 @@ class VarietySystem:
         )
 
     def union(self, other: "VarietySystem") -> "VarietySystem":
-        if self.variables != other.variables:
+        """The intersection of the two varieties: both conditions at once."""
+        if (self.N, self.r, self.extra) != (other.N, other.r, other.extra):
             raise DomainError("systems over different variable sets")
-        merged = list(self.relations)
-        for rel in other.relations:
-            if rel not in merged:
-                merged.append(rel)
         return VarietySystem(
             f"{self.label} & {other.label}",
-            self.variables,
-            tuple(merged),
-            free_rank=self.free_rank,
+            self.N,
+            self.r,
+            zero=tuple(sorted({*self.zero, *other.zero})),
+            pairs=self.pairs + tuple(p for p in other.pairs if p not in self.pairs),
+            extra=self.extra,
         )
 
+    @functools.cached_property
+    def strata(self) -> Counter:
+        """(classes c, nonzero nodes k) -> the number of zero patterns of the
+        free nodes whose k nonzero nodes the pairs join into c classes.
+
+        A pair binds only at r >= 2 (a minor needs two twists).  The patterns
+        of the free nodes that a binding pair links are enumerated, with
+        union-find over the pairs; each other free node is zero, or nonzero
+        and a class of its own."""
+        free = [s for s in range(1, self.N) if s not in self.zero]
+        pairs = [(s, t) for s, t in self.pairs if s in free and t in free]
+        linked = sorted({s for pair in pairs for s in pair}) if self.r > 1 else []
+        index = {s: i for i, s in enumerate(linked)}
+        edges = [(index[s], index[t]) for s, t in pairs if s in index]
+        out: Counter = Counter()
+        for live in range(1 << len(linked)):  # bit i set: node linked[i] is nonzero
+            root = list(range(len(linked)))  # union-find forest over the nodes
+            k = c = live.bit_count()
+            for i, j in edges:
+                if live >> i & 1 and live >> j & 1:
+                    while root[i] != i:
+                        i = root[i]
+                    while root[j] != j:
+                        j = root[j]
+                    if i != j:
+                        root[i] = j
+                        c -= 1
+            out[c, k] += 1
+        for _ in range(len(free) - len(linked)):
+            out += Counter({(c + 1, k + 1): m for (c, k), m in out.items()})
+        return out
+
+    def count_polynomial(self, q: int) -> int:
+        """The count polynomial at the integer q: the sum over the strata of
+        (q^r - 1)^c (q - 1)^(k - c), times q per free coordinate.  At a
+        prime power q it is the number of F_q points."""
+        unit = q**self.r - 1
+        total = sum(m * unit**c * (q - 1) ** (k - c) for (c, k), m in self.strata.items())
+        return total * q**self.free_rank
+
     def count(self, q: int, max_assignments: int | None = None) -> int:
-        char = GF._factor(q)[0]
-        return count_points(self.presentation(char), q, max_assignments=max_assignments)
+        """Number of F_q points.  q must be a power of an odd prime (exit 2),
+        and the budget bounds the nominal q^n assignments (exit 3), which also
+        bounds the 2^(free nodes) zero patterns of the strata."""
+        check_point_count(q, len(self.variables), max_assignments=max_assignments)
+        return self.count_polynomial(q)
 
 
 def _minor(a: str, b: str, l1: int, l2: int) -> tuple[SignedTerm, ...]:
@@ -91,24 +160,15 @@ def _minor(a: str, b: str, l1: int, l2: int) -> tuple[SignedTerm, ...]:
     )
 
 
-def _chain_variables(N: int, r: int) -> tuple[str, ...]:
-    return tuple(generator_name("X", f"a{s}", l) for l in range(r) for s in range(1, N))
-
-
 def y_variety_system(N: int, r: int) -> VarietySystem:
     """Level-1 coordinates of the stage-3 quotient with consecutive minors."""
     if N < 3 or r < 1:
         raise ConfigError("need N >= 3 and r >= 1")
-    relations = []
-    for s in range(1, N - 1):
-        for l1 in range(r):
-            for l2 in range(l1 + 1, r):
-                relations.append(_minor(f"a{s}", f"a{s+1}", l1, l2))
     return VarietySystem(
         label=f"Y_{r}(U{N}/G3)",
-        variables=_chain_variables(N, r),
-        relations=tuple(relations),
-        free_rank=(N - 2) * r,
+        N=N,
+        r=r,
+        pairs=tuple((s, s + 1) for s in range(1, N - 1)),
     )
 
 
@@ -121,12 +181,12 @@ def x_variety_system(N: int, r: int) -> VarietySystem:
     level-2 ones.
     """
     y = y_variety_system(N, r)
-    labels = [f"a{s}" for s in range(1, N)] + [f"a{s}+a{s + 1}" for s in range(1, N - 1)]
     return VarietySystem(
         label=f"X_{r}(U{N}/G3)",
-        variables=tuple(generator_name("X", label, l) for l in range(r) for label in labels),
-        relations=y.relations,
-        free_rank=y.free_rank,
+        N=N,
+        r=r,
+        pairs=y.pairs,
+        extra=tuple(f"a{s}+a{s + 1}" for s in range(1, N - 1)),
     )
 
 
@@ -139,20 +199,6 @@ def dim_estimate(count: int, q: int) -> float:
     if count <= 0:
         return float("-inf")
     return math.log(count) / math.log(q)
-
-
-def solution_rows(
-    system: VarietySystem, q: int, max_rows: int | None = None
-) -> np.ndarray:
-    """All F_q solutions as rows of variable values (index encoding)."""
-    budget = DEFAULT_POINT_LIST_BUDGET if max_rows is None else max_rows
-    n = len(system.variables)
-    if q**n > budget:
-        raise BudgetError(f"{q}^{n} assignments exceed the point-list budget {budget}")
-    char = GF._factor(q)[0]
-    chunks = solution_chunks(system.presentation(char), GF(q, char=char))
-    found = np.concatenate(list(chunks))
-    return np.stack([(found // q**i % q).astype(np.int32) for i in range(n)], axis=1)
 
 
 # -- sub-diagram component combinatorics ---------------------------------------
@@ -241,22 +287,16 @@ def subdiagram_components(N: int, r: int) -> SubdiagramFamily:
 
 def component_system(N: int, r: int, diagram: Subdiagram) -> VarietySystem:
     """Removed coordinates vanish; retained segments are pairwise proportional."""
-    variables = _chain_variables(N, r)
-    relations = []
-    removed = [s for s in range(1, N) if s not in diagram.nodes]
-    for s in removed:
-        for l in range(r):
-            relations.append(((1, ((f"X[a{s}]({l})", 1),)),))
-    for lo, hi in diagram.segments():
-        for s in range(lo, hi + 1):
-            for t in range(s + 1, hi + 1):
-                for l1 in range(r):
-                    for l2 in range(l1 + 1, r):
-                        relations.append(_minor(f"a{s}", f"a{t}", l1, l2))
     return VarietySystem(
         label=f"V[{diagram.label()}]",
-        variables=variables,
-        relations=tuple(relations),
+        N=N,
+        r=r,
+        zero=tuple(s for s in range(1, N) if s not in diagram.nodes),
+        pairs=tuple(
+            pair
+            for lo, hi in diagram.segments()
+            for pair in itertools.combinations(range(lo, hi + 1), 2)
+        ),
     )
 
 

@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -119,6 +123,37 @@ class TestExamples:
         assert code == 0
         assert doc["payload"]["counts"]["3"]["residual"] == 0
         assert doc["payload"]["counts"]["5"]["Y"] == 1225
+
+
+#: runs the counting commands in one interpreter, then reports whether any
+#: of them imported numpy
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from frobkern import cli
+codes = []
+for argv in (
+    "variety count --group U4 --r 2 --q 5",
+    "variety components --N 4 --r 2 --q 3,5",
+    "conjecture subdiagrams --N 5 --r 2 --count --q 3",
+    "verify-all",
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.run(argv.split()))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_no_command_imports_numpy():
+    # numpy belongs to the brute-force oracle of the tests, not to the CLI
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env.pop("FROBKERN_BUDGET", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 1], "numpy": False}
 
 
 class TestReportContract:

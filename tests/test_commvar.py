@@ -1,15 +1,18 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobkern.commvar import (
     ComponentReport,
     Subdiagram,
+    VarietySystem,
     component_system,
     conjecture_check,
     dim_estimate,
-    solution_rows,
     subdiagram_components,
     u3_y_closed_form,
     u4_component_counts,
@@ -18,6 +21,9 @@ from frobkern.commvar import (
 )
 from frobkern.errors import BudgetError, ConfigError
 from frobkern.grmodel import model_context, vr_coordinate_algebra
+from frobkern.pointcount import GF, solution_rows
+from frobkern.polyalg import DEFAULT_POINT_BUDGET, count_points, prime_power
+from test_polyalg import table_count
 
 
 class TestSystems:
@@ -205,6 +211,117 @@ class TestCountingWorkloadSystems:
             if frozen is None:
                 frozen = len(solution_rows(system, q))
             assert system.count(q) == frozen, label
+
+
+def _oracle_count(system, q):
+    return count_points(system.presentation(prime_power(q)[0]), q)
+
+
+#: (N, r, q) with N <= 6, r <= 3 and q <= 5 whose q^n points the pure-python
+#: table count walks in about a second
+SMALL_CHAINS = [
+    (N, r, q)
+    for N in range(3, 7)
+    for r in (1, 2, 3)
+    for q in (2, 3, 4, 5)
+    if q ** ((N - 1) * r) <= 1 << 16
+]
+
+
+def _term_maps(system):
+    """The signed relations as maps exponent vector -> coefficient."""
+    names = system.variables
+    return [
+        {tuple(dict(factors).get(v, 0) for v in names): c for c, factors in rel}
+        for rel in system.relations
+    ]
+
+
+class TestStrataAgainstTheOracle:
+    """The stratified count against the numpy enumerator of ``pointcount``."""
+
+    @pytest.mark.parametrize(
+        "N, r",  # 3^15 of N = 6, r = 3 is past the oracle's budget
+        [(N, r) for N in (3, 4, 5, 6) for r in (1, 2, 3) if (N, r) != (6, 3)],
+    )
+    def test_every_family_system(self, N, r):
+        # every q of 3, 5, 9 whose nominal q^n the oracle's budget admits
+        systems = _family_systems(N, r)
+        for q in (q for q in (3, 5, 9) if q ** ((N - 1) * r) <= DEFAULT_POINT_BUDGET):
+            for label, system in systems.items():
+                assert system.count(q) == _oracle_count(system, q), (label, q)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_chain_conditions(self, data):
+        N, r, q = data.draw(st.sampled_from(SMALL_CHAINS))
+        nodes = range(1, N)
+        zero = data.draw(st.lists(st.sampled_from(nodes), unique=True))
+        pairs = data.draw(
+            st.lists(st.sampled_from(list(itertools.permutations(nodes, 2))), unique=True)
+        )
+        system = VarietySystem("random", N, r, zero=tuple(zero), pairs=tuple(pairs))
+        if q % 2:
+            assert system.count(q) == _oracle_count(system, q)
+        else:  # no ring, hence no count or presentation, has characteristic 2
+            want = table_count(_term_maps(system), len(system.variables), GF(q))
+            assert system.count_polynomial(q) == want
+            with pytest.raises(ConfigError, match="p must be an odd prime, got 2"):
+                system.count(q)
+
+    def test_unlinked_nodes_are_not_patterned(self):
+        # at r = 1 no pair binds, so none of U30's 29 nodes is enumerated;
+        # 2^29 zero patterns would take minutes
+        assert y_variety_system(30, 1).count(3, 10**20) == 3**29
+        assert x_variety_system(30, 1).count(3, 10**30) == 3**57
+        # at r = 2, 20 nodes that no pair links beside one pair (1, 2): a
+        # rank <= 1 2x2 matrix, 27 + 9 - 3 = 33 points over F_3
+        system = VarietySystem("one pair", 23, 2, pairs=((1, 2),))
+        assert system.count(3, 3**44) == 33 * 9**20
+
+
+def _newton(values):
+    """Forward differences at 0 of the values at 0, 1, 2, ...: the
+    polynomial through them has degree d and leading coefficient
+    diffs[d] / d! for the last nonzero diffs[d]."""
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return diffs
+
+
+class TestCountPolynomials:
+    """Evidence from the q-independent strata: each count is a polynomial in
+    q of degree at most (N - 1) r, so that many plus one values fix it."""
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_the_residual_is_the_zero_polynomial(self, N, r):
+        systems = _family_systems(N, r)
+        y = systems.pop("Y")
+        for q in range(2, (N - 1) * r + 3):
+            residual = y.count_polynomial(q) + sum(
+                (-1) ** (label.count("&") + 1) * system.count_polynomial(q)
+                for label, system in systems.items()
+            )
+            assert residual == 0, q
+
+    @pytest.mark.parametrize("N", range(3, 10))
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_y_has_the_top_predicted_dimension(self, N, r):
+        # Lang-Weil: the degree is the dimension, and the leading coefficient
+        # counts the top-dimensional components
+        y = y_variety_system(N, r)
+        diffs = _newton([y.count_polynomial(q) for q in range((N - 1) * r + 1)])
+        degree = max(d for d, v in enumerate(diffs) if v)
+        family = subdiagram_components(N, r)
+        top = family.max_predicted_dim()
+        assert degree == top
+        assert diffs[degree] % math.factorial(degree) == 0
+        assert diffs[degree] // math.factorial(degree) == sum(
+            d.predicted_dim(r) == top for d in family.members
+        )
 
 
 class TestSubdiagrams:
