@@ -31,15 +31,23 @@ ODD = "odd"
 DEFAULT_POINT_BUDGET = 10_000_000
 
 
+#: the primes below 43; as Miller-Rabin bases they decide every n below
+#: ``_MR_BOUND`` (Sorenson & Webster 2015), and from it on n is trial-divided
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Miller-Rabin on ``_MR_BASES`` below ``_MR_BOUND``, trial division from it on."""
+    if n <= _MR_BASES[-1]:
+        return n in _MR_BASES
+    if n >= _MR_BOUND:
+        return all(n % d for d in range(2, math.isqrt(n) + 1))
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    return n % 2 == 1 and all(
+        x == 1 or n - 1 in (pow(x, 1 << i, n) for i in range(s))
+        for x in (pow(a, (n - 1) >> s, n) for a in _MR_BASES)
+    )
 
 
 def check_odd_prime(p: int) -> None:
@@ -387,7 +395,6 @@ class GroebnerStats:
 @dataclass(frozen=True)
 class GroebnerBasis:
     ring: PolyRing
-    order: str
     basis: tuple[Poly, ...]
     stats: GroebnerStats = field(default_factory=GroebnerStats, compare=False)
 
@@ -583,7 +590,7 @@ class _Engine:
         )
 
 
-def buchberger(ideal, degree: int | None = None) -> GroebnerBasis:
+def buchberger(ideal: IdealPresentation, degree: int | None = None) -> GroebnerBasis:
     """Groebner basis (degrevlex) of an even-subring ideal.
 
     Without ``degree`` the basis is complete, minimal and reduced.  With
@@ -594,20 +601,14 @@ def buchberger(ideal, degree: int | None = None) -> GroebnerBasis:
     is neither minimal nor reduced.  An ``IdealPresentation`` keeps the
     engine between calls.
     """
-    if isinstance(ideal, IdealPresentation):
-        if ideal._engine is None:
-            ideal._engine = _Engine(ideal.ring, ideal.relations)
-        engine = ideal._engine
-    else:
-        relations = tuple(ideal)
-        if not relations:
-            raise DomainError("cannot infer ring from an empty relation list")
-        engine = _Engine(relations[0].ring, relations)
+    if ideal._engine is None:
+        ideal._engine = _Engine(ideal.ring, ideal.relations)
+    engine = ideal._engine
     engine.advance(degree)
     ring, G = engine.ring, engine.basis
     if degree is not None:
         below = tuple(g for g in G if ring.monomial_degree(g.leading()[0]) <= degree)
-        return GroebnerBasis(ring, "degrevlex", below, engine.stats(len(below)))
+        return GroebnerBasis(ring, below, engine.stats(len(below)))
     # minimalise: drop elements whose lead is divisible by another lead
     minimal: list[Poly] = []
     for g in sorted(G, key=lambda g: ring.order_key(g.leading()[0])):
@@ -620,7 +621,7 @@ def buchberger(ideal, degree: int | None = None) -> GroebnerBasis:
         others = minimal[:k] + minimal[k + 1 :]
         reduced.append(normal_form(g, others).monic() if others else g)
     reduced.sort(key=lambda g: ring.order_key(g.leading()[0]))
-    return GroebnerBasis(ring, "degrevlex", tuple(reduced), engine.stats(len(reduced)))
+    return GroebnerBasis(ring, tuple(reduced), engine.stats(len(reduced)))
 
 
 # -- graded dimension --------------------------------------------------------
@@ -714,17 +715,23 @@ def graded_dimension(
 # -- point-count checks --------------------------------------------------------
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)), by integer Newton steps down from a power of two above it."""
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
 def prime_power(q: int, char: int | None = None) -> tuple[int, int]:
-    """(p, k) with q = p^k, by trial division up to the square root; a q
-    that is no power of ``char`` (when given) is a configuration error."""
+    """(p, k) with q = p^k, k the largest exponent with an integer k-th root
+    p of q, and p prime; a q that is no power of ``char`` (when given) is a
+    configuration error."""
     if q < 2:
         raise ConfigError("q must be at least 2")
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    k, m = 0, q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
+    k = next(k for k in range(q.bit_length(), 0, -1) if _iroot(q, k) ** k == q)
+    p = _iroot(q, k)
+    if not is_prime(p):
         raise ConfigError(f"q = {q} is not a prime power")
     if char is not None and p != char:
         raise ConfigError(f"q = {q} is not a power of the characteristic {char}")

@@ -4,10 +4,9 @@ For the extension of the quotient at stage m by its top layer (level
 v = m-1) we model the second page as a tensor of truncated-polynomial-
 times-exterior pages, one per root: classes ``x[beta](l)`` (degree 2,
 weight p^{l+1} beta) and ``y[beta](l)`` (degree 1, weight p^l beta) with
-twists 0 <= l < r.  Differentials are evaluated on designated classes
-only; pages above the second are never materialised.
+twists 0 <= l < r.  Pages above the second are never materialised.
 
-Encoded differential rules, each a sum over the two-term decompositions
+Encoded values, each a sum over the two-term decompositions
 alpha + alpha' = beta of the fiber root:
 
 * the second-page value on y_beta^{(l)} is the sum of y_alpha^{(l)} wedge
@@ -16,10 +15,17 @@ alpha + alpha' = beta of the fiber root:
   (x_alpha^{(l)})^{p^j} y_{alpha'}^{(l+1+j)} - (x_{alpha'}^{(l)})^{p^j}
   y_alpha^{(l+1+j)}, which vanishes exactly when l+1+j >= r.
 
-The Steenrod fragment is the one these values generate through the Cartan
-formula: P^0 shifts twists, the Bockstein composite bP^0 sends y to x, and
-P^{p^j} sends a p^j-th power of a degree-2 class to its p-th power.  Any
-operation outside {P^0, P^{p^j}, bP^0, bP^{p^j}} raises.
+Every operation on a page class is one Cartan-Leibniz fold (``_fold``): a
+graded ring map A = sum_s A^s and a Koszul-signed A-derivation B, each given
+by a rule on generator powers.  Three rule sets use it:
+
+* ``d2``: A is the identity and B is the second-page value on fiber y;
+* ``steenrod_apply``: A(x^e) = sum_s C(e,s) x^{ps} x'^{e-s} and A(y) = y'
+  (' raises the twist, zero at twist r-1), B(y) = x and B(x) = 0; P^n is
+  part n of A and bP^n part n of B.  Any operation outside
+  {P^0, P^{p^j}, bP^0, bP^{p^j}} raises;
+* ``first_nonvanishing_differential``: page 2p^j+1 is the identity A with
+  B(x^n) = (n/p^j mod p) x^{n-p^j} times the transgression, for p^j | n.
 
 The file also carries the weight-space enumerator for the first page of
 the filtration-by-powers-of-the-augmentation-ideal spectral sequence,
@@ -89,6 +95,46 @@ class ExtensionPage:
         return f"ExtensionPage({self.ctx.label()})"
 
 
+# -- the Cartan-Leibniz fold -------------------------------------------------------
+
+
+def _fold(page: ExtensionPage, f: Poly, n: int, rule) -> tuple[Poly, Poly]:
+    """(A^n f, B^n f) for a graded pair of operations given on generator powers.
+
+    ``rule(i, e)`` returns the parts ({s: A^s}, {s: B^s}) of the e-th power
+    of variable i; a part left out is zero.  A is multiplicative and B is a
+    Koszul-signed A-derivation, B(m g) = B(m) A(g) + (-1)^|m| A(m) B(g), so
+    each monomial is folded once, factor by factor from the left, keeping
+    the parts of grade s <= n.  Ring multiplication supplies every other sign.
+    """
+    ring = page.ring
+
+    def convolve(out: dict, s: int, u: Poly, parts: dict) -> None:
+        for t, v in parts.items():
+            if s + t <= n and (w := u * v):
+                out[s + t] = out[s + t] + w if s + t in out else w
+
+    total_a = total_b = zero = ring.zero()
+    for exps, c in f.terms.items():
+        a_parts, b_parts, degree = {0: ring.const(c)}, {}, 0
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            a, b = rule(i, e)
+            next_a, next_b = {}, {}
+            for s, u in a_parts.items():
+                convolve(next_a, s, u, a)
+                if b:
+                    convolve(next_b, s, -u if degree % 2 else u, b)
+            for s, u in b_parts.items():
+                convolve(next_b, s, u, a)
+            a_parts, b_parts = next_a, next_b
+            degree += e * ring.variables[i].degree
+        total_a = total_a + a_parts.get(n, zero)
+        total_b = total_b + b_parts.get(n, zero)
+    return total_a, total_b
+
+
 # -- differentials ---------------------------------------------------------------
 
 
@@ -120,63 +166,29 @@ def transgression_power(page: ExtensionPage, beta: Root, twist: int, j: int) -> 
     )
 
 
-def page_derivation(page: ExtensionPage, values: dict, f: Poly) -> Poly:
-    """Extend generator values to a Koszul-signed derivation and apply it.
-
-    ``values`` maps variable names to their differential; unnamed
-    generators are sent to zero.  Ring multiplication supplies all signs,
-    so only the Leibniz split sign appears explicitly.
-    """
-    ring = page.ring
-
-    def d_mono(exps) -> Poly:
-        first = next((i for i, e in enumerate(exps) if e), None)
-        if first is None:
-            return ring.zero()
-        e = exps[first]
-        name = ring.variables[first].name
-        g = ring.var(name)
-        rest = list(exps)
-        rest[first] = 0
-        rest_poly = Poly(ring, {tuple(rest): 1})
-        dg = values.get(name, ring.zero())
-        if dg.is_zero():
-            da = ring.zero()
-        elif ring.variables[first].parity == "odd":
-            da = dg
-        else:
-            da = dg * g ** (e - 1) * e
-        parity = (e * ring.variables[first].degree) % 2
-        out = da * rest_poly
-        tail = d_mono(tuple(rest))
-        if not tail.is_zero():
-            out = out + (g**e) * tail * (-1 if parity else 1)
-        return out
-
-    out = ring.zero()
-    for exps, c in f.terms.items():
-        out = out + d_mono(exps) * c
-    return out
-
-
 def d2(page: ExtensionPage, f: Poly) -> Poly:
-    """The second-page differential as a derivation (zero on x classes)."""
+    """The second-page derivation: ``d2_on_y`` on fiber y, zero elsewhere."""
     values = {
-        ModelGenerator("y", beta, twist, page.ctx.p).name: d2_on_y(page, beta, twist)
-        for beta in page.fiber_roots
-        for twist in range(page.ctx.r)
+        i: d2_on_y(page, g.root, g.twist)
+        for i, g in enumerate(page.generators)
+        if g.kind == "y" and page.is_fiber(g.root)
     }
-    return page_derivation(page, values, f)
+
+    def rule(i: int, e: int):
+        power = page.ring.monomial({page.generators[i].name: e})
+        return {0: power}, ({0: values[i]} if i in values else {})
+
+    return _fold(page, f, 0, rule)[1]
 
 
 def first_nonvanishing_differential(page: ExtensionPage, monomial: dict):
     """Scan pages 2p^j+1 for the first nonzero value on a fiber monomial.
 
     ``monomial`` maps (root, twist) to the exponent of x_root^{(twist)}.
-    On page 2p^j+1 the surviving factors with p-adic valuation exactly j
-    contribute via the transgression of their p^j-th-power chunk; factors
-    of lower valuation died on earlier pages only if their transgressions
-    were truncated to zero, in which case they stay zero forever.
+    On page 2p^j+1 the factors with p-adic valuation exactly j contribute
+    via the transgression of their p^j-th-power chunk; factors of lower
+    valuation died on earlier pages only if their transgressions were
+    truncated to zero, in which case they stay zero forever.
     Returns (j, value) or None when every page vanishes.
     """
     ctx = page.ctx
@@ -186,21 +198,20 @@ def first_nonvanishing_differential(page: ExtensionPage, monomial: dict):
             raise DomainError("monomial must live in the fiber polynomial part")
         if n < 0 or not 0 <= twist < r:
             raise DomainError("bad exponent data")
+    names = {ModelGenerator("x", b, t, p).name: n for (b, t), n in monomial.items()}
+    f = page.ring.monomial(names)
     for j in range(0, max(r - 1, 0)):
-        total = page.ring.zero()
         q = p**j
-        for (beta, twist), n in monomial.items():
-            if n % q or (n // q) % p == 0:
-                continue
-            value = transgression_power(page, beta, twist, j)
-            if value.is_zero():
-                continue
-            rest = page.ring.one()
-            for (b2, t2), n2 in monomial.items():
-                e = n2 - q if (b2, t2) == (beta, twist) else n2
-                if e:
-                    rest = rest * page.x(b2, t2) ** e
-            total = total + rest * value * ((n // q) % p)
+
+        def rule(i: int, e: int):
+            g = page.generators[i]
+            power = page.ring.monomial({g.name: e})
+            if e % q or (e // q) % p == 0:
+                return {0: power}, {}
+            value = transgression_power(page, g.root, g.twist, j).scale(e // q)
+            return {0: power}, {0: page.ring.monomial({g.name: e - q}) * value}
+
+        total = _fold(page, f, 0, rule)[1]
         if not total.is_zero():
             return j, total
     return None
@@ -219,20 +230,14 @@ def permanent_cycle_monomial(monomial: dict, r: int, p: int) -> bool:
 # -- Steenrod fragment --------------------------------------------------------------
 
 
-def _parse_op(op) -> tuple[bool, int]:
-    if isinstance(op, tuple):
-        bock, n = op
-    elif isinstance(op, str):
-        text = op.strip()
-        bock = text.startswith("b")
-        if bock:
-            text = text[1:]
-        if not (text.startswith("P") and text[1:].isdecimal()):
-            raise UnsupportedOperationError(f"cannot parse operation {op!r}")
-        n = int(text[1:])
-    else:
+def _parse_op(op: str) -> tuple[bool, int]:
+    text = op.strip()
+    bock = text.startswith("b")
+    if bock:
+        text = text[1:]
+    if not (text.startswith("P") and text[1:].isdecimal()):
         raise UnsupportedOperationError(f"cannot parse operation {op!r}")
-    return bool(bock), int(n)
+    return bock, int(text[1:])
 
 
 def _is_supported(n: int, p: int) -> bool:
@@ -243,16 +248,10 @@ def _is_supported(n: int, p: int) -> bool:
     return n == 1
 
 
-def steenrod_apply(page: ExtensionPage, op, f: Poly) -> Poly:
-    """Apply P^0, P^{p^j}, bP^0 or bP^{p^j} to a page class.
-
-    Generator rules: P^0 shifts every twist up by one (truncating at r);
-    bP^0 sends y^{(l)} to x^{(l)} and kills the polynomial part; on a
-    power of a degree-2 class, P^s picks s factors to raise to p-th powers
-    and twist-shifts the rest, with the binomial coefficient mod p.  The
-    Cartan formula then extends the rules to arbitrary classes.  Operations
-    P^n with n neither zero nor a p-power are outside the encoded fragment.
-    """
+def steenrod_apply(page: ExtensionPage, op: str, f: Poly) -> Poly:
+    """Apply P^0, P^{p^j}, bP^0 or bP^{p^j} to a page class, as part n of
+    the fold whose rules the module docstring lists.  Operations P^n with n
+    neither zero nor a p-power are outside the encoded fragment."""
     bock, n = _parse_op(op)
     ctx = page.ctx
     if f.ring != page.ring:
@@ -261,63 +260,21 @@ def steenrod_apply(page: ExtensionPage, op, f: Poly) -> Poly:
         raise UnsupportedOperationError(
             f"P^{n} is outside the encoded fragment at p={ctx.p}"
         )
-    ring = page.ring
-    r = ctx.r
+    p, r = ctx.p, ctx.r
 
-    def on_power(bock_flag: bool, s: int, index: int, e: int) -> Poly:
-        gen = page.generators[index]
-        root, twist = gen.root, gen.twist
-        if gen.kind == "y":
-            if s != 0:
-                return ring.zero()
-            if bock_flag:
-                return page.x(root, twist)
-            if twist + 1 >= r:
-                return ring.zero()
-            return page.y(root, twist + 1)
-        if bock_flag:
-            return ring.zero()
-        if s > e:
-            return ring.zero()
-        c = math.comb(e, s) % ctx.p
-        if c == 0:
-            return ring.zero()
-        if e - s > 0 and twist + 1 >= r:
-            return ring.zero()
-        out = ring.const(c)
-        if s:
-            out = out * ring.var(gen.name) ** (ctx.p * s)
-        if e - s:
-            out = out * page.x(root, twist + 1) ** (e - s)
-        return out
+    def rule(i: int, e: int):
+        g = page.generators[i]
+        top = g.twist + 1 >= r  # ' is zero at the top twist
+        if g.kind == "y":
+            shifted = {} if top else {0: page.y(g.root, g.twist + 1)}
+            return shifted, {0: page.x(g.root, g.twist)}
+        x = page.ring.var(g.name)
+        x1 = page.ring.zero() if top else page.x(g.root, g.twist + 1)
+        grades = range(min(e, n) + 1)
+        return {s: x ** (p * s) * x1 ** (e - s) * math.comb(e, s) for s in grades}, {}
 
-    def cartan(bock_flag: bool, budget: int, factors) -> Poly:
-        if not factors:
-            if budget == 0 and not bock_flag:
-                return ring.one()
-            return ring.zero()
-        (index, e), rest = factors[0], factors[1:]
-        parity = (e * ring.variables[index].degree) % 2
-        out = ring.zero()
-        for s in range(budget + 1):
-            plain = on_power(False, s, index, e)
-            if bock_flag:
-                left = on_power(True, s, index, e)
-                if not left.is_zero():
-                    out = out + left * cartan(False, budget - s, rest)
-                if not plain.is_zero():
-                    tail = cartan(True, budget - s, rest)
-                    if not tail.is_zero():
-                        out = out + plain * tail * (-1 if parity else 1)
-            elif not plain.is_zero():
-                out = out + plain * cartan(False, budget - s, rest)
-        return out
-
-    out = ring.zero()
-    for exps, c in f.terms.items():
-        factors = tuple((i, e) for i, e in enumerate(exps) if e)
-        out = out + cartan(bock, n, factors) * c
-    return out
+    a, b = _fold(page, f, n, rule)
+    return b if bock else a
 
 
 # -- first-page weight enumerator ---------------------------------------------------

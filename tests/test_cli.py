@@ -402,6 +402,25 @@ class TestExitCodes:
         assert code == 3
         assert doc["error"]["code"] == "budget"
 
+    @pytest.mark.parametrize(
+        "q, code, message",
+        [
+            (10**24 + 7, 3, "exceed the enumeration budget"),
+            ((10**9 + 7) * (10**9 + 9), 2, "is not a prime power"),
+            ((10**9 + 7) ** 2, 3, "exceed the enumeration budget"),
+            (2**40, 2, "p must be an odd prime, got 2"),
+        ],
+        ids=["prime", "two-primes", "prime-square", "power-of-two"],
+    )
+    def test_huge_q_is_decided_at_once(self, capsys, q, code, message):
+        # no trial division up to sqrt(q): 10^24 + 7 took longer than 5 s
+        start = time.perf_counter()
+        got, doc = invoke(capsys, "variety", "count", "--group", "U3", "--r", "2",
+                          "--q", str(q))
+        assert time.perf_counter() - start < 1.0
+        assert got == code
+        assert message in doc["error"]["message"]
+
     def test_over_bound_degree_is_refused_as_asked(self, capsys):
         code = run(["model", "hilbert", "--family", "A", "--rank", "2", "--r", "2",
                     "--p", "3", "--degree", "30"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,10 @@ from frobkern.polyalg import (
     buchberger,
     count_points,
     graded_dimension,
+    is_prime,
     normal_form,
     plain_ring,
+    prime_power,
 )
 
 
@@ -533,3 +536,46 @@ class TestGF:
     def test_not_prime_power(self):
         with pytest.raises(ConfigError):
             GF(6)
+
+
+def _trial_prime_power(q):
+    """(p, k) with q = p^k by trial division up to sqrt(q), or None."""
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    k, m = 0, q
+    while m % p == 0:
+        m, k = m // p, k + 1
+    return (p, k) if m == 1 else None
+
+
+class TestPrimePower:
+    """q is split by integer roots, and the root is tested by Miller-Rabin."""
+
+    #: the bound below which the first 13 primes decide primality
+    BOUND = 3_317_044_064_679_887_385_961_981
+
+    @pytest.mark.parametrize("start, count", [(2, 20_000), (1 << 32, 200)])
+    def test_agrees_with_trial_division(self, start, count):
+        for q in range(start, start + count):
+            assert is_prime(q) == (_trial_prime_power(q) == (q, 1)), q
+            try:
+                got = prime_power(q)
+            except ConfigError:
+                got = None
+            assert got == _trial_prime_power(q), q
+
+    def test_every_small_prime_power_below_the_bound(self):
+        primes = [p for p in range(2, 100) if _trial_prime_power(p) == (p, 1)]
+        for p in primes:
+            k = 1
+            while p**k < self.BOUND:
+                assert prime_power(p**k) == (p, k)
+                k += 1
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # strong pseudoprimes to every prime base up to 37, but not to 41
+        for n in (3825123056546413051, 318665857834031151167461):
+            assert not is_prime(n)
+            with pytest.raises(ConfigError, match="is not a prime power"):
+                prime_power(n)
+        assert is_prime(10**24 + 7) and is_prime(2**61 - 1)
+        assert prime_power(999999999989**2) == (999999999989, 2)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import pathlib
 
 import pytest
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 
 from frobkern.cli import run
 from frobkern.errors import BudgetError, DomainError, UnsupportedOperationError
-from frobkern.grmodel import model_context
+from frobkern.grmodel import ModelGenerator, model_context
 from frobkern.polyalg import IdealPresentation, Poly, hilbert_series
 from frobkern.rootsys import Root, summand_pairs
 from frobkern.specseq import (
     ExtensionPage,
+    _is_supported,
+    _parse_op,
     aj_E1_enumerate,
     aj_page,
     aj_summand_index,
@@ -259,18 +262,26 @@ class TestPermanentCycles:
         assert permanent_cycle_monomial({(A12, 0): 3, (A12, 1): 5}, r=2, p=3)
 
     def test_agreement_with_differential_scan(self):
-        page = u3_page(r=2, p=3)
-        # all fiber monomials of degree <= 2 p^2 = 18
-        for n0 in range(10):
-            for n1 in range(10 - n0):
-                mono = {}
-                if n0:
-                    mono[(A12, 0)] = n0
-                if n1:
-                    mono[(A12, 1)] = n1
-                criterion = permanent_cycle_monomial(mono, r=2, p=3)
+        # every fiber monomial with exponent sum <= bound.  From r = 3 on the
+        # scan reaches pages 2p^j+1, j >= 1, on monomials with a factor whose
+        # exponent p^j does not divide
+        cases = [  # (rank, r, p, bound)
+            (2, 2, 3, 9), (2, 3, 3, 9), (2, 3, 5, 9), (2, 4, 3, 7), (3, 3, 3, 4),
+        ]
+        higher = 0
+        for rank, r, p, bound in cases:
+            page = ExtensionPage(model_context("A", rank, i=1, stage=3, r=r, p=p))
+            keys = [(beta, twist) for beta in page.fiber_roots for twist in range(r)]
+            for exps in itertools.product(range(bound + 1), repeat=len(keys)):
+                if sum(exps) > bound:
+                    continue
+                mono = {key: n for key, n in zip(keys, exps) if n}
+                criterion = permanent_cycle_monomial(mono, r=r, p=p)
                 scan = first_nonvanishing_differential(page, mono)
-                assert criterion == (scan is None), (n0, n1)
+                assert criterion == (scan is None), (rank, r, p, exps)
+                if scan and scan[0] and any(n % p ** scan[0] for n in exps):
+                    higher += 1
+        assert higher == 27
 
     def test_scan_page_index(self):
         page = u3_page(r=3, p=3)
@@ -466,3 +477,184 @@ class TestUniqueness:
         assert doc["classification"] == "heuristic"
         assert len(doc["monomials"]) == 4
         assert all(entry["reason"] for entry in doc["paired"])
+
+
+# -- the recursions that the Cartan-Leibniz fold replaced, kept as its oracle ----
+
+
+def oracle_page_derivation(page, values, f):
+    """Extend generator values to a Koszul-signed derivation and apply it,
+    by splitting off the first factor and recursing on the rest."""
+    ring = page.ring
+
+    def d_mono(exps):
+        first = next((i for i, e in enumerate(exps) if e), None)
+        if first is None:
+            return ring.zero()
+        e = exps[first]
+        name = ring.variables[first].name
+        g = ring.var(name)
+        rest = list(exps)
+        rest[first] = 0
+        rest_poly = Poly(ring, {tuple(rest): 1})
+        dg = values.get(name, ring.zero())
+        if dg.is_zero():
+            da = ring.zero()
+        elif ring.variables[first].parity == "odd":
+            da = dg
+        else:
+            da = dg * g ** (e - 1) * e
+        parity = (e * ring.variables[first].degree) % 2
+        out = da * rest_poly
+        tail = d_mono(tuple(rest))
+        if not tail.is_zero():
+            out = out + (g**e) * tail * (-1 if parity else 1)
+        return out
+
+    out = ring.zero()
+    for exps, c in f.terms.items():
+        out = out + d_mono(exps) * c
+    return out
+
+
+def oracle_d2(page, f):
+    values = {
+        ModelGenerator("y", beta, twist, page.ctx.p).name: d2_on_y(page, beta, twist)
+        for beta in page.fiber_roots
+        for twist in range(page.ctx.r)
+    }
+    return oracle_page_derivation(page, values, f)
+
+
+def oracle_steenrod_apply(page, op, f):
+    """The Cartan formula by recursion over the factors, re-expanding the
+    tail for every split of the budget."""
+    bock, n = _parse_op(op)
+    ctx = page.ctx
+    assert _is_supported(n, ctx.p)
+    ring = page.ring
+    r = ctx.r
+
+    def on_power(bock_flag, s, index, e):
+        gen = page.generators[index]
+        root, twist = gen.root, gen.twist
+        if gen.kind == "y":
+            if s != 0:
+                return ring.zero()
+            if bock_flag:
+                return page.x(root, twist)
+            if twist + 1 >= r:
+                return ring.zero()
+            return page.y(root, twist + 1)
+        if bock_flag:
+            return ring.zero()
+        if s > e:
+            return ring.zero()
+        c = math.comb(e, s) % ctx.p
+        if c == 0:
+            return ring.zero()
+        if e - s > 0 and twist + 1 >= r:
+            return ring.zero()
+        out = ring.const(c)
+        if s:
+            out = out * ring.var(gen.name) ** (ctx.p * s)
+        if e - s:
+            out = out * page.x(root, twist + 1) ** (e - s)
+        return out
+
+    def cartan(bock_flag, budget, factors):
+        if not factors:
+            if budget == 0 and not bock_flag:
+                return ring.one()
+            return ring.zero()
+        (index, e), rest = factors[0], factors[1:]
+        parity = (e * ring.variables[index].degree) % 2
+        out = ring.zero()
+        for s in range(budget + 1):
+            plain = on_power(False, s, index, e)
+            if bock_flag:
+                left = on_power(True, s, index, e)
+                if not left.is_zero():
+                    out = out + left * cartan(False, budget - s, rest)
+                if not plain.is_zero():
+                    tail = cartan(True, budget - s, rest)
+                    if not tail.is_zero():
+                        out = out + plain * tail * (-1 if parity else 1)
+            elif not plain.is_zero():
+                out = out + plain * cartan(False, budget - s, rest)
+        return out
+
+    out = ring.zero()
+    for exps, c in f.terms.items():
+        factors = tuple((i, e) for i, e in enumerate(exps) if e)
+        out = out + cartan(bock, n, factors) * c
+    return out
+
+
+def oracle_first_nonvanishing_differential(page, monomial):
+    """The page scan with each factor's contribution multiplied out by hand."""
+    p, r = page.ctx.p, page.ctx.r
+    for j in range(0, max(r - 1, 0)):
+        total = page.ring.zero()
+        q = p**j
+        for (beta, twist), n in monomial.items():
+            if n % q or (n // q) % p == 0:
+                continue
+            value = transgression_power(page, beta, twist, j)
+            if value.is_zero():
+                continue
+            rest = page.ring.one()
+            for (b2, t2), n2 in monomial.items():
+                e = n2 - q if (b2, t2) == (beta, twist) else n2
+                if e:
+                    rest = rest * page.x(b2, t2) ** e
+            total = total + rest * value * ((n // q) % p)
+        if not total.is_zero():
+            return j, total
+    return None
+
+
+PAGE_SHAPES = [("A", 2), ("A", 3), ("B", 2)]
+
+
+@st.composite
+def page_classes(draw):
+    """(page, class): a sum of up to three random monomials with random
+    coefficients on an A2, A3 or B2 page, p in {3, 5}, r in {2, 3}."""
+    family, rank = draw(st.sampled_from(PAGE_SHAPES))
+    r, p = draw(st.sampled_from((2, 3))), draw(st.sampled_from((3, 5)))
+    page = ExtensionPage(model_context(family, rank, i=1, stage=3, r=r, p=p))
+    ring = page.ring
+    f = ring.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        exps = [0] * ring.nvars
+        for i in draw(st.lists(st.integers(0, ring.nvars - 1), max_size=5)):
+            exps[i] = 1 if ring.variables[i].parity == "odd" else exps[i] + 1
+        f = f + Poly(ring, {tuple(exps): draw(st.integers(1, p - 1))})
+    return page, f
+
+
+class TestFoldAgainstRecursions:
+    """The one fold against the three recursions it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(page_classes())
+    def test_operations_and_d2(self, case):
+        page, f = case
+        p = page.ctx.p
+        for n in (0, p, p * p):
+            for op in (f"P{n}", f"bP{n}"):
+                assert steenrod_apply(page, op, f) == oracle_steenrod_apply(page, op, f), op
+        assert d2(page, f) == oracle_d2(page, f)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_scan(self, data):
+        family, rank = data.draw(st.sampled_from(PAGE_SHAPES))
+        r, p = data.draw(st.sampled_from((2, 3))), data.draw(st.sampled_from((3, 5)))
+        page = ExtensionPage(model_context(family, rank, i=1, stage=3, r=r, p=p))
+        keys = [(beta, twist) for beta in page.fiber_roots for twist in range(r)]
+        mono = data.draw(st.dictionaries(st.sampled_from(keys), st.integers(0, 2 * p), max_size=3))
+        assert first_nonvanishing_differential(page, mono) == (
+            oracle_first_nonvanishing_differential(page, mono)
+        )
