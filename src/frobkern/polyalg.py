@@ -5,7 +5,9 @@ A ring holds even (polynomial) and odd (exterior) variables; monomials are
 dense exponent tuples in a fixed variable order, odd exponents never exceed
 one, and products pick up the Koszul sign from transposing odd factors.
 Ideal machinery (Buchberger, normal forms, Hilbert series) is restricted
-to the even subring, which is all the model ideals need.
+to the even subring, which is all the model ideals need.  Every divisibility
+test there first compares support bitmasks (Singular's divisor mask), and
+the Hilbert numerator comes from Bigatti's pivot recursion.
 
 The checks that every F_q point count makes before any work (q a power of
 an odd prime, then the budget on q^n) live here too; the counts themselves
@@ -20,7 +22,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import add, le
+from operator import add, le, mul, sub
 
 from .errors import BudgetError, ConfigError, DomainError, UnsupportedOperationError
 
@@ -92,8 +94,10 @@ class PolyRing:
         self.label = label
         self.index = {v.name: i for i, v in enumerate(variables)}
         self._odd = tuple(i for i, v in enumerate(variables) if v.parity == ODD)
+        self._bits = tuple(1 << i for i in range(len(variables)))
         self._degrees = tuple(v.degree for v in variables)
         self._weights = tuple(v.weight for v in variables)
+        self._weight_columns = tuple(zip(*self._weights))
         self.weight_len = wlens.pop() if wlens else 0
 
     # -- basic structure ---------------------------------------------------
@@ -103,7 +107,7 @@ class PolyRing:
         return len(self.variables)
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.p == other.p
             and self.variables == other.variables
@@ -159,15 +163,29 @@ class PolyRing:
     # -- monomial helpers ----------------------------------------------------
 
     def monomial_degree(self, exps) -> int:
-        return sum(e * d for e, d in zip(exps, self._degrees))
+        return sum(map(mul, exps, self._degrees))
 
     def monomial_weight(self, exps) -> tuple[int, ...]:
-        w = [0] * self.weight_len
-        for e, wt in zip(exps, self._weights):
-            if e:
-                for k in range(self.weight_len):
-                    w[k] += e * wt[k]
-        return tuple(w)
+        return tuple(sum(map(mul, exps, column)) for column in self._weight_columns)
+
+    def weight_order(self):
+        """(order, best): the variables from the largest weight per degree
+        down, and best[n][k] = (num, den), the largest weight per degree in
+        coordinate k among the variables order[n:], for cross-multiplying."""
+        degrees = self._degrees
+        weights = self._weights
+        scale = math.lcm(*degrees)
+        order = sorted(range(self.nvars), key=lambda i: -sum(weights[i]) * scale // degrees[i])
+        best = [[(0, 1)] * self.weight_len]
+        for i in reversed(order):
+            best.append(
+                [
+                    (w, degrees[i]) if w * den > num * degrees[i] else (num, den)
+                    for w, (num, den) in zip(weights[i], best[-1])
+                ]
+            )
+        best.reverse()
+        return order, best
 
     def order_key(self, exps):
         """Degrevlex on raw exponents; max(key) is the leading monomial."""
@@ -175,17 +193,17 @@ class PolyRing:
 
     def mul_monomials(self, e1, e2):
         """(sign, exps) for the graded product, or None if it vanishes."""
-        o1 = [i for i in self._odd if e1[i]]
-        o2 = [i for i in self._odd if e2[i]]
-        if o1 and o2:
-            s2 = set(o2)
-            if any(i in s2 for i in o1):
-                return None
-            inv = sum(1 for i in o1 for j in o2 if i > j)
-            sign = -1 if inv % 2 else 1
-        else:
-            sign = 1
-        return sign, tuple(a + b for a, b in zip(e1, e2))
+        sign = 1
+        if self._odd:
+            o1 = [i for i in self._odd if e1[i]]
+            o2 = [i for i in self._odd if e2[i]]
+            if o1 and o2:
+                s2 = set(o2)
+                if any(i in s2 for i in o1):
+                    return None
+                inv = sum(1 for i in o1 for j in o2 if i > j)
+                sign = -1 if inv % 2 else 1
+        return sign, tuple(map(add, e1, e2))
 
     def monomial_str(self, exps) -> str:
         parts = []
@@ -204,13 +222,13 @@ class Poly:
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        self.terms = {e: c % ring.p for e, c in terms.items() if c % ring.p}
+        self.terms = {e: v for e, c in terms.items() if (v := c % ring.p)}
         self._lead = None
 
     # -- ring operations -----------------------------------------------------
 
     def _check(self, other: "Poly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise DomainError("operands live in different rings")
 
     def __add__(self, other):
@@ -293,7 +311,7 @@ class Poly:
         if self._lead is None:
             if not self.terms:
                 raise DomainError("zero polynomial has no leading term")
-            e = max(self.terms, key=self.ring.order_key)
+            e = min(self.terms, key=_lead_key)
             self._lead = (e, self.terms[e])
         return self._lead
 
@@ -399,10 +417,6 @@ class GroebnerBasis:
     stats: GroebnerStats = field(default_factory=GroebnerStats, compare=False)
 
 
-def _divides(e1, e2) -> bool:
-    return all(a <= b for a, b in zip(e1, e2))
-
-
 def _quotient(e1, e2):
     return tuple(a - b for a, b in zip(e1, e2))
 
@@ -414,6 +428,12 @@ def _lcm(e1, e2):
 def _support(exps):
     """(index, exponent) pairs of the nonzero exponents, for divisibility tests."""
     return tuple((i, k) for i, k in enumerate(exps) if k)
+
+
+def _mask(ring: PolyRing, exps) -> int:
+    """Bit i set when exponent i is positive.  A divisor's mask lies inside its
+    multiple's, so ``dmask & ~mask`` rejects most non-divisors at once."""
+    return sum(itertools.compress(ring._bits, exps))
 
 
 def _lead_key(exps):
@@ -433,13 +453,13 @@ def _even_only(ring: PolyRing, polys) -> None:
 
 
 def _divisor(g: Poly):
-    """(lead support, lead, inverse lead coefficient, tail terms) of g."""
+    """(lead mask, lead support, lead, inverse lead coefficient, tail terms) of g."""
     e, c = g.leading()
     tail = [(t, v) for t, v in g.terms.items() if t != e]
-    return _support(e), e, pow(c, -1, g.ring.p), tail
+    return _mask(g.ring, e), _support(e), e, pow(c, -1, g.ring.p), tail
 
 
-def _reduce(work: dict, divisors, p: int) -> dict:
+def _reduce(work: dict, divisors, ring: PolyRing) -> dict:
     """Remainder of the term dict ``work`` (consumed) under ``divisors``.
 
     The leading term of ``work`` is top-reduced by the first divisor whose
@@ -447,6 +467,7 @@ def _reduce(work: dict, divisors, p: int) -> dict:
     heap of ``_lead_key`` values finds the leading term; entries whose
     monomial has since cancelled are skipped.
     """
+    p = ring.p
     heap = [(_lead_key(e), e) for e in work]
     heapq.heapify(heap)
     remainder = {}
@@ -455,8 +476,9 @@ def _reduce(work: dict, divisors, p: int) -> dict:
         c = work.pop(e, 0)
         if not c:
             continue
-        for support, le, inv, tail in divisors:
-            if all(e[i] >= k for i, k in support):
+        outside = ~_mask(ring, e)
+        for dmask, support, le, inv, tail in divisors:
+            if not dmask & outside and all(e[i] >= k for i, k in support):
                 break
         else:
             remainder[e] = c
@@ -492,7 +514,7 @@ def normal_form(f: Poly, G) -> Poly:
         divisors = [_divisor(g) for g in basis if not g.is_zero()]
     if not divisors:
         return f
-    return Poly(ring, _reduce(dict(f.terms), divisors, ring.p))
+    return Poly(ring, _reduce(dict(f.terms), divisors, ring))
 
 
 def _s_poly(f: Poly, g: Poly) -> Poly:
@@ -541,18 +563,22 @@ class _Engine:
     def _add(self, g: Poly) -> None:
         n = len(self.basis)
         e = g.leading()[0]
-        for k, (_, le, _, _) in enumerate(self.divisors):
-            degree = self.ring.monomial_degree(_lcm(le, e))
+        degrees = self.ring._degrees
+        base = self.ring.monomial_degree(e)
+        for k, (_, support, _, _, _) in enumerate(self.divisors):
+            # the degree of lcm(lead_k, e), from lead_k's few nonzero exponents
+            degree = base + sum(degrees[a] * (b - e[a]) for a, b in support if b > e[a])
             heapq.heappush(self.queue, (degree, k, n))
             self.pending.add((k, n))
         self.basis.append(g)
         self.divisors.append(_divisor(g))
 
-    def _chain(self, i: int, j: int, lcm) -> bool:
+    def _chain(self, i: int, j: int, mask: int, lcm) -> bool:
         pending = self.pending
-        for k, (support, _, _, _) in enumerate(self.divisors):
+        for k, (dmask, support, _, _, _) in enumerate(self.divisors):
             if (
-                k != i
+                not dmask & ~mask
+                and k != i
                 and k != j
                 and all(lcm[a] >= b for a, b in support)
                 and (min(i, k), max(i, k)) not in pending
@@ -570,11 +596,12 @@ class _Engine:
             _, i, j = heapq.heappop(queue)
             self.pending.discard((i, j))
             counts["pairs"] += 1
-            ei, ej = self.divisors[i][1], self.divisors[j][1]
-            if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
+            mi, _, ei, _, _ = self.divisors[i]
+            mj, _, ej, _, _ = self.divisors[j]
+            if not mi & mj:
                 counts["product_skipped"] += 1
                 continue
-            if self._chain(i, j, _lcm(ei, ej)):
+            if self._chain(i, j, mi | mj, _lcm(ei, ej)):
                 counts["chain_skipped"] += 1
                 continue
             h = normal_form(_s_poly(self.basis[i], self.basis[j]), self)
@@ -613,7 +640,7 @@ def buchberger(ideal: IdealPresentation, degree: int | None = None) -> GroebnerB
     minimal: list[Poly] = []
     for g in sorted(G, key=lambda g: ring.order_key(g.leading()[0])):
         eg = g.leading()[0]
-        if not any(_divides(h.leading()[0], eg) for h in minimal):
+        if not any(all(map(le, h.leading()[0], eg)) for h in minimal):
             minimal.append(g)
     # inter-reduce tails
     reduced = []
@@ -627,26 +654,65 @@ def buchberger(ideal: IdealPresentation, degree: int | None = None) -> GroebnerB
 # -- graded dimension --------------------------------------------------------
 
 
-def _numerator(leads, left: int, grade) -> Counter:
+def _minimal(leads, left: int) -> list:
+    """The minimal generators of degree <= ``left`` among (degree, mask,
+    exponents) leads, ascending: a divisor has at most its multiple's degree."""
+    minimal = []
+    for lead in sorted(l for l in leads if l[0] <= left):
+        _, m, e = lead
+        if not any(not fm & ~m and all(map(le, f, e)) for _, fm, f in minimal):
+            minimal.append(lead)
+    return minimal
+
+
+def _numerator(minimal, left: int, grade) -> Counter:
     """Numerator of the Hilbert series of ring/(leads), through degree ``left``.
 
-    {grade: coefficient} by the colon recursion on the lead m of largest
-    degree: N(I' + (m)) = N(I') - grade(m) * N(I' : m).  Every term a lead
-    contributes has at least its degree, so leads above the degree still left
-    are dropped first; redundant leads change nothing and are dropped too.
+    ``minimal`` holds the minimal generators as (degree, support mask,
+    exponents), none above ``left``; the result maps grade to coefficient,
+    every term of degree <= ``left``.  Pairwise coprime leads give the
+    product of 1 - grade(m).  Otherwise Bigatti's pivot P = x_i^k splits
+    N(I) = N(I + (P)) + grade(P) N(I : P) (Bigatti 1997): i is the variable
+    in most leads and k the median of its positive exponents, below the pure
+    power x_i^j when that is a lead, so that P is not in I.  A lead
+    contributes terms of at least its degree, so leads above what is left of
+    the degree are dropped.
     """
-    minimal = []
-    for e in sorted((e for e in leads if grade(e)[0] <= left), key=grade):
-        if not any(_divides(f, e) for f in minimal):
-            minimal.append(e)
-    if not minimal:
-        return Counter({grade(()): 1})
-    m = minimal.pop()
-    out = _numerator(minimal, left, grade)
-    colon = [tuple(a - b if a > b else 0 for a, b in zip(e, m)) for e in minimal]
-    gm = grade(m)
-    for g, c in _numerator(colon, left - gm[0], grade).items():
-        out[tuple(map(add, g, gm))] -= c
+    # occurs[i]: the number of leads that x_i divides
+    occurs = Counter(
+        i for _, _, e in minimal for i in itertools.compress(itertools.count(), e)
+    )
+    ((i, most),) = occurs.most_common(1) or [(0, 0)]
+    if most <= 1:  # pairwise coprime leads
+        out = Counter({grade(()): 1})
+        for _, _, e in minimal:
+            g = grade(e)
+            for h, c in list(out.items()):
+                if h[0] + g[0] <= left:
+                    out[tuple(map(add, h, g))] -= c
+        return out
+    bit = 1 << i
+    powers = sorted(e[i] for _, m, e in minimal if m & bit)
+    k = powers[len(powers) // 2]
+    for _, m, e in minimal:
+        if m == bit:  # the pure power x_i^j is a lead, and P must stay outside I
+            k = min(k, e[i] - 1)
+    pivot = tuple(k if j == i else 0 for j in range(len(minimal[0][2])))
+    gp = grade(pivot)
+    step = gp[0] // k  # the degree of x_i
+    colon = [  # each lead divided by its gcd with the pivot
+        (
+            d - min(k, e[i]) * step,
+            m if e[i] > k else m & ~bit,
+            (*e[:i], max(e[i] - k, 0), *e[i + 1 :]),
+        )
+        for d, m, e in minimal
+    ]
+    below = [lead for lead in minimal if lead[2][i] < k]
+    out = _numerator(below + [(gp[0], bit, pivot)], left, grade)
+    rest = left - gp[0]
+    for g, c in _numerator(_minimal(colon, rest), rest, grade).items():
+        out[tuple(map(add, g, gp))] += c
     return out
 
 
@@ -678,28 +744,40 @@ def hilbert_series(
         return (ring.monomial_degree(e), *(ring.monomial_weight(e) if weighted else ()))
 
     key = tuple(weight) if weighted else ()
-    # with no negative variable weight, a class above the target in one
-    # coordinate never comes back to it, so it is dropped
+    # with no negative variable weight, a class (k, wt) that order[n:] cannot
+    # bring to the target by degree ``degree`` is dropped, both while order[n]
+    # expands (it may still add to the class) and after it
     monotone = weighted and min(itertools.chain(*ring._weights), default=0) >= 0
+    order, best = ring.weight_order() if monotone else (range(ring.nvars), None)
 
-    def keep(wt):
-        return not monotone or all(map(le, wt, key))
+    def keep(k, wt, n):
+        return not monotone or all(
+            0 <= m and m * den <= (degree - k) * num
+            for m, (num, den) in zip(map(sub, key, wt), best[n])
+        )
 
     leads = [g.leading()[0] for g in buchberger(presentation, degree).basis]
+    leads = _minimal(((ring.monomial_degree(e), _mask(ring, e), e) for e in leads), degree)
     # by_degree[k]: {weight (or ()): coefficient} of the series in degree k
     by_degree = [Counter() for _ in range(degree + 1)]
     for g, c in _numerator(leads, degree, grade).items():
-        if keep(g[1:]):
+        if keep(g[0], g[1:], 0):
             by_degree[g[0]][g[1:]] += c
-    for i, (d, w) in enumerate(zip(ring._degrees, ring._weights)):
-        w = w if weighted else ()
+    for n, i in enumerate(order):
+        d = ring._degrees[i]
+        w = ring._weights[i] if weighted else ()
         # 1/(1 - x) reads the terms it has just made; 1 + x only the old ones
         odd = i in ring._odd
         for k in range(degree, d - 1, -1) if odd else range(d, degree + 1):
             for wt, c in list(by_degree[k - d].items()):
                 wt = tuple(map(add, wt, w))
-                if keep(wt):
+                if keep(k, wt, n):
                     by_degree[k][wt] += c
+        if monotone:
+            for k, terms in enumerate(by_degree):
+                by_degree[k] = Counter(
+                    {wt: c for wt, c in terms.items() if keep(k, wt, n + 1)}
+                )
     return [terms[key] for terms in by_degree]
 
 

@@ -371,21 +371,9 @@ def aj_E1_enumerate(
     target_weight = tuple(target_weight)
     if len(target_weight) != ring.weight_len:
         raise DomainError("weight vector has the wrong length")
-    degrees = [v.degree for v in ring.variables]
-    weights = [v.weight for v in ring.variables]
-    scale = math.lcm(*degrees)
-    order = sorted(range(ring.nvars), key=lambda i: -sum(weights[i]) * scale // degrees[i])
-    # best[pos][k]: the largest weight per degree (num, den) in coordinate k
-    # among the variables order[pos:]
-    best = [[(0, 1)] * len(target_weight)]
-    for i in reversed(order):
-        best.append(
-            [
-                (w, degrees[i]) if w * den > num * degrees[i] else (num, den)
-                for w, (num, den) in zip(weights[i], best[-1])
-            ]
-        )
-    best.reverse()
+    degrees = ring._degrees
+    weights = ring._weights
+    order, best = ring.weight_order()
     found: list[tuple[int, ...]] = []
     exps = [0] * ring.nvars
     dead = set()  # the exponents from pos on are zero on entry to a state

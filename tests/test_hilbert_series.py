@@ -3,11 +3,14 @@
 The reference below lists, degree by degree, every even monomial that no
 leading term divides and convolves those counts with the exterior wedges of
 the odd variables.  It shares only the truncated Groebner basis with
-``hilbert_series``: neither the colon recursion nor the series expansion.
+``hilbert_series``: neither the numerator nor the series expansion.  The
+numerator itself, by Bigatti's pivot, is checked against the colon
+recursion on monomial ideals.
 """
 
 import itertools
 from collections import Counter
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,9 @@ from frobkern.polyalg import (
     IdealPresentation,
     PolyRing,
     VariableDescriptor,
+    _mask,
+    _minimal,
+    _numerator,
     buchberger,
     hilbert_series,
 )
@@ -185,3 +191,86 @@ def test_over_bound_degree_is_refused_before_any_work():
         hilbert_series(pres, 30)
     assert pres._engine is None
     assert hilbert_series(pres, -1) == []
+
+
+# -- the numerator against the colon recursion -----------------------------------
+
+
+def colon_numerator(leads, left, grade):
+    """Numerator of the Hilbert series of ring/(leads) through degree ``left``,
+    by the colon recursion N(I' + (m)) = N(I') - grade(m) N(I' : m) on the
+    lead m of largest degree: an independent path to ``_numerator``."""
+    minimal = []
+    for e in sorted((e for e in leads if grade(e)[0] <= left), key=grade):
+        if not any(all(a <= b for a, b in zip(f, e)) for f in minimal):
+            minimal.append(e)
+    if not minimal:
+        return Counter({grade(()): 1})
+    m = minimal.pop()
+    out = colon_numerator(minimal, left, grade)
+    colon = [tuple(a - b if a > b else 0 for a, b in zip(e, m)) for e in minimal]
+    gm = grade(m)
+    for g, c in colon_numerator(colon, left - gm[0], grade).items():
+        out[tuple(map(add, g, gm))] -= c
+    return out
+
+
+def pivot_numerator(ring, leads, left, weighted):
+    """``_numerator`` on ``leads`` with the grade ``hilbert_series`` uses,
+    and that grade."""
+
+    def grade(e):
+        return (ring.monomial_degree(e), *(ring.monomial_weight(e) if weighted else ()))
+
+    triples = [(ring.monomial_degree(e), _mask(ring, e), e) for e in leads]
+    return _numerator(_minimal(triples, left), left, grade), grade
+
+
+@st.composite
+def monomial_ideals(draw):
+    """(ring, leads): monomials on up to five even variables of degrees 2,
+    4 and 6 and weights of either sign; the leads are random, random with
+    pure powers among them, or pairwise coprime."""
+    n = draw(st.integers(1, 5))
+    weight = st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1), (0, -1)])
+    ring = PolyRing(3, [
+        VariableDescriptor(f"x{i}", "even", draw(st.sampled_from([2, 4, 6])), draw(weight))
+        for i in range(n)
+    ])
+    monomial = st.tuples(*[st.integers(0, 4)] * n)
+    kind = draw(st.sampled_from(["random", "pure powers", "coprime"]))
+    if kind == "coprime":
+        owner = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        exps = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        leads = [
+            tuple(k if owner[i] == lead else 0 for i, k in enumerate(exps))
+            for lead in set(owner)
+        ]
+        return ring, leads
+    leads = draw(st.lists(monomial, max_size=8))
+    if kind == "pure powers":
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)):
+            leads.append(tuple(draw(st.integers(1, 4)) if j == i else 0 for j in range(n)))
+    return ring, leads
+
+
+def nonzero(counter):
+    return {g: c for g, c in counter.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_ideals(), st.booleans())
+def test_pivot_numerator_matches_the_colon_recursion(case, weighted):
+    ring, leads = case
+    for left in (0, 4, 9, 16, 40):
+        pivot, grade = pivot_numerator(ring, leads, left, weighted)
+        assert all(g[0] <= left for g in pivot)
+        assert nonzero(pivot) == nonzero(colon_numerator(leads, left, grade)), left
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+def test_pivot_numerator_on_the_leads_of_sbar_a4(weighted):
+    pres = sbar("A", 4, r=2, p=3).ideal()
+    leads = [g.leading()[0] for g in buchberger(pres, 20).basis]
+    pivot, grade = pivot_numerator(pres.ring, leads, 20, weighted)
+    assert nonzero(pivot) == nonzero(colon_numerator(leads, 20, grade))

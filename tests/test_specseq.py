@@ -395,6 +395,14 @@ class TestFirstPageOracle:
         assert len(aj_page(roots, 3, 3)[0].variables) == 36
         assert len(self.check_weight_space(roots, 3, 3, 8, (15, 42, 40))) == 28
 
+    def test_weighted_slice_of_a_60_variable_page(self):
+        # the series drops every class that the variables still to come
+        # cannot bring to the target; keeping them took about 70 s on a
+        # 2-core machine
+        roots = first_page_roots("A", 4, 3, 5)
+        assert len(aj_page(roots, 3, 5)[0].variables) == 60
+        assert len(self.check_weight_space(roots, 3, 5, 9, (156, 166, 156, 130))) == 52
+
     def test_large_slice_of_a2_r3(self):
         # degree 30 is over the series' bound 2p^2 + 2 = 20, so the slice is
         # pinned by its size and checked monomial by monomial
