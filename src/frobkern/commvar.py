@@ -407,6 +407,7 @@ def conjecture_check(
     family (intersections are unions of the relation systems).  A zero
     residual means the predicted components cover every rational point with
     the right multiplicities; a nonzero residual is reported, not raised.
+    Y's count checks q and the budget for every subset: they share its variables.
     """
     family = subdiagram_components(N, r)
     y_system = y_variety_system(N, r)
@@ -419,7 +420,7 @@ def conjecture_check(
     for size in range(1, len(labels) + 1):
         for combo in itertools.combinations(labels, size):
             merged = functools.reduce(VarietySystem.union, map(systems.get, combo))
-            counts = {q: merged.count(q, max_assignments) for q in q_list}
+            counts = {q: merged.count_polynomial(q) for q in q_list}
             if size == 1:
                 report.component_counts[combo[0]] = counts
             else:

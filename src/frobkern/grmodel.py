@@ -175,9 +175,7 @@ class _Presentation:
 
     def ideal(self) -> IdealPresentation:
         if self._ideal is None:
-            self._ideal = IdealPresentation(
-                self.ring, self.relations, require_homogeneous=True
-            )
+            self._ideal = IdealPresentation(self.ring, self.relations)
         return self._ideal
 
     def to_json_dict(self) -> dict:
@@ -536,10 +534,10 @@ def theta_power_identities(ctx: ModelContext, theta: AlgebraMap | None = None):
     return out
 
 
-def theta_degree_U3(r: int, p: int, cross_check: bool | None = None) -> int:
+def theta_degree_U3(r: int, p: int) -> int:
     """Degree p^{(r+2)(r-1)/2} of theta on the Heisenberg quotient Q-model.
 
-    The cross-check re-derives the degree from the localisation picture:
+    For r <= 3 and p <= 5 it is cross-checked from the localisation picture:
     the relations force x[a1](l) into the subring generated by x[a1](0) and
     the x[a2](.) once x[a2](0) is inverted (a division certificate), and the
     extension is then generated by the p^{r-1}-st root of X[a1](0) together
@@ -549,9 +547,7 @@ def theta_degree_U3(r: int, p: int, cross_check: bool | None = None) -> int:
     if r < 1:
         raise DomainError("r must be >= 1")
     formula = p ** ((r + 2) * (r - 1) // 2)
-    if cross_check is None:
-        cross_check = r <= 3 and p <= 5
-    if cross_check:
+    if r <= 3 and p <= 5:
         ctx = model_context("A", 2, i=1, stage=3, r=r, p=p)
         q_model = build_Q(ctx)
         a1, a2 = Root((1, 0)), Root((0, 1))

@@ -34,22 +34,29 @@ DEFAULT_POINT_BUDGET = 10_000_000
 
 
 #: the primes below 43; as Miller-Rabin bases they decide every n below
-#: ``_MR_BOUND`` (Sorenson & Webster 2015), and from it on n is trial-divided
+#: ``_MR_BOUND`` (Sorenson & Webster 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin on ``_MR_BASES`` below ``_MR_BOUND``, trial division from it on."""
+    """Miller-Rabin on ``_MR_BASES``.  A composite verdict is a proof at any
+    size; an n from ``_MR_BOUND`` on that passes every base is undecided, a
+    BudgetError."""
     if n <= _MR_BASES[-1]:
         return n in _MR_BASES
-    if n >= _MR_BOUND:
-        return all(n % d for d in range(2, math.isqrt(n) + 1))
     s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
-    return n % 2 == 1 and all(
+    if not n % 2 or not all(
         x == 1 or n - 1 in (pow(x, 1 << i, n) for i in range(s))
         for x in (pow(a, (n - 1) >> s, n) for a in _MR_BASES)
-    )
+    ):
+        return False
+    if n >= _MR_BOUND:
+        raise BudgetError(
+            f"{n} passes Miller-Rabin on the primes below 43, which decides"
+            f" primality only below {_MR_BOUND}"
+        )
+    return True
 
 
 def check_odd_prime(p: int) -> None:
@@ -187,10 +194,6 @@ class PolyRing:
         best.reverse()
         return order, best
 
-    def order_key(self, exps):
-        """Degrevlex on raw exponents; max(key) is the leading monomial."""
-        return (sum(exps), tuple(-x for x in reversed(exps)))
-
     def mul_monomials(self, e1, e2):
         """(sign, exps) for the graded product, or None if it vanishes."""
         sign = 1
@@ -290,7 +293,9 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.ring.const(other)
-        return isinstance(other, Poly) and self.ring == other.ring and self.terms == other.terms
+        return (
+            isinstance(other, Poly) and self.ring == other.ring and self.terms == other.terms
+        )
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
@@ -304,7 +309,7 @@ class Poly:
         return not self.terms
 
     def monomials(self):
-        return sorted(self.terms, key=self.ring.order_key, reverse=True)
+        return sorted(self.terms, key=_lead_key)
 
     def leading(self):
         """(exps, coeff) of the degrevlex-leading term."""
@@ -366,28 +371,26 @@ class Poly:
 class IdealPresentation:
     """Ambient ring plus a relation list.
 
-    When ``require_homogeneous`` is set (the model builders do this), every
-    relation must be homogeneous in cohomological degree and a T-weight
-    eigenvector.  Rings whose variables all sit in degree zero pass the check
-    vacuously, which is how the generic Groebner examples are phrased.
+    Every relation must be homogeneous in cohomological degree and a T-weight
+    eigenvector (DomainError otherwise).  Rings whose variables all sit in
+    degree zero with no weights pass the check vacuously, which is how the
+    generic Groebner examples are phrased.
 
     The presentation keeps one Buchberger engine: ``hilbert_series`` runs it
     only as far as the degree it asks for, and ``groebner`` runs the same
     state to completion.
     """
 
-    def __init__(self, ring: PolyRing, relations, require_homogeneous: bool = False):
+    def __init__(self, ring: PolyRing, relations):
         self.ring = ring
         self.relations = tuple(r for r in relations if not r.is_zero())
         for r in self.relations:
             if r.ring != ring:
                 raise DomainError("relation from a different ring")
-        if require_homogeneous:
-            for r in self.relations:
-                if r.homogeneous_degree() is None:
-                    raise DomainError(f"relation {r} is not degree-homogeneous")
-                if r.uniform_weight() is None:
-                    raise DomainError(f"relation {r} is not a T-weight eigenvector")
+            if r.homogeneous_degree() is None:
+                raise DomainError(f"relation {r} is not degree-homogeneous")
+            if r.uniform_weight() is None:
+                raise DomainError(f"relation {r} is not a T-weight eigenvector")
         self._engine = None
         self._gb = None
 
@@ -437,10 +440,7 @@ def _mask(ring: PolyRing, exps) -> int:
 
 
 def _lead_key(exps):
-    """Heap key of the degrevlex order: min(key) is the leading monomial.
-
-    Sorting by it is sorting by ``PolyRing.order_key`` reversed.
-    """
+    """The one key of the degrevlex order: min(key) is the leading monomial."""
     return (-sum(exps), exps[::-1])
 
 
@@ -537,12 +537,12 @@ class _Engine:
     Pairs leave a heap ordered by the cohomological degree of
     lcm(lead_i, lead_j), ties broken by (i, j).  A pair is skipped by the
     product criterion (coprime leads) or the chain criterion (some lead_k
-    divides the lcm and neither (i, k) nor (j, k) is pending).  When every
-    relation is degree-homogeneous and every even variable has positive
-    degree, an S-pair of degree D reduces to a polynomial homogeneous of
-    degree D, so pairs above a degree cannot change the leading ideal at or
-    below it: ``advance(limit)`` then stops before the first such pair and
-    leaves it pending.  Other ideals always run to completion.
+    divides the lcm and neither (i, k) nor (j, k) is pending).  Relations are
+    degree-homogeneous (``IdealPresentation`` checks), so when every even
+    variable has positive degree, an S-pair of degree D reduces to a
+    polynomial homogeneous of degree D, and pairs above a degree cannot
+    change the leading ideal at or below it: ``advance(limit)`` then stops
+    before the first such pair.  Other ideals always run to completion.
     """
 
     def __init__(self, ring: PolyRing, relations):
@@ -552,9 +552,7 @@ class _Engine:
         self.divisors: list = []  # _divisor of each basis element
         self.queue: list = []  # heap of (degree, i, j)
         self.pending: set = set()  # (i, j) still in the queue
-        self.graded = all(
-            d > 0 for i, d in enumerate(ring._degrees) if i not in ring._odd
-        ) and all(r.homogeneous_degree() is not None for r in relations)
+        self.graded = all(d > 0 for i, d in enumerate(ring._degrees) if i not in ring._odd)
         self.counts: Counter = Counter()  # GroebnerStats fields
         for r in relations:
             if not r.is_zero():
@@ -638,7 +636,7 @@ def buchberger(ideal: IdealPresentation, degree: int | None = None) -> GroebnerB
         return GroebnerBasis(ring, below, engine.stats(len(below)))
     # minimalise: drop elements whose lead is divisible by another lead
     minimal: list[Poly] = []
-    for g in sorted(G, key=lambda g: ring.order_key(g.leading()[0])):
+    for g in sorted(G, key=lambda g: _lead_key(g.leading()[0]), reverse=True):
         eg = g.leading()[0]
         if not any(all(map(le, h.leading()[0], eg)) for h in minimal):
             minimal.append(g)
@@ -647,7 +645,7 @@ def buchberger(ideal: IdealPresentation, degree: int | None = None) -> GroebnerB
     for k, g in enumerate(minimal):
         others = minimal[:k] + minimal[k + 1 :]
         reduced.append(normal_form(g, others).monic() if others else g)
-    reduced.sort(key=lambda g: ring.order_key(g.leading()[0]))
+    reduced.sort(key=lambda g: _lead_key(g.leading()[0]), reverse=True)
     return GroebnerBasis(ring, tuple(reduced), engine.stats(len(reduced)))
 
 

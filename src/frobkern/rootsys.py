@@ -26,7 +26,7 @@ from functools import cache, cached_property
 from operator import sub
 
 from .errors import BudgetError, ConfigError, DomainError
-from .polyalg import DEFAULT_POINT_BUDGET
+from .polyalg import DEFAULT_POINT_BUDGET, check_odd_prime
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -436,8 +436,7 @@ def check_pairing_hypothesis(
 
     ``budget`` bounds the scan as in ``check_scan_budget``.
     """
-    if p < 3 or p % 2 == 0:
-        raise DomainError("p must be an odd prime >= 3")
+    check_odd_prime(p)
     check_scan_budget(ctx.system.family, ctx.rank, ctx.J, budget)
     per_root = []
     witnesses = []
@@ -459,7 +458,9 @@ def check_pairing_hypothesis(
     )
 
 
-def context(family: str, rank: int, J: frozenset[str] | set[str] | tuple = ()) -> ParabolicContext:
+def context(
+    family: str, rank: int, J: frozenset[str] | set[str] | tuple = ()
+) -> ParabolicContext:
     """The (cached) context of J in the named root system."""
     return _context(family.upper(), rank, frozenset(J))
 

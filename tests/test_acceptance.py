@@ -17,6 +17,7 @@ import re
 import pytest
 
 from frobkern import grmodel, rootsys, specseq, verify
+from frobkern.errors import DomainError
 from frobkern.rootsys import Root
 
 
@@ -237,3 +238,15 @@ def test_criterion_10b_pairing_hypothesis_all_j(results):
     assert res.details["first_witnesses"] == violating[:4]
     # the criterion still evaluates its recorded claim as recorded
     assert res.passed == (res.details["violating_contexts"] == 0)
+
+
+def test_criterion_that_raises_fails_with_the_error_as_details():
+    @verify._criterion("x", "a check outside its domain")
+    def check(n):
+        raise DomainError(f"no model at rank {n}")
+
+    res = check(7)
+    assert check.__name__ == "check"
+    assert (res.key, res.name, res.passed) == ("x", "a check outside its domain", False)
+    assert res.details == {"error": "DomainError: no model at rank 7"}
+    assert res.elapsed_s >= 0

@@ -342,10 +342,13 @@ class TestExitCodes:
             (None, ["specseq", "aj-enumerate", "--family", "A", "--rank", "2",
                     "--r", "2", "--degree", "-2", "--weight", "27,27"]),
             (None, ["model", "bracket-check", "--r", "2", "--pairs", "-1"]),
+            (None, ["rootsys", "info", "--family", "A", "--rank", "4", "--J", "a2,a3",
+                    "--p", "9"]),
         ],
         ids=["env-budget", "negative-budget", "q-list", "empty-q-list",
              "empty-q-list-subdiagrams", "group", "J",
-             "negative-hilbert-degree", "negative-aj-degree", "negative-pairs"],
+             "negative-hilbert-degree", "negative-aj-degree", "negative-pairs",
+             "composite-p"],
     )
     def test_malformed_value_is_config_error(self, capsys, monkeypatch, env, argv):
         if env is None:
@@ -409,8 +412,11 @@ class TestExitCodes:
             ((10**9 + 7) * (10**9 + 9), 2, "is not a prime power"),
             ((10**9 + 7) ** 2, 3, "exceed the enumeration budget"),
             (2**40, 2, "p must be an odd prime, got 2"),
+            (10**25 + 13, 3, "decides primality only below"),
+            (2000000000003 * 2000000000123, 2, "is not a prime power"),
         ],
-        ids=["prime", "two-primes", "prime-square", "power-of-two"],
+        ids=["prime", "two-primes", "prime-square", "power-of-two",
+             "prime-above-the-bound", "two-primes-above-the-bound"],
     )
     def test_huge_q_is_decided_at_once(self, capsys, q, code, message):
         # no trial division up to sqrt(q): 10^24 + 7 took longer than 5 s

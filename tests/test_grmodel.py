@@ -339,7 +339,7 @@ class TestThetaDegree:
         assert theta_degree_U3(r, p) == expected
 
     def test_formula_only_mode(self):
-        assert theta_degree_U3(4, 3, cross_check=False) == 3**9
+        assert theta_degree_U3(4, 3) == 3**9
 
 
 class TestBracket:

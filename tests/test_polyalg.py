@@ -155,6 +155,16 @@ class TestRingLaws:
             product = product * f
         assert f**n == product
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(monomials(RING), max_size=8).map(lambda ms: sum(ms, RING.zero())))
+    def test_monomials_in_degrevlex_order(self, f):
+        def old_order_key(exps):  # degrevlex on raw exponents, max is the lead
+            return (sum(exps), tuple(-x for x in reversed(exps)))
+
+        assert f.monomials() == sorted(f.terms, key=old_order_key, reverse=True)
+        if f.terms:
+            assert f.monomials()[0] == f.leading()[0]
+
     def test_single_term_power_edge_cases(self):
         x1, y1 = RING.var("x1"), RING.var("y1")
         for f in (y1, x1 * y1, RING.const(2), x1.scale(2)):
@@ -162,6 +172,18 @@ class TestRingLaws:
             assert f**1 == f
         assert (x1 * y1) ** 2 == 0 and y1**3 == 0
         assert x1.scale(2) ** 3 == RING.monomial({"x1": 3}, 8)
+
+
+class TestIdealPresentation:
+    def test_relation_must_be_degree_homogeneous(self, mixed_ring):
+        x1 = mixed_ring.var("x1")
+        with pytest.raises(DomainError, match="not degree-homogeneous"):
+            IdealPresentation(mixed_ring, [x1 * x1 - x1])
+
+    def test_relation_must_be_a_weight_eigenvector(self, mixed_ring):
+        x1, x2 = mixed_ring.var("x1"), mixed_ring.var("x2")
+        with pytest.raises(DomainError, match="not a T-weight eigenvector"):
+            IdealPresentation(mixed_ring, [x1 - x2])
 
 
 class TestBuchberger:

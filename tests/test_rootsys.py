@@ -198,6 +198,12 @@ class TestPairingHypothesis:
         assert beta == R(1, 1, 1, 1)
         assert len(set(flat)) == 6
 
+    @pytest.mark.parametrize("p", [9, 15, 1, 4])
+    def test_p_must_be_an_odd_prime(self, p):
+        # 9 and 15 are odd but composite: the scan must not run "at p = 9"
+        with pytest.raises(ConfigError, match=f"p must be an odd prime, got {p}"):
+            check_pairing_hypothesis(context("A", 4, {"a2", "a3"}), p)
+
     def test_witness_pairs_sum_to_root(self):
         ctx = context("A", 5, {"a2", "a3"})
         report = check_pairing_hypothesis(ctx, 3)
