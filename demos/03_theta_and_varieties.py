@@ -22,7 +22,7 @@ ctx = model_context("A", 2, i=1, stage=3, r=2, p=3)
 theta = theta_substitution(ctx)
 for name in sorted(theta.images):
     print(f"  {name:14s} -> {theta.images[name]}")
-for ident in theta_power_identities(ctx, theta):
+for ident in theta_power_identities(theta):
     print(
         f"  commutation ({ident.twist},{ident.twist2}) maps onto the level-2 "
         f"relation to the p^{ident.power} (sign {ident.sign:+d})"

@@ -42,7 +42,7 @@ for s in (1, 2):
     print(f"    ...but its p^{s}-th power is hit: {in_bracket_image(target, power, s)}")
 
 print("\n=== composing two steps ===")
-low, apply2 = iterated_bracket(model, 2)
-print(f"  lands in: {low!r}")
+composite = iterated_bracket(model, 2)
+print(f"  lands in: {composite.target!r}")
 sample = model.ring.var(model.top_generators()[0])
-print(f"  {sample} -> {apply2(sample)}")
+print(f"  {sample} -> {composite.apply(sample)}")

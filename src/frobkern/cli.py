@@ -21,7 +21,7 @@ import time
 from collections import Counter
 
 from . import commvar, grmodel, polyalg, rootsys, specseq, verify
-from .errors import BudgetError, ConfigError, FrobkernError
+from .errors import ConfigError, FrobkernError
 
 ENV_BUDGET = "FROBKERN_BUDGET"
 #: exit status per error code; every other library error is a configuration error
@@ -107,10 +107,9 @@ def _model_ctx(ns) -> grmodel.ModelContext:
 
 
 def payload_rootsys_info(ns) -> dict:
-    budget = _budget(ns)
-    rootsys.check_scan_budget(ns.family, ns.rank, ns.J, budget)
+    rootsys.check_scan_budget(ns.family, ns.rank, ns.J, _budget(ns))
     ctx = rootsys.context(ns.family, ns.rank, ns.J)
-    pairing = rootsys.check_pairing_hypothesis(ctx, ns.p, budget)
+    pairing = rootsys.check_pairing_hypothesis(ctx, ns.p)
     radical = ctx.radical_roots()
     return {
         "family": ns.family,
@@ -144,11 +143,11 @@ def payload_model_build(ns) -> dict:
 def payload_model_hilbert(ns) -> dict:
     ctx = _model_ctx(ns)
     sbar = grmodel.build_Sbar(ctx)
-    w = _parse_weight(ns.weight, ns.rank) if ns.weight else None
+    w = None if ns.weight is None else _parse_weight(ns.weight, ns.rank)
     dims = polyalg.hilbert_series(sbar.ideal(), ns.degree, weight=w)
     return {
         "context": ctx.label(),
-        "weight": list(w) if w else None,
+        "weight": None if w is None else list(w),
         "by_degree": {str(d): n for d, n in enumerate(dims)},
     }
 
@@ -156,7 +155,7 @@ def payload_model_hilbert(ns) -> dict:
 def payload_model_theta_check(ns) -> dict:
     ctx = _model_ctx(ns)
     theta = grmodel.theta_substitution(ctx)  # raises CheckFailure on failure
-    identities = grmodel.theta_power_identities(ctx, theta)
+    identities = grmodel.theta_power_identities(theta)
     return {
         "context": ctx.label(),
         "well_defined": True,
@@ -199,10 +198,10 @@ def payload_variety_count(ns) -> dict:
     # X's extra coordinates are no nodes, so X has Y's strata and is counted
     # through Y; the budget on X's q^n only names the method
     count = y_count * q**x_system.free_rank
-    try:
-        polyalg.check_point_count(q, len(x_system.variables), max_assignments=budget)
-        method, assignments = "direct", q ** len(x_system.variables)
-    except BudgetError:
+    x_assignments = q ** len(x_system.variables)
+    if x_assignments <= (polyalg.DEFAULT_POINT_BUDGET if budget is None else budget):
+        method, assignments = "direct", x_assignments
+    else:
         method, assignments = "product", q ** len(y_system.variables)
     return {
         "group": group,
@@ -250,8 +249,9 @@ def payload_specseq_transgression(ns) -> dict:
     page = specseq.ExtensionPage(_model_ctx(ns))
     beta = rootsys.parse_root(ns.beta, ns.rank)
     value = specseq.transgression_power(page, beta, ns.twist, ns.j)
+    x = rootsys.generator_name("x", beta.label(), ns.twist)
     return {
-        "class": f"(x[{beta.label()}]({ns.twist}))^{ns.p}^{ns.j}",
+        "class": f"({x})^{ns.p}^{ns.j}",
         "page": 2 * ns.p**ns.j + 1,
         "value": value.to_json_dict(),
         "zero": value.is_zero(),

@@ -265,8 +265,8 @@ class SubdiagramFamily:
 
 def subdiagram_components(N: int, r: int) -> SubdiagramFamily:
     """Recursive family: remove a node only if it splits off a new component."""
-    if N < 3:
-        raise ConfigError("need N >= 3")
+    if N < 3 or r < 1:
+        raise ConfigError("need N >= 3 and r >= 1")
     full = Subdiagram(N, frozenset(range(1, N)))
     found = {full.nodes}
     queue = [full]
@@ -358,16 +358,6 @@ class ComponentReport:
             q: abs(dim_estimate(c, q) - best) <= DIM_WINDOW
             for q, c in self.y_counts.items()
         }
-
-    def component_dim_matches(self) -> dict[str, dict[int, bool]]:
-        out = {}
-        dims = self.family.predicted_dims()
-        for label, counts in self.component_counts.items():
-            out[label] = {
-                q: abs(dim_estimate(c, q) - dims[label]) <= DIM_WINDOW
-                for q, c in counts.items()
-            }
-        return out
 
     def to_json_dict(self) -> dict:
         return {

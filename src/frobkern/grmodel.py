@@ -248,7 +248,7 @@ class ModelPresentation(_Presentation):
         return graded_dimension(self.ideal(), degree, weight)
 
 
-# -- ambient builders ----------------------------------------------------------
+# -- generators and builders -----------------------------------------------------
 
 
 def _powers(ctx: ModelContext, kind: str, levels) -> list[ModelGenerator]:
@@ -262,7 +262,7 @@ def _powers(ctx: ModelContext, kind: str, levels) -> list[ModelGenerator]:
     ]
 
 
-def _ambient(ctx: ModelContext, max_level_excl: int) -> list[ModelGenerator]:
+def _model_generators(ctx: ModelContext, max_level_excl: int) -> list[ModelGenerator]:
     """Generators of the model on levels [ctx.i, max_level_excl)."""
     xs = [
         ModelGenerator("x", alpha, twist, ctx.p)
@@ -273,8 +273,8 @@ def _ambient(ctx: ModelContext, max_level_excl: int) -> list[ModelGenerator]:
 
 
 def build_S_star(ctx: ModelContext) -> ModelPresentation:
-    """The free model: coproduct ambient with an empty relation list."""
-    return ModelPresentation(ctx, _ambient(ctx, ctx.stage), "S*")
+    """The free model: the coproduct's generators with an empty relation list."""
+    return ModelPresentation(ctx, _model_generators(ctx, ctx.stage), "S*")
 
 
 def s2_relation(pres: ModelPresentation, beta: Root, twist: int, j: int) -> Poly:
@@ -291,13 +291,13 @@ def s2_relation(pres: ModelPresentation, beta: Root, twist: int, j: int) -> Poly
     )
 
 
-def _commutations(ctx: ModelContext, ring: PolyRing, g, levels, min_level: int = 1):
+def _commutations(ctx: ModelContext, ring: PolyRing, g, levels):
     """(beta, l, l', minor) for 0 <= l < l' < r and each root beta of ``levels``
-    with two-term decompositions (a, b) into roots of level >= min_level; the
+    with two-term decompositions (a, b) into roots of level >= ctx.i; the
     minor is the pair sum of g(a, l) g(b, l') - g(a, l') g(b, l)."""
     for level in levels:
         for beta in ctx.roots_of_level(level):
-            pairs = summand_pairs(beta, ctx.parabolic(), min_level)
+            pairs = summand_pairs(beta, ctx.parabolic(), ctx.i)
             if pairs:
                 for twist, twist2 in itertools.combinations(range(ctx.r), 2):
                     minor = pair_sum(
@@ -306,9 +306,10 @@ def _commutations(ctx: ModelContext, ring: PolyRing, g, levels, min_level: int =
                     yield beta, twist, twist2, minor
 
 
-def build_relation_ideal(ctx: ModelContext, ambient: ModelPresentation | None = None):
-    """Generators of the defining ideal, duplicate-free, in a fixed order."""
-    pres = ambient if ambient is not None else build_S_star(ctx)
+def build_relation_ideal(pres: ModelPresentation) -> list[Poly]:
+    """Generators of the defining ideal in the ring of ``pres``, duplicate-free,
+    in a fixed order."""
+    ctx = pres.ctx
     rels: list[Poly] = []
     seen = set()
 
@@ -334,15 +335,15 @@ def build_relation_ideal(ctx: ModelContext, ambient: ModelPresentation | None = 
                 for j in range(ctx.r - twist - 1):
                     push(s2_relation(pres, beta, twist, j))
     levels = range(2, ctx.stage)
-    for *_, minor in _commutations(ctx, pres.ring, pres.power_image, levels, ctx.i):
+    for *_, minor in _commutations(ctx, pres.ring, pres.power_image, levels):
         push(minor)
     return rels
 
 
 def build_Sbar(ctx: ModelContext) -> ModelPresentation:
-    """Quotient model: full ambient with the defining relations attached."""
+    """Quotient model: every generator, with the defining relations attached."""
     pres = build_S_star(ctx)
-    pres.relations = tuple(build_relation_ideal(ctx, pres))
+    pres.relations = tuple(build_relation_ideal(pres))
     return pres
 
 
@@ -351,10 +352,10 @@ def build_Q(ctx: ModelContext) -> ModelPresentation:
 
     The relation generators never involve the top level, so Sbar splits as
     Q tensor the free algebra on the top-level power generators; Q carries
-    the full relation list rebuilt in the smaller ambient.
+    the full relation list rebuilt in the smaller ring.
     """
-    pres = ModelPresentation(ctx, _ambient(ctx, ctx.top_level), "Q")
-    pres.relations = tuple(build_relation_ideal(ctx, pres))
+    pres = ModelPresentation(ctx, _model_generators(ctx, ctx.top_level), "Q")
+    pres.relations = tuple(build_relation_ideal(pres))
     return pres
 
 
@@ -377,14 +378,6 @@ class CoordinatePresentation(_Presentation):
 
     def var(self, root: Root, twist: int) -> Poly:
         return self.ring.var(generator_name("X", root.label(), twist))
-
-    def free_roots(self) -> list[Root]:
-        """Roots whose coordinates appear in no relation (the affine factor)."""
-        used = {
-            i for rel in self.relations for exps in rel.terms for i, e in enumerate(exps) if e
-        }
-        free = (g.root for i, g in enumerate(self.generators) if i not in used)
-        return list(dict.fromkeys(free))
 
 
 def vr_coordinate_algebra(ctx: ModelContext) -> CoordinatePresentation:
@@ -479,19 +472,18 @@ class AlgebraMap:
         return True
 
 
-def theta_substitution(ctx: ModelContext, validate: bool = True) -> AlgebraMap:
+def theta_substitution(ctx: ModelContext) -> AlgebraMap:
     """theta: k[V_r(quotient)] -> Sbar, X[beta](l) -> (x_beta^{(l)})^{p^{r-l-1}}.
 
     Every coordinate commutation relation maps exactly onto a generator of
-    the model ideal, which the validation re-derives by substitution and a
-    division certificate.
+    the model ideal, which is re-derived here by substitution and a division
+    certificate (CheckFailure otherwise).
     """
     coord = vr_coordinate_algebra(ctx)
     sbar = build_Sbar(ctx)
     images = {g.name: sbar.power_image(g.root, g.twist) for g in coord.generators}
     theta = AlgebraMap(coord, sbar, images, name="theta")
-    if validate:
-        theta.well_defined()
+    theta.well_defined()
     return theta
 
 
@@ -504,18 +496,18 @@ class PowerIdentity:
     sign: int
 
 
-def theta_power_identities(ctx: ModelContext, theta: AlgebraMap | None = None):
-    """Exact identities theta(R_beta(l,l')) = +/- (level-2 relation)^{p^{r-l'-1}}.
+def theta_power_identities(theta: AlgebraMap):
+    """Exact identities theta(R_beta(l,l')) = +/- (level-2 relation)^{p^{r-l'-1}}
+    for the map ``theta_substitution`` built.
 
     Only level-2 roots admit the level-2 relation family; writing
     l' = l+1+j, the image of the commutation relation is on the nose the
     p^{r-l'-1}-st power of the instance at (l, j).  Raises on any mismatch.
     """
+    coord, sbar = theta.source, theta.target
+    ctx = coord.ctx
     if ctx.stage < 3:
         return []
-    if theta is None:
-        theta = theta_substitution(ctx, validate=False)
-    coord, sbar = theta.source, theta.target
     out = []
     for beta, twist, twist2, minor in _commutations(ctx, coord.ring, coord.var, (2,)):
         image = theta.apply(minor)
@@ -575,13 +567,13 @@ def theta_degree_U3(r: int, p: int) -> int:
 # -- stabilisation ----------------------------------------------------------------
 
 
-def bracket_p(model: ModelPresentation, validate: bool = True) -> AlgebraMap:
+def bracket_p(model: ModelPresentation) -> AlgebraMap:
     """Height-lowering map from the height-r model to the height-(r-1) model.
 
     Degree-2 generators keep their twist but the top twist r-1 dies; a
     designated power generator at twist l < r-1 goes to the p-th power of
     its height-(r-1) counterpart.  Relation images land in the smaller
-    ideal (division certificate).
+    ideal, which a division certificate checks here (CheckFailure otherwise).
     """
     ctx = model.ctx
     if ctx.r < 2:
@@ -597,39 +589,32 @@ def bracket_p(model: ModelPresentation, validate: bool = True) -> AlgebraMap:
         else:
             images[g.name] = target.w_var(g.root, g.twist) ** ctx.p
     bracket = AlgebraMap(model, target, images, name="bracket_p")
-    if validate:
-        bracket.well_defined()
+    bracket.well_defined()
     return bracket
 
 
-def iterated_bracket(model: ModelPresentation, s: int):
-    """(target model at height r-s, function applying the composite)."""
+def iterated_bracket(model: ModelPresentation, s: int) -> AlgebraMap:
+    """The s-fold composite of ``bracket_p``, from ``model`` to the model at
+    height r-s: each generator's image pushed through the later steps, so
+    again a monomial substitution, with every step certified."""
     if s < 1:
         raise DomainError("need s >= 1")
-    maps = []
-    cur = model
-    for _ in range(s):
-        step = bracket_p(cur, validate=False)
-        maps.append(step)
-        cur = step.target
-
-    def apply(f: Poly) -> Poly:
-        for m in maps:
-            f = m.apply(f)
-        return f
-
-    return cur, apply
+    composite = bracket_p(model)
+    for _ in range(s - 1):
+        step = bracket_p(composite.target)
+        images = {name: step.apply(image) for name, image in composite.images.items()}
+        composite = AlgebraMap(model, step.target, images, name=f"bracket_p^{s}")
+    return composite
 
 
 def in_bracket_image(target: ModelPresentation, f: Poly, s: int) -> bool:
-    """Membership of f in the ambient image of the s-fold composite.
+    """Membership of f in the image of the s-fold composite on the free rings.
 
-    The composite sends every height-(r+s) ambient generator either to zero,
-    to a degree-2 generator, or to the p^s-th power of a designated power
-    generator, so its ambient image is spanned by the monomials whose
-    power-generator exponents are all divisible by p^s.  Monomials are
-    linearly independent in the ambient polynomial ring, which makes the
-    span test exact.
+    The composite sends every height-(r+s) generator either to zero, to a
+    degree-2 generator, or to the p^s-th power of a designated power
+    generator, so its image is spanned by the monomials whose power-generator
+    exponents are all divisible by p^s.  Monomials are linearly independent
+    in the polynomial ring, which makes the span test exact.
     """
     if f.ring != target.ring:
         raise DomainError("element does not live in the target model")

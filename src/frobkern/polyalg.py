@@ -719,7 +719,7 @@ def hilbert_series(
     degree: int,
     weight: tuple[int, ...] | None = None,
 ) -> list[int]:
-    """F_p-dimensions of the degree 0..``degree`` components of ambient/ideal.
+    """F_p-dimensions of the degree 0..``degree`` components of ring/ideal.
 
     With ``weight``, of the components of that T-weight.  The leading ideal of
     the Groebner basis through ``degree`` has the numerator of the Hilbert
@@ -784,7 +784,7 @@ def graded_dimension(
     degree: int,
     weight: tuple[int, ...] | None = None,
 ) -> int:
-    """F_p-dimension of the (degree[, weight]) component of ambient/ideal."""
+    """F_p-dimension of the (degree[, weight]) component of ring/ideal."""
     return hilbert_series(presentation, degree, weight)[degree] if degree >= 0 else 0
 
 

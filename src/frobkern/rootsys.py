@@ -371,26 +371,20 @@ def check_scan_budget(
             f"{family}{rank}: the positive-root table holds {table} coefficients, "
             f"over the enumeration budget {budget}"
         )
-    level2 = _level2_count(family, rank, frozenset(J))
+    # level-2 roots, counted on their segments; outside[k]: a1..ak outside J
+    outside = list(
+        itertools.accumulate((f"a{k}" not in J for k in range(1, rank + 1)), initial=0)
+    )
+    level2 = sum(
+        sum(c * (outside[hi] - outside[lo - 1]) for lo, hi, c in root) == 2
+        for root in _segments(family, rank)
+    )
     if level2 * table > budget:
         raise BudgetError(
             f"{family}{rank}: the pairing scan reads {level2} level-2 roots x "
             f"{table} table coefficients = {level2 * table}, over the enumeration "
             f"budget {budget}"
         )
-
-
-@cache
-def _level2_count(family: str, rank: int, J: frozenset[str]) -> int:
-    """How many positive roots have level 2, counted on their segments."""
-    # outside[k]: how many of a1..ak lie outside J
-    outside = list(
-        itertools.accumulate((f"a{k}" not in J for k in range(1, rank + 1)), initial=0)
-    )
-    return sum(
-        sum(c * (outside[hi] - outside[lo - 1]) for lo, hi, c in root) == 2
-        for root in _segments(family, rank)
-    )
 
 
 @dataclass(frozen=True)
@@ -422,9 +416,7 @@ class PairingReport:
         }
 
 
-def check_pairing_hypothesis(
-    ctx: ParabolicContext, p: int, budget: int | None = None
-) -> PairingReport:
+def check_pairing_hypothesis(ctx: ParabolicContext, p: int) -> PairingReport:
     """Scan level-2 roots for p disjoint two-term decompositions.
 
     Distinct decompositions of the same root are automatically disjoint
@@ -432,12 +424,11 @@ def check_pairing_hypothesis(
     distinct level-1 roots pairing to beta exist exactly when beta has at
     least p decompositions into level-1 summands (levels add, so both
     summands of a level-2 root have level 1).  On failure the first p
-    decompositions are flattened into the witness tuple.
-
-    ``budget`` bounds the scan as in ``check_scan_budget``.
+    decompositions are flattened into the witness tuple.  The context holds
+    its root table already: ``check_scan_budget`` bounds the scan before
+    the table is built.
     """
     check_odd_prime(p)
-    check_scan_budget(ctx.system.family, ctx.rank, ctx.J, budget)
     per_root = []
     witnesses = []
     for beta in roots_of_level(ctx, 2):

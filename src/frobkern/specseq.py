@@ -67,10 +67,6 @@ class ExtensionPage:
         )
         self.ring = PolyRing(ctx.p, [g.descriptor() for g in self.generators])
         self._fiber = set(self.fiber_roots)
-        # each variable's degree if it lives on a fiber root, else 0
-        self._fiber_degrees = tuple(
-            g.degree if g.root in self._fiber else 0 for g in self.generators
-        )
 
     # -- generator access ------------------------------------------------------
 
@@ -85,11 +81,6 @@ class ExtensionPage:
 
     def pairs(self, beta: Root):
         return summand_pairs(beta, self.ctx.parabolic(), min_level=self.ctx.i)
-
-    def monomial_bidegree(self, exps) -> tuple[int, int]:
-        """(base degree, fiber degree) of one monomial."""
-        fiber = sum(e * d for e, d in zip(exps, self._fiber_degrees))
-        return self.ring.monomial_degree(exps) - fiber, fiber
 
     def __repr__(self):
         return f"ExtensionPage({self.ctx.label()})"

@@ -147,7 +147,7 @@ def criterion_5_relation_power():
     for p, r in [(3, 2), (3, 3), (5, 2)]:
         ctx = grmodel.model_context("A", 2, i=1, stage=3, r=r, p=p)
         theta = grmodel.theta_substitution(ctx)  # raises on failure
-        identities = grmodel.theta_power_identities(ctx, theta)
+        identities = grmodel.theta_power_identities(theta)
         details[f"p={p},r={r}"] = {
             "relations_checked": len(identities),
             "powers": sorted(i.power for i in identities),

@@ -316,8 +316,10 @@ class TestExitCodes:
              "--weight", "1,x"],
             ["specseq", "aj-enumerate", "--family", "A", "--rank", "2", "--r", "2",
              "--degree", "12", "--weight", "9"],
+            ["model", "hilbert", "--family", "A", "--rank", "2", "--r", "2", "--p", "3",
+             "--degree", "8", "--weight", ""],
         ],
-        ids=["non-integer", "wrong-length"],
+        ids=["non-integer", "wrong-length", "empty"],
     )
     def test_bad_weight_is_config_error(self, capsys, argv):
         code = run(argv)
@@ -464,6 +466,12 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("r", ["0", "-3"])
+    def test_subdiagrams_need_a_positive_height(self, capsys, r):
+        code, doc = invoke(capsys, "conjecture", "subdiagrams", "--N", "4", "--r", r)
+        assert code == 2 and doc["error"]["code"] == "config"
+        assert "r >= 1" in doc["error"]["message"]
+
     def test_uniqueness_needs_a_positive_root(self, capsys):
         # 3a1 - a2 has the top level 2 but is no root (it used to be searched)
         code, doc = invoke(capsys, "specseq", "uniqueness", "--family", "A", "--rank",
@@ -522,6 +530,16 @@ class TestScanBudget:
         assert code == 3 and "300" in doc["error"]["message"]
         code, doc = invoke(capsys, *base, "--budget", "300")
         assert code == 0 and doc["payload"]["pairing_hypothesis"]["ok"]
+
+    def test_uniqueness_honours_the_budget(self, capsys, monkeypatch):
+        # A40 with J all but a20, a21: the scan reads 400 level-2 roots x 32800
+        # = 13.1 M coefficients, over the default budget and under --budget
+        monkeypatch.delenv("FROBKERN_BUDGET", raising=False)
+        J = ",".join(f"a{k}" for k in range(1, 41) if k not in (20, 21))
+        code, doc = invoke(capsys, "specseq", "uniqueness", "--family", "A", "--rank",
+                           "40", "--J", J, "--v", "3", "--r", "1", "--p", "3",
+                           "--beta", "a20+a21", "--budget", "100000000")
+        assert code == 0 and doc["payload"]["surviving_count"] == 1
 
     def test_a_model_over_a_large_table_is_refused(self, capsys, monkeypatch):
         monkeypatch.delenv("FROBKERN_BUDGET", raising=False)

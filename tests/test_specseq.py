@@ -82,17 +82,6 @@ class TestD2:
         with pytest.raises(DomainError):
             d2_on_y(u3_page(), A1, 0)
 
-    def test_bidegree(self):
-        page = u3_page()
-        value = d2_on_y(page, A12, 0)
-        (exps,) = value.terms
-        assert page.monomial_bidegree(exps) == (2, 0)
-        (y_exps,) = page.y(A12, 0).terms
-        assert page.monomial_bidegree(y_exps) == (0, 1)
-        mixed = page.x(A1, 1) ** 2 * page.y(A2, 0) * page.x(A12, 0) ** 3 * page.y(A12, 1)
-        (mixed_exps,) = mixed.terms
-        assert page.monomial_bidegree(mixed_exps) == (5, 7)
-
 
 class TestTransgression:
     def test_u3_base_case(self):
