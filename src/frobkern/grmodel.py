@@ -636,14 +636,15 @@ def bracket_probe(model: ModelPresentation, pairs: int, seed: int):
     """
     bracket = bracket_p(model)
     rng = random.Random(seed)
-    gens = [model.ring.var(g.name) for g in model.generators]
-    if pairs and not gens:
+    powers = [[v**0, v, v**2] for v in (model.ring.var(g.name) for g in model.generators)]
+    if pairs and not powers:
         raise DomainError(f"{model.ctx.label()}: the model has no generators to probe")
     for _ in range(pairs):
-        f, g = model.ring.one(), model.ring.zero()
-        for _ in range(2):
-            f = f * rng.choice(gens) ** rng.randint(0, 2)
-            g = g + rng.choice(gens) ** rng.randint(0, 2) * rng.randint(1, 2)
+        a1 = rng.choice(powers)[rng.randint(0, 2)]
+        b1 = rng.choice(powers)[rng.randint(0, 2)] * rng.randint(1, 2)
+        a2 = rng.choice(powers)[rng.randint(0, 2)]
+        b2 = rng.choice(powers)[rng.randint(0, 2)] * rng.randint(1, 2)
+        f, g = a1 * a2, b1 + b2
         if bracket.apply(f * g) != bracket.apply(f) * bracket.apply(g):
             raise CheckFailure("bracket map failed a multiplicativity probe")
     top = model.top_generators()

@@ -175,14 +175,15 @@ class PolyRing:
     def monomial_weight(self, exps) -> tuple[int, ...]:
         return tuple(sum(map(mul, exps, column)) for column in self._weight_columns)
 
-    def weight_order(self):
-        """(order, best): the variables from the largest weight per degree
-        down, and best[n][k] = (num, den), the largest weight per degree in
-        coordinate k among the variables order[n:], for cross-multiplying."""
+    def weight_order(self, lead=()):
+        """(order, best): the variables in ``lead``, then the rest, each from the
+        largest weight per degree down; best[n][k] = (num, den) is the largest
+        weight per degree in coordinate k among order[n:], for cross-multiplying."""
         degrees = self._degrees
         weights = self._weights
         scale = math.lcm(*degrees)
-        order = sorted(range(self.nvars), key=lambda i: -sum(weights[i]) * scale // degrees[i])
+        ratio = [-sum(w) * scale // d for w, d in zip(weights, degrees)]
+        order = sorted(range(self.nvars), key=lambda i: (i not in lead, ratio[i]))
         best = [[(0, 1)] * self.weight_len]
         for i in reversed(order):
             best.append(

@@ -37,8 +37,10 @@ ever applied to that enumerator's data.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from operator import gt, sub
 
 from .errors import BudgetError, DomainError, UnsupportedOperationError
 from .grmodel import ModelContext, ModelGenerator
@@ -67,6 +69,7 @@ class ExtensionPage:
         )
         self.ring = PolyRing(ctx.p, [g.descriptor() for g in self.generators])
         self._fiber = set(self.fiber_roots)
+        self._transgressions: dict = {}  # (beta, twist, j): the shared, immutable value
 
     # -- generator access ------------------------------------------------------
 
@@ -149,12 +152,15 @@ def transgression_power(page: ExtensionPage, beta: Root, twist: int, j: int) -> 
         raise DomainError(f"{beta.label()} is not a fiber root of this page")
     if twist + 1 + j >= ctx.r:
         return page.ring.zero()
-    return pair_sum(
-        page.ring,
-        page.pairs(beta),
-        lambda a: page.x(a, twist) ** (ctx.p**j),
-        lambda b: page.y(b, twist + 1 + j),
-    )
+    key = (beta, twist, j)
+    if key not in page._transgressions:
+        page._transgressions[key] = pair_sum(
+            page.ring,
+            page.pairs(beta),
+            lambda a: page.x(a, twist) ** (ctx.p**j),
+            lambda b: page.y(b, twist + 1 + j),
+        )
+    return page._transgressions[key]
 
 
 def d2(page: ExtensionPage, f: Poly) -> Poly:
@@ -305,7 +311,7 @@ class AJMonomial:
     def degree(self) -> int:
         return self.ring.monomial_degree(self.exps)
 
-    @property
+    @functools.cached_property
     def name(self) -> str:
         return self.ring.monomial_str(self.exps)
 
@@ -351,11 +357,15 @@ def aj_E1_enumerate(
 ):
     """All first-page monomials of the given degree and T-weight, by name.
 
-    The search places the variables of ``aj_page`` from the largest weight
-    per degree down.  Weights are non-negative, so a branch is cut when a
-    coordinate overshoots, or when it still misses more than the degree
-    left times the best weight per degree among the variables not yet
-    placed; ratios are compared by integer cross-multiplication.  A state
+    The search places the exterior ``y[root]{1}`` first, then the other
+    variables of ``aj_page`` from the largest weight per degree down.
+    Weights are non-negative, so a branch is cut when a coordinate
+    overshoots, or when the weight still missing exceeds in some coordinate,
+    or falls short of in total, what the degree left brings at the best or
+    the least weight per degree among the variables not yet placed; all
+    ratios are compared in integers.  Every weight is p^k times a root, and
+    only ``y[root]{1}`` has k = 0, so a branch is also cut when the weight
+    missing is not divisible by the gcd of the weights left.  A state
     (position, degree left, weight missing) that found nothing is never redone.
     """
     ring, gens = aj_page(roots, r, p)
@@ -364,7 +374,22 @@ def aj_E1_enumerate(
         raise DomainError("weight vector has the wrong length")
     degrees = ring._degrees
     weights = ring._weights
-    order, best = ring.weight_order()
+    order, best = ring.weight_order(lead={i for i, g in enumerate(gens) if g.scale == 1})
+    scale = math.lcm(*degrees)
+    # over order[n:]: the gcd of the weights, and the least weight sum per degree
+    # times the lcm of the degrees
+    step, low = [0], [math.inf]
+    for i in reversed(order):
+        step.append(math.gcd(step[-1], *weights[i]))
+        low.append(min(low[-1], sum(weights[i]) * scale // degrees[i]))
+    step, low = step[::-1], low[::-1]
+
+    @functools.cache
+    def bounds(pos: int, degree_left: int):
+        """The least total, and the most weight in each coordinate, that order[pos:] add."""
+        most = tuple(degree_left * a // b for a, b in best[pos])
+        return -(-degree_left * low[pos] // scale), most
+
     found: list[tuple[int, ...]] = []
     exps = [0] * ring.nvars
     dead = set()  # the exponents from pos on are zero on entry to a state
@@ -380,16 +405,17 @@ def aj_E1_enumerate(
                     )
             return not any(missing)
         state = (pos, degree_left, missing)  # missing is rebound below
-        if state in dead or pos == len(order) or any(
-            m * den > degree_left * num for m, (num, den) in zip(missing, best[pos])
-        ):
+        if pos == len(order) or math.gcd(*missing) % step[pos]:
+            return False
+        least, most = bounds(pos, degree_left)
+        if sum(missing) < least or any(map(gt, missing, most)) or state in dead:
             return False
         i = order[pos]
         hit = rec(pos + 1, degree_left, missing)
         top = 1 if ring.variables[i].parity == "odd" else degree_left // degrees[i]
         for e in range(1, top + 1):
-            missing = tuple(m - w for m, w in zip(missing, weights[i]))
-            if any(m < 0 for m in missing):
+            missing = tuple(map(sub, missing, weights[i]))
+            if min(missing) < 0:
                 break
             exps[i] = e
             hit |= rec(pos + 1, degree_left - e * degrees[i], missing)

@@ -5,16 +5,19 @@ import itertools
 import json
 import math
 import pathlib
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobkern import grmodel, specseq
 from frobkern.cli import run
-from frobkern.errors import BudgetError, DomainError, UnsupportedOperationError
+from frobkern.errors import BudgetError, CheckFailure, DomainError, UnsupportedOperationError
 from frobkern.grmodel import ModelGenerator, model_context
 from frobkern.polyalg import IdealPresentation, Poly, hilbert_series
-from frobkern.rootsys import Root, summand_pairs
+from frobkern.rootsys import Root, build_root_system, summand_pairs
 from frobkern.specseq import (
     ExtensionPage,
     _is_supported,
@@ -407,6 +410,7 @@ class TestFirstPageOracle:
 
     def test_budget_names_the_slice(self):
         roots = first_page_roots("A", 2, 3, 3)
+        assert len(aj_E1_enumerate(roots, 3, 3, 18, (27, 27), max_monomials=108)) == 108
         with pytest.raises(BudgetError) as err:
             aj_E1_enumerate(roots, 3, 3, 18, (27, 27), max_monomials=100)
         message = str(err.value)
@@ -655,3 +659,191 @@ class TestFoldAgainstRecursions:
         assert first_nonvanishing_differential(page, mono) == (
             oracle_first_nonvanishing_differential(page, mono)
         )
+
+
+# -- the descending-order search that the p-divisibility cut replaced, kept as its oracle --
+
+
+def oracle_aj_E1_enumerate(roots, r, p, total_degree, target_weight):
+    """Names of the first-page monomials, by a search from the largest weight per
+    degree down that cuts only on overshoot and on the best weight per degree."""
+    ring, _ = aj_page(roots, r, p)
+    degrees, weights = ring._degrees, ring._weights
+    scale = math.lcm(*degrees)
+    order = sorted(range(ring.nvars), key=lambda i: -sum(weights[i]) * scale // degrees[i])
+    best = [[(0, 1)] * ring.weight_len]
+    for i in reversed(order):
+        best.append(
+            [
+                (w, degrees[i]) if w * den > num * degrees[i] else (num, den)
+                for w, (num, den) in zip(weights[i], best[-1])
+            ]
+        )
+    best.reverse()
+    found, exps, dead = [], [0] * ring.nvars, set()
+
+    def rec(pos, degree_left, missing):
+        if degree_left == 0:
+            if not any(missing):
+                found.append(ring.monomial_str(exps))
+            return not any(missing)
+        state = (pos, degree_left, missing)
+        if state in dead or pos == len(order) or any(
+            m * den > degree_left * num for m, (num, den) in zip(missing, best[pos])
+        ):
+            return False
+        i = order[pos]
+        hit = rec(pos + 1, degree_left, missing)
+        top = 1 if ring.variables[i].parity == "odd" else degree_left // degrees[i]
+        for e in range(1, top + 1):
+            missing = tuple(m - w for m, w in zip(missing, weights[i]))
+            if any(m < 0 for m in missing):
+                break
+            exps[i] = e
+            hit |= rec(pos + 1, degree_left - e * degrees[i], missing)
+        exps[i] = 0
+        if not hit:
+            dead.add(state)
+        return hit
+
+    rec(0, total_degree, tuple(target_weight))
+    return sorted(found)
+
+
+@st.composite
+def root_subset_slices(draw):
+    """(roots, r, p, degree, weight): a random set of positive roots of A2 or A3, and
+    the degree and weight of a random monomial on its page or a random target."""
+    rank = draw(st.sampled_from((2, 3)))
+    positive = build_root_system("A", rank).positive_roots
+    roots = draw(st.lists(st.sampled_from(positive), min_size=1, max_size=4, unique=True))
+    r, p = draw(st.sampled_from((1, 2, 3))), draw(st.sampled_from((3, 5)))
+    ring, _ = aj_page(roots, r, p)
+    if draw(st.booleans()):
+        exps = [0] * ring.nvars
+        for i in draw(st.lists(st.integers(0, ring.nvars - 1), max_size=6)):
+            exps[i] = 1 if ring.variables[i].parity == "odd" else exps[i] + 1
+        return roots, r, p, ring.monomial_degree(exps), ring.monomial_weight(exps)
+    # mostly unreachable: any degree, any weight, often with a zero coordinate
+    coordinate = st.one_of(st.just(0), st.integers(0, 3 * p * p))
+    weight = tuple(draw(st.lists(coordinate, min_size=rank, max_size=rank)))
+    return roots, r, p, draw(st.integers(0, 12)), weight
+
+
+def count_search_calls(fn):
+    """fn's result, and how often it entered the enumerator's inner search."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "rec" and code.co_filename == specseq.__file__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+class TestDivisibilityCut:
+    """The search with the y{1} block first and the p-divisibility cut."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(root_subset_slices())
+    def test_same_monomials_as_the_descending_search(self, case):
+        names = [m.name for m in aj_E1_enumerate(*case)]
+        assert names == oracle_aj_E1_enumerate(*case)
+
+    @pytest.mark.parametrize(
+        "rank, r, p, degree, weight",
+        [
+            (2, 2, 3, 12, (27, 27)),
+            (2, 3, 3, 18, (27, 27)),
+            (3, 2, 5, 10, (25, 25, 0)),
+            (3, 2, 5, 10, (0, 25, 25)),
+            (2, 2, 3, 6, (9, 9)),
+            (2, 2, 5, 10, (25, 25)),
+            (2, 2, 3, 6, (8, 9)),
+            (2, 3, 3, 18, (27, 0)),
+        ],
+    )
+    def test_benchmark_and_criterion_slices(self, rank, r, p, degree, weight):
+        roots = first_page_roots("A", rank, r, p)
+        names = [m.name for m in aj_E1_enumerate(roots, r, p, degree, weight)]
+        assert names == oracle_aj_E1_enumerate(roots, r, p, degree, weight)
+
+    def test_uniqueness_slice_of_a2_r3_searches_at_most_3000_states(self):
+        # the descending search entered 6809 states for these 108 monomials
+        roots = first_page_roots("A", 2, 3, 3)
+        out, calls = count_search_calls(lambda: aj_E1_enumerate(roots, 3, 3, 18, (27, 27)))
+        assert len(out) == 108
+        assert calls <= 3000
+
+    def test_names_are_computed_once(self):
+        out = aj_E1_enumerate([A1, A2, A12], r=2, p=3, total_degree=6, target_weight=(9, 9))
+        assert all("name" in vars(m) for m in out)
+
+
+class TestTransgressionMemo:
+    def test_memoised_values_equal_a_fresh_pages(self):
+        page, fresh = u4_page(r=3), u4_page(r=3)
+        for beta, twist, j in itertools.product(page.fiber_roots, range(3), range(3)):
+            first = transgression_power(page, beta, twist, j)
+            again = transgression_power(page, beta, twist, j)
+            assert again == first == transgression_power(fresh, beta, twist, j)
+            assert (again is first) == (twist + 1 + j < 3)
+
+
+# -- the bracket probe's draws ---------------------------------------------------
+
+
+def probe_model():
+    return grmodel.build_Sbar(model_context("A", 3, i=1, stage=3, r=2, p=3))
+
+
+def patch_apply_after_certification(monkeypatch, apply):
+    """Let ``bracket_p`` certify its map, then replace ``AlgebraMap.apply``."""
+    certify = grmodel.bracket_p
+
+    def bracket_p(model):
+        bracket = certify(model)
+        monkeypatch.setattr(grmodel.AlgebraMap, "apply", apply)
+        return bracket
+
+    monkeypatch.setattr(grmodel, "bracket_p", bracket_p)
+
+
+class TestBracketProbe:
+    def test_a_non_multiplicative_map_fails_the_probe(self, monkeypatch):
+        real = grmodel.AlgebraMap.apply
+        patch_apply_after_certification(
+            monkeypatch, lambda self, f: real(self, f) + self.target.ring.one()
+        )
+        with pytest.raises(CheckFailure, match="multiplicativity"):
+            grmodel.bracket_probe(probe_model(), 20, seed=4)
+
+    @pytest.mark.parametrize("seed", [0, 7, 1234])
+    def test_draws_the_pairs_of_the_old_loop(self, monkeypatch, seed):
+        model, pairs, seen = probe_model(), 25, []
+        real = grmodel.AlgebraMap.apply
+
+        def record(self, f):
+            seen.append(f)
+            return real(self, f)
+
+        patch_apply_after_certification(monkeypatch, record)
+        grmodel.bracket_probe(model, pairs, seed)
+        # the loop the probe used to run, drawing the same numbers in the same order
+        rng = random.Random(seed)
+        gens = [model.ring.var(g.name) for g in model.generators]
+        expected = []
+        for _ in range(pairs):
+            f, g = model.ring.one(), model.ring.zero()
+            for _ in range(2):
+                f = f * rng.choice(gens) ** rng.randint(0, 2)
+                g = g + rng.choice(gens) ** rng.randint(0, 2) * rng.randint(1, 2)
+            expected += [f * g, f, g]
+        assert seen[: 3 * pairs] == expected
