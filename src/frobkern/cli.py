@@ -274,17 +274,14 @@ def payload_specseq_steenrod(ns) -> dict:
 
 
 def payload_specseq_aj_enumerate(ns) -> dict:
-    ctx = _model_ctx(ns)
-    roots = tuple(root for v in ctx.levels() for root in ctx.roots_of_level(v))
+    roots = _model_ctx(ns).roots()
     weight = _parse_weight(ns.weight, ns.rank)
     monomials = specseq.aj_E1_enumerate(roots, ns.r, ns.p, ns.degree, weight)
     return {
         "degree": ns.degree,
         "weight": list(weight),
         "dimension": len(monomials),
-        "monomials": [
-            {"name": m.name, **specseq.aj_summand_index(m)} for m in monomials
-        ],
+        "monomials": [m.to_json_dict() for m in monomials],
     }
 
 
@@ -338,6 +335,8 @@ _SHARED = {
     "--seed": {"type": int, "default": 0},
     "--q": {"type": _parse_q_list, "default": "3", "help": "comma list of prime powers"},
     "--degree": {"type": _non_negative, "required": True},
+    "--beta": {"required": True, "help": "root label or coeff list"},
+    "--l": {"dest": "twist", "type": int, "default": 0},
 }
 #: what a root table, and a model over it, is built from
 _ROOT_OPTIONS = ("--family", "--rank", "--J", "--p", "--budget")
@@ -400,27 +399,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ss = sub.add_parser("specseq", help="differentials, Steenrod fragment, enumerators")
     ss_sub = p_ss.add_subparsers(dest="action", required=True)
-    for name, payload in (
-        ("d2", payload_specseq_d2),
-        ("transgression", payload_specseq_transgression),
-        ("steenrod", payload_specseq_steenrod),
-        ("aj-enumerate", payload_specseq_aj_enumerate),
-        ("uniqueness", payload_specseq_uniqueness),
-    ):
-        p_act = _leaf(ss_sub, name, payload, *_MODEL_OPTIONS)
-        if name in ("d2", "transgression", "steenrod", "uniqueness"):
-            p_act.add_argument("--beta", required=True, help="root label or coeff list")
-        if name in ("d2", "transgression", "steenrod"):
-            p_act.add_argument("--l", dest="twist", type=int, default=0)
-        if name == "transgression":
-            p_act.add_argument("--j", type=int, default=0)
-        if name == "steenrod":
-            p_act.add_argument("--op", required=True, help="P0, bP0, P3, bP9, ...")
-            p_act.add_argument("--kind", choices=["y", "x"], default="y")
-            p_act.add_argument("--exponent", type=int, default=1)
-        if name == "aj-enumerate":
-            p_act.add_argument("--degree", **_SHARED["--degree"])
-            p_act.add_argument("--weight", required=True)
+    at_root = (*_MODEL_OPTIONS, "--beta")
+    _leaf(ss_sub, "d2", payload_specseq_d2, *at_root, "--l")
+    p_tr = _leaf(ss_sub, "transgression", payload_specseq_transgression, *at_root, "--l")
+    p_tr.add_argument("--j", type=int, default=0)
+    p_st = _leaf(ss_sub, "steenrod", payload_specseq_steenrod, *at_root, "--l")
+    p_st.add_argument("--op", required=True, help="P0, bP0, P3, bP9, ...")
+    p_st.add_argument("--kind", choices=["y", "x"], default="y")
+    p_st.add_argument("--exponent", type=int, default=1)
+    p_aj = _leaf(
+        ss_sub, "aj-enumerate", payload_specseq_aj_enumerate, *_MODEL_OPTIONS, "--degree"
+    )
+    p_aj.add_argument("--weight", required=True)
+    _leaf(ss_sub, "uniqueness", payload_specseq_uniqueness, *at_root)
 
     p_conj = sub.add_parser("conjecture", help="sub-diagram component combinatorics")
     conj_sub = p_conj.add_subparsers(dest="action", required=True)

@@ -201,6 +201,11 @@ def dim_estimate(count: int, q: int) -> float:
     return math.log(count) / math.log(q)
 
 
+def dim_matches(count: int, q: int, dim: int) -> bool:
+    """Does log_q of ``count`` sit within ``DIM_WINDOW`` of the dimension ``dim``?"""
+    return abs(dim_estimate(count, q) - dim) <= DIM_WINDOW
+
+
 # -- sub-diagram component combinatorics ---------------------------------------
 
 
@@ -354,10 +359,7 @@ class ComponentReport:
 
     def max_dim_matches(self) -> dict[int, bool]:
         best = self.family.max_predicted_dim()
-        return {
-            q: abs(dim_estimate(c, q) - best) <= DIM_WINDOW
-            for q, c in self.y_counts.items()
-        }
+        return {q: dim_matches(c, q, best) for q, c in self.y_counts.items()}
 
     def to_json_dict(self) -> dict:
         return {

@@ -45,7 +45,7 @@ from operator import gt, sub
 from .errors import BudgetError, DomainError, UnsupportedOperationError
 from .grmodel import ModelContext, ModelGenerator
 from .polyalg import Poly, PolyRing, pair_sum
-from .rootsys import Root, check_pairing_hypothesis, summand_pairs
+from .rootsys import Root, check_pairing_hypothesis, generator_name
 
 
 class ExtensionPage:
@@ -56,10 +56,7 @@ class ExtensionPage:
             raise DomainError("the extension needs a fiber level >= 2")
         self.ctx = ctx
         self.fiber_roots = ctx.roots_of_level(ctx.top_level)
-        self.base_roots = tuple(
-            root for v in range(ctx.i, ctx.top_level) for root in ctx.roots_of_level(v)
-        )
-        roots = (*self.base_roots, *self.fiber_roots)
+        roots = ctx.roots()
         #: the class of each ring variable: every x twist by twist, then every y
         self.generators = tuple(
             ModelGenerator(kind, root, twist, ctx.p)
@@ -74,16 +71,13 @@ class ExtensionPage:
     # -- generator access ------------------------------------------------------
 
     def x(self, root: Root, twist: int) -> Poly:
-        return self.ring.var(ModelGenerator("x", root, twist, self.ctx.p).name)
+        return self.ring.var(generator_name("x", root.label(), twist))
 
     def y(self, root: Root, twist: int) -> Poly:
-        return self.ring.var(ModelGenerator("y", root, twist, self.ctx.p).name)
+        return self.ring.var(generator_name("y", root.label(), twist))
 
     def is_fiber(self, root: Root) -> bool:
         return root in self._fiber
-
-    def pairs(self, beta: Root):
-        return summand_pairs(beta, self.ctx.parabolic(), min_level=self.ctx.i)
 
     def __repr__(self):
         return f"ExtensionPage({self.ctx.label()})"
@@ -139,7 +133,7 @@ def d2_on_y(page: ExtensionPage, beta: Root, twist: int) -> Poly:
         raise DomainError(f"{beta.label()} is not a fiber root of this page")
     if not 0 <= twist < ctx.r:
         raise DomainError(f"twist {twist} outside [0, {ctx.r})")
-    products = (page.y(a, twist) * page.y(b, twist) for a, b in page.pairs(beta))
+    products = (page.y(a, twist) * page.y(b, twist) for a, b in ctx.pairs(beta))
     return sum(products, page.ring.zero())
 
 
@@ -156,7 +150,7 @@ def transgression_power(page: ExtensionPage, beta: Root, twist: int, j: int) -> 
     if key not in page._transgressions:
         page._transgressions[key] = pair_sum(
             page.ring,
-            page.pairs(beta),
+            ctx.pairs(beta),
             lambda a: page.x(a, twist) ** (ctx.p**j),
             lambda b: page.y(b, twist + 1 + j),
         )
@@ -195,7 +189,7 @@ def first_nonvanishing_differential(page: ExtensionPage, monomial: dict):
             raise DomainError("monomial must live in the fiber polynomial part")
         if n < 0 or not 0 <= twist < r:
             raise DomainError("bad exponent data")
-    names = {ModelGenerator("x", b, t, p).name: n for (b, t), n in monomial.items()}
+    names = {generator_name("x", b.label(), t): n for (b, t), n in monomial.items()}
     f = page.ring.monomial(names)
     for j in range(0, max(r - 1, 0)):
         q = p**j
@@ -336,15 +330,15 @@ class AJMonomial:
             g.root for g, _ in self._factors() if g.kind == "y" and g.twist + 1 == block
         )
 
-
-def aj_summand_index(mono: AJMonomial) -> dict:
-    a, b = mono.block_profile()
-    return {
-        "a": dict(sorted(a.items())),
-        "b": dict(sorted(b.items())),
-        "filtration": mono.filtration,
-        "degree": mono.degree,
-    }
+    def to_json_dict(self) -> dict:
+        a, b = self.block_profile()
+        return {
+            "name": self.name,
+            "a": dict(sorted(a.items())),
+            "b": dict(sorted(b.items())),
+            "filtration": self.filtration,
+            "degree": self.degree,
+        }
 
 
 def aj_E1_enumerate(
@@ -462,9 +456,7 @@ class UniquenessReport:
             "p": self.p,
             "degree": self.degree,
             "weight": list(self.weight),
-            "monomials": [
-                {"name": m.name, **aj_summand_index(m)} for m in self.monomials
-            ],
+            "monomials": [m.to_json_dict() for m in self.monomials],
             "paired": [{"name": m.name, "reason": why} for m, why in self.paired],
             "survivors": [m.name for m in self.survivors],
             "surviving_count": self.surviving_count,
@@ -491,11 +483,9 @@ def uniqueness_witness(ctx: ModelContext, beta: Root) -> UniquenessReport:
     if pctx.level(beta) != ctx.top_level:
         raise DomainError("the search targets roots of the extension's top level")
     r, p = ctx.r, ctx.p
-    roots = tuple(root for v in ctx.levels() for root in ctx.roots_of_level(v))
+    roots = ctx.roots()
     root_set = set(roots)
-    decomposable = {
-        root for root in roots if summand_pairs(root, pctx, min_level=ctx.i)
-    }
+    decomposable = {root for root in roots if ctx.pairs(root)}
     degree = 2 * p ** (r - 1)
     weight = tuple(p**r * c for c in beta.coeffs)
     monomials = tuple(aj_E1_enumerate(roots, r, p, degree, weight))

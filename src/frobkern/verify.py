@@ -65,7 +65,7 @@ def _criterion(key: str, name: str):
 
 @_criterion("1", "theta degree formula and basis-count cross-check")
 def criterion_1_theta_degree():
-    """Degree formula with enumerated cross-check for (3,2), (3,3), (5,2)."""
+    """Degree formula with the localisation check for (3,2), (3,3), (5,2)."""
     expected = {(3, 2): 9, (3, 3): 243, (5, 2): 25}
     measured = {}
     ok = True
@@ -90,7 +90,7 @@ def criterion_2_u3_counts():
             count = system.count(q)
             want = commvar.u3_y_closed_form(q, r) * q**r
             est = commvar.dim_estimate(count, q)
-            good = count == want and abs(est - (2 * r + 1)) <= 0.5
+            good = count == want and commvar.dim_matches(count, q, 2 * r + 1)
             details[f"r={r},q={q}"] = {
                 "count": count,
                 "expected": want,
@@ -110,10 +110,7 @@ def criterion_3_u4_components():
     details = {}
     ok = True
     for q, counts in commvar.u4_component_counts(2, (3, 5)).items():
-        dims_ok = (
-            abs(commvar.dim_estimate(counts["V1"], q) - 4) <= 0.5
-            and abs(commvar.dim_estimate(counts["V2"], q) - 4) <= 0.5
-        )
+        dims_ok = all(commvar.dim_matches(counts[v], q, 4) for v in ("V1", "V2"))
         details[f"q={q}"] = {**counts, "dims_ok": dims_ok}
         ok &= counts["residual"] == 0 and dims_ok
     return ok, details

@@ -271,6 +271,49 @@ def test_config_echoes_exactly_the_options_read(capsys, command):
     assert set(doc["config"]) == dests
 
 
+_MODEL_DEFAULTS = {
+    "--family": ("family", "A", False), "--rank": ("rank", 2, False),
+    "--J": ("J", "", False), "--p": ("p", 3, False), "--budget": ("budget", None, False),
+    "--r": ("r", 1, False), "--i": ("i", 1, False), "--v": ("v", None, False),
+    "--output": ("output", None, False),
+}
+_AT_ROOT = {"--beta": ("beta", None, True), "--l": ("twist", 0, False)}
+_ECHO = {"J": [], "budget": None, "family": "A", "i": 1, "output": None, "p": 3, "r": 2,
+         "rank": 2, "v": 3}
+#: specseq subcommand -> (option -> (dest, default, required), the config of its
+#: CONFIG_ECHO example)
+SPECSEQ = {
+    "d2": ({**_MODEL_DEFAULTS, **_AT_ROOT},
+           {**_ECHO, "beta": "a1+a2", "twist": 0}),
+    "transgression": ({**_MODEL_DEFAULTS, **_AT_ROOT, "--j": ("j", 0, False)},
+                      {**_ECHO, "beta": "a1+a2", "twist": 0, "j": 0}),
+    "steenrod": ({**_MODEL_DEFAULTS, **_AT_ROOT, "--op": ("op", None, True),
+                  "--kind": ("kind", "y", False), "--exponent": ("exponent", 1, False)},
+                 {**_ECHO, "beta": "a1+a2", "twist": 0, "op": "P0", "kind": "y",
+                  "exponent": 1}),
+    "aj-enumerate": ({**_MODEL_DEFAULTS, "--degree": ("degree", None, True),
+                      "--weight": ("weight", None, True)},
+                     {**_ECHO, "v": None, "degree": 4, "weight": "9,9"}),
+    "uniqueness": ({**_MODEL_DEFAULTS, "--beta": ("beta", None, True)},
+                   {**_ECHO, "beta": "a1+a2"}),
+}
+
+
+@pytest.mark.parametrize("action", sorted(SPECSEQ))
+def test_specseq_options_and_echo_are_unchanged(capsys, action):
+    options, config = SPECSEQ[action]
+    leaf = _leaves()[f"specseq {action}"]
+    assert {
+        option: (a.dest, a.default, a.required)
+        for a in leaf._actions
+        for option in a.option_strings
+        if a.dest != "help"
+    } == options
+    args, _ = CONFIG_ECHO[f"specseq {action}"]
+    code, doc = invoke(capsys, "specseq", action, *args.split())
+    assert code == 0 and doc["config"] == config
+
+
 #: (subcommand, option) pairs no payload reads, refused by the parser
 REMOVED = [
     *(("rootsys info", o) for o in ("--r", "--seed")),

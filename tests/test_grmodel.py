@@ -8,6 +8,8 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobkern.cli import run
 from frobkern.errors import CheckFailure, ConfigError, DomainError
@@ -32,7 +34,9 @@ from frobkern.grmodel import (
     vr_coordinate_algebra,
 )
 from frobkern.polyalg import VariableDescriptor, graded_dimension, normal_form
-from frobkern.rootsys import Root
+from frobkern.rootsys import (
+    Root, check_pairing_hypothesis, context, roots_of_level, summand_pairs
+)
 from frobkern.specseq import ExtensionPage
 
 A1, A2, A12 = Root((1, 0)), Root((0, 1)), Root((1, 1))
@@ -141,6 +145,64 @@ class TestRelationIdeal:
         ctx = model_context("A", 4, J={"a2", "a3"}, i=1, stage=3, r=2, p=3)
         with pytest.warns(PairingHypothesisWarning):
             build_relation_ideal(build_S_star(ctx))
+
+    @pytest.mark.parametrize("family, rank, J, failing", [
+        ("A", 4, ("a2", "a3"), ["a1+a2+a3+a4"]),
+        ("A", 5, ("a1", "a3", "a4"), ["a2+a3+a4+a5", "a1+a2+a3+a4+a5"]),
+        ("B", 4, ("a1", "a2", "a4"), ["a2+2a3+2a4", "a1+a2+2a3+2a4", "a1+2a2+2a3+2a4"]),
+    ])
+    def test_pairing_warnings_name_each_failing_root(self, family, rank, J, failing):
+        ctx = model_context(family, rank, J=J, i=1, stage=3, r=2, p=3)
+        report = check_pairing_hypothesis(ctx.parabolic(), 3)
+        assert [b.label() for b, _, ok in report.per_root if not ok] == failing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build_relation_ideal(build_S_star(ctx))
+        j = ",".join(J)
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [
+            (
+                PairingHypothesisWarning,
+                f"{family}{rank} J={j} Gamma1/Gamma3 r=2 p=3: root {root} has 3 "
+                "decompositions (>= p); the uniqueness hypothesis fails",
+                __file__,
+            )
+            for root in failing
+        ]
+
+
+@st.composite
+def model_contexts(draw):
+    """A model context of type A-D with random J, i, stage, r and p."""
+    family, rank = draw(st.sampled_from(
+        [("A", n) for n in range(1, 6)]
+        + [(f, n) for f in "BC" for n in (2, 3, 4)]
+        + [("D", 4), ("D", 5)]
+    ))
+    labels = [f"a{k}" for k in range(1, rank + 1)]
+    J = draw(st.sets(st.sampled_from(labels), max_size=rank - 1))
+    top = context(family, rank, J).max_level()
+    i = draw(st.integers(1, top))
+    stage = draw(st.integers(i + 1, top + 1))
+    r, p = draw(st.integers(1, 3)), draw(st.sampled_from([3, 5]))
+    return model_context(family, rank, J=J, i=i, stage=stage, r=r, p=p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model_contexts())
+def test_context_roots_and_pairs_are_the_level_tables(ctx):
+    pctx = ctx.parabolic()
+    by_level = [root for v in range(ctx.i, ctx.stage) for root in roots_of_level(pctx, v)]
+    assert ctx.roots() == tuple(by_level)
+    radical = pctx.radical_roots()
+    for beta in pctx.system.positive_roots:
+        pairs = ctx.pairs(beta)
+        assert pairs == summand_pairs(beta, pctx, min_level=ctx.i)
+        assert set(pairs) == {
+            (a, b)
+            for a in radical
+            for b in radical
+            if a < b and a + b == beta and min(pctx.level(a), pctx.level(b)) >= ctx.i
+        }
 
 
 def independent_principal_dim(degree):

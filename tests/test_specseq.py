@@ -24,7 +24,6 @@ from frobkern.specseq import (
     _parse_op,
     aj_E1_enumerate,
     aj_page,
-    aj_summand_index,
     d2,
     d2_on_y,
     first_nonvanishing_differential,
@@ -318,7 +317,8 @@ class TestAJEnumeration:
             [A1, A2, A12], r=2, p=3, total_degree=6, target_weight=(9, 9)
         )
         for mono in out:
-            idx = aj_summand_index(mono)
+            idx = mono.to_json_dict()
+            assert idx["name"] == mono.name
             a, b = idx["a"], idx["b"]
             assert idx["filtration"] == sum(3**n * e for n, e in a.items()) + sum(
                 3 ** (n - 1) * e for n, e in b.items()
@@ -327,8 +327,7 @@ class TestAJEnumeration:
 
 
 def first_page_roots(family, rank, r, p):
-    ctx = model_context(family, rank, r=r, p=p)
-    return tuple(root for v in ctx.levels() for root in ctx.roots_of_level(v))
+    return model_context(family, rank, r=r, p=p).roots()
 
 
 @st.composite
