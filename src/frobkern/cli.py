@@ -45,7 +45,7 @@ def _parse_J(text: str) -> tuple[str, ...]:
 
 
 def _parse_q_list(text: str) -> tuple[int, ...]:
-    """The list form of --q: one or more comma-separated integers."""
+    """The list form of --q: one or more distinct comma-separated integers."""
     try:
         q_list = tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
@@ -54,6 +54,8 @@ def _parse_q_list(text: str) -> tuple[int, ...]:
         ) from None
     if not q_list:
         raise argparse.ArgumentTypeError(f"needs at least one q, got {text!r}")
+    if len(set(q_list)) < len(q_list):
+        raise argparse.ArgumentTypeError(f"names a q more than once, got {text!r}")
     return q_list
 
 

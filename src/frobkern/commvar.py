@@ -24,7 +24,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConfigError, DomainError
 from .polyalg import IdealPresentation, check_point_count, pair_terms, plain_ring
@@ -40,19 +40,21 @@ DIM_WINDOW = 0.5
 SignedTerm = tuple[int, tuple[tuple[str, int], ...]]
 
 
-@dataclass(frozen=True)
-class VarietySystem:
-    """A chain condition on the nodes 1..N-1, each an r-vector: the ``zero``
-    nodes vanish and the two nodes of each of ``pairs`` are proportional.
-    Each label of ``extra`` adds coordinates X[label](0..r-1) that no
-    relation involves; at every twist they follow the nodes."""
-
+class _SystemFields(NamedTuple):
     label: str
     N: int
     r: int
     zero: tuple[int, ...] = ()
     pairs: tuple[tuple[int, int], ...] = ()
     extra: tuple[str, ...] = ()
+
+
+class VarietySystem(_SystemFields):
+    """A chain condition on the nodes 1..N-1, each an r-vector: the ``zero``
+    nodes vanish and the two nodes of each of ``pairs`` are proportional.
+    Each label of ``extra`` adds coordinates X[label](0..r-1) that no
+    relation involves; at every twist they follow the nodes.  The memos
+    (variables, relations, strata) live outside equality and hash."""
 
     @functools.cached_property
     def variables(self) -> tuple[str, ...]:
@@ -106,31 +108,41 @@ class VarietySystem:
         free nodes whose k nonzero nodes the pairs join into c classes.
 
         A pair binds only at r >= 2 (a minor needs two twists).  The patterns
-        of the free nodes that a binding pair links are enumerated, with
-        union-find over the pairs; each other free node is zero, or nonzero
-        and a class of its own."""
+        of each connected component of the binding pairs are enumerated, with
+        union-find over its pairs, and the strata of the components convolve."""
         free = [s for s in range(1, self.N) if s not in self.zero]
-        pairs = [(s, t) for s, t in self.pairs if s in free and t in free]
-        linked = sorted({s for pair in pairs for s in pair}) if self.r > 1 else []
-        index = {s: i for i, s in enumerate(linked)}
-        edges = [(index[s], index[t]) for s, t in pairs if s in index]
-        out: Counter = Counter()
-        for live in range(1 << len(linked)):  # bit i set: node linked[i] is nonzero
-            root = list(range(len(linked)))  # union-find forest over the nodes
-            k = c = live.bit_count()
-            for i, j in edges:
-                if live >> i & 1 and live >> j & 1:
-                    while root[i] != i:
-                        i = root[i]
-                    while root[j] != j:
-                        j = root[j]
-                    if i != j:
-                        root[i] = j
-                        c -= 1
-            out[c, k] += 1
-        for _ in range(len(free) - len(linked)):
-            out += Counter({(c + 1, k + 1): m for (c, k), m in out.items()})
-        return out
+        pairs = [(s, t) for s, t in self.pairs if s in free and t in free and self.r > 1]
+        component = {s: [s] for s in free}
+        for s, t in pairs:
+            nodes, other = component[s], component[t]
+            if nodes is not other:
+                nodes += other
+                component.update(dict.fromkeys(other, nodes))
+        out = {(0, 0): 1}  # plain dicts: a Counter's missing key costs a Python call
+        for nodes in {id(nodes): nodes for nodes in component.values()}.values():
+            index = {s: i for i, s in enumerate(nodes)}
+            edges = [(index[s], index[t]) for s, t in pairs if s in index]
+            part: dict = {}
+            for live in range(1 << len(nodes)):  # bit i set: nodes[i] is nonzero
+                root = list(range(len(nodes)))  # union-find forest over the nodes
+                k = c = live.bit_count()
+                for i, j in edges:
+                    if live >> i & 1 and live >> j & 1:
+                        while root[i] != i:
+                            i = root[i]
+                        while root[j] != j:
+                            j = root[j]
+                        if i != j:
+                            root[i] = j
+                            c -= 1
+                part[c, k] = part.get((c, k), 0) + 1
+            joint: dict = {}
+            for (c, k), m in out.items():
+                for (c2, k2), m2 in part.items():
+                    key = c + c2, k + k2
+                    joint[key] = joint.get(key, 0) + m * m2
+            out = joint
+        return Counter(out)
 
     def count_polynomial(self, q: int) -> int:
         """The count polynomial at the integer q: the sum over the strata of
@@ -209,8 +221,7 @@ def dim_matches(count: int, q: int, dim: int) -> bool:
 # -- sub-diagram component combinatorics ---------------------------------------
 
 
-@dataclass(frozen=True)
-class Subdiagram:
+class Subdiagram(NamedTuple):
     """A retained-node subset of the type-A path on N-1 nodes."""
 
     N: int
@@ -244,8 +255,7 @@ class Subdiagram:
         )
 
 
-@dataclass(frozen=True)
-class SubdiagramFamily:
+class SubdiagramFamily(NamedTuple):
     N: int
     r: int
     members: tuple[Subdiagram, ...]
@@ -336,18 +346,17 @@ def u4_component_counts(
 # -- reports ---------------------------------------------------------------------
 
 
-@dataclass
-class ComponentReport:
+class ComponentReport(NamedTuple):
     """Inclusion-exclusion evidence for a conjectural component decomposition."""
 
     N: int
     r: int
     q_list: tuple[int, ...]
     family: SubdiagramFamily
-    y_counts: dict[int, int] = field(default_factory=dict)
-    component_counts: dict[str, dict[int, int]] = field(default_factory=dict)
-    subset_counts: dict[tuple[str, ...], dict[int, int]] = field(default_factory=dict)
-    residuals: dict[int, int] = field(default_factory=dict)
+    y_counts: dict[int, int]
+    component_counts: dict[str, dict[int, int]]
+    subset_counts: dict[tuple[str, ...], dict[int, int]]
+    residuals: dict[int, int]
 
     def dim_estimates(self) -> dict[str, dict[int, float]]:
         out: dict[str, dict[int, float]] = {"Y": {}}
@@ -400,11 +409,15 @@ def conjecture_check(
     residual means the predicted components cover every rational point with
     the right multiplicities; a nonzero residual is reported, not raised.
     Y's count checks q and the budget for every subset: they share its variables.
+    A q listed twice would subtract each subset twice, so it is refused.
     """
+    q_list = tuple(q_list)
+    if len(set(q_list)) < len(q_list):
+        raise ConfigError(f"q_list names a q more than once: {list(q_list)}")
     family = subdiagram_components(N, r)
     y_system = y_variety_system(N, r)
     systems = {d.label(): component_system(N, r, d) for d in family.members}
-    report = ComponentReport(N=N, r=r, q_list=tuple(q_list), family=family)
+    report = ComponentReport(N, r, q_list, family, {}, {}, {}, {})
     labels = [d.label() for d in family.members]
     for q in q_list:
         report.y_counts[q] = y_system.count(q, max_assignments)

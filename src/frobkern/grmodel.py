@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import random
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CheckFailure, ConfigError, DomainError
 from .polyalg import (
@@ -58,24 +58,26 @@ class PairingHypothesisWarning(UserWarning):
     downstream are not justified for this context."""
 
 
-@dataclass(frozen=True)
-class ModelGenerator:
+class _GeneratorFields(NamedTuple):
+    kind: str  # "x", "w", "X" or "y"
+    root: Root
+    twist: int
+    p: int
+    power: int
+
+
+class ModelGenerator(_GeneratorFields):
     """A generator at twist l: x[beta](l) is even of degree 2 and weight
     p^{l+1} beta, y[beta](l) is odd of degree 1 and weight p^l beta, and a
     power generator w[beta](l) (model) or X[beta](l) (coordinate ring) of
     power k stands for (x[beta](l))^{p^k}: degree 2p^k, weight p^{l+1+k} beta."""
 
-    kind: str  # "x", "w", "X" or "y"
-    root: Root
-    twist: int
-    p: int
-    power: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("x", "w", "X", "y"):
-            raise DomainError(f"generator kind must be x, w, X or y, got {self.kind!r}")
-        if self.twist < 0 or self.power < 0:
+    def __new__(cls, kind: str, root: Root, twist: int, p: int, power: int = 0):
+        if kind not in ("x", "w", "X", "y"):
+            raise DomainError(f"generator kind must be x, w, X or y, got {kind!r}")
+        if twist < 0 or power < 0:
             raise DomainError("twist and power must be non-negative")
+        return super().__new__(cls, kind, root, twist, p, power)
 
     @property
     def degree(self) -> int:
@@ -106,14 +108,7 @@ class ModelGenerator:
         return VariableDescriptor(name or self.name, parity, self.degree, self.weight())
 
 
-@dataclass(frozen=True)
-class ModelContext:
-    """Everything needed to build the model of (Gamma_i/Gamma_m)_{(r)}.
-
-    ``stage`` is the quotient stage m, so stage=3 with i=1 on A2 is the
-    Heisenberg group itself.
-    """
-
+class _ContextFields(NamedTuple):
     family: str
     rank: int
     J: frozenset[str]
@@ -122,12 +117,20 @@ class ModelContext:
     r: int
     p: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "J", frozenset(self.J))
-        if self.r < 1:
+
+class ModelContext(_ContextFields):
+    """Everything needed to build the model of (Gamma_i/Gamma_m)_{(r)}.
+
+    ``stage`` is the quotient stage m, so stage=3 with i=1 on A2 is the
+    Heisenberg group itself.
+    """
+
+    def __new__(cls, family: str, rank: int, J, i: int, stage: int, r: int, p: int):
+        if r < 1:
             raise DomainError("height r must be >= 1")
-        if not (1 <= self.i < self.stage):
+        if not (1 <= i < stage):
             raise DomainError("need 1 <= i < quotient stage")
+        return super().__new__(cls, family, rank, frozenset(J), i, stage, r, p)
 
     @property
     def top_level(self) -> int:
@@ -495,8 +498,7 @@ def theta_substitution(ctx: ModelContext) -> AlgebraMap:
     return theta
 
 
-@dataclass(frozen=True)
-class PowerIdentity:
+class PowerIdentity(NamedTuple):
     beta: Root
     twist: int
     twist2: int

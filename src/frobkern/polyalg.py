@@ -21,8 +21,8 @@ import heapq
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import add, le, mul, sub
+from typing import NamedTuple
 
 from .errors import BudgetError, ConfigError, DomainError, UnsupportedOperationError
 
@@ -65,23 +65,24 @@ def check_odd_prime(p: int) -> None:
         raise ConfigError(f"p must be an odd prime, got {p}")
 
 
-@dataclass(frozen=True)
-class VariableDescriptor:
+class _DescriptorFields(NamedTuple):
+    name: str
+    parity: str
+    degree: int
+    weight: tuple[int, ...]
+
+
+class VariableDescriptor(_DescriptorFields):
     """One generator: name, parity, cohomological degree and T-weight."""
 
-    name: str
-    parity: str = EVEN
-    degree: int = 0
-    weight: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.parity not in (EVEN, ODD):
-            raise ConfigError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-        if self.parity == ODD and self.degree % 2 == 0:
-            raise ConfigError(f"odd variable {self.name} needs odd degree")
-        if self.parity == EVEN and self.degree % 2 == 1:
-            raise ConfigError(f"even variable {self.name} needs even degree")
-        object.__setattr__(self, "weight", tuple(int(w) for w in self.weight))
+    def __new__(cls, name: str, parity: str = EVEN, degree: int = 0, weight=()):
+        if parity not in (EVEN, ODD):
+            raise ConfigError(f"parity must be 'even' or 'odd', got {parity!r}")
+        if parity == ODD and degree % 2 == 0:
+            raise ConfigError(f"odd variable {name} needs odd degree")
+        if parity == EVEN and degree % 2 == 1:
+            raise ConfigError(f"even variable {name} needs even degree")
+        return super().__new__(cls, name, parity, degree, tuple(int(w) for w in weight))
 
 
 class PolyRing:
@@ -401,8 +402,7 @@ class IdealPresentation:
         return self._gb
 
 
-@dataclass(frozen=True)
-class GroebnerStats:
+class GroebnerStats(NamedTuple):
     """What the Buchberger engine did; reported beside a payload, never in it."""
 
     pairs: int = 0  # S-pairs taken from the queue
@@ -414,11 +414,18 @@ class GroebnerStats:
     basis_size: int = 0
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class _GroebnerFields(NamedTuple):
     ring: PolyRing
     basis: tuple[Poly, ...]
-    stats: GroebnerStats = field(default_factory=GroebnerStats, compare=False)
+
+
+class GroebnerBasis(_GroebnerFields):
+    """A basis and its ``stats``, which live outside equality and hash."""
+
+    def __new__(cls, ring: PolyRing, basis, stats: GroebnerStats = GroebnerStats()):
+        self = super().__new__(cls, ring, basis)
+        self.stats = stats
+        return self
 
 
 def _quotient(e1, e2):

@@ -21,9 +21,9 @@ positions column-major.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from operator import sub
+from typing import NamedTuple
 
 from .errors import BudgetError, ConfigError, DomainError
 from .polyalg import DEFAULT_POINT_BUDGET, check_odd_prime
@@ -31,14 +31,16 @@ from .polyalg import DEFAULT_POINT_BUDGET, check_odd_prime
 FAMILIES = ("A", "B", "C", "D")
 
 
-@dataclass(frozen=True, order=False)
-class Root:
-    """A root written in the simple basis; coeffs[i] multiplies a(i+1)."""
-
+class _RootFields(NamedTuple):
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
+
+class Root(_RootFields):
+    """A root written in the simple basis; coeffs[i] multiplies a(i+1).
+    Roots compare by ``sort_key`` in every direction, never in tuple order."""
+
+    def __new__(cls, coeffs):
+        return super().__new__(cls, tuple(map(int, coeffs)))
 
     @property
     def rank(self) -> int:
@@ -71,6 +73,12 @@ class Root:
 
     def __le__(self, other: "Root") -> bool:
         return self.sort_key() <= other.sort_key()
+
+    def __gt__(self, other: "Root") -> bool:
+        return other < self
+
+    def __ge__(self, other: "Root") -> bool:
+        return other <= self
 
     def label(self) -> str:
         parts = []
@@ -172,24 +180,29 @@ def classical_positive_count(family: str, n: int) -> int:
     return n * n - n  # D
 
 
-@dataclass(frozen=True)
-class RootSystemData:
+class _RootSystemFields(NamedTuple):
     family: str
     rank: int
     simple_roots: tuple[str, ...]
     positive_roots: tuple[Root, ...]
-    _splittings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        expected = classical_positive_count(self.family, self.rank)
-        if len(self.positive_roots) != expected:
+
+class RootSystemData(_RootSystemFields):
+    """A positive-root table; its memos live outside equality and hash."""
+
+    def __new__(cls, family, rank, simple_roots, positive_roots):
+        expected = classical_positive_count(family, rank)
+        if len(positive_roots) != expected:
             raise ConfigError(
-                f"{self.family}{self.rank}: got {len(self.positive_roots)} "
+                f"{family}{rank}: got {len(positive_roots)} "
                 f"positive roots, expected {expected}"
             )
-        for beta in self.positive_roots:
+        for beta in positive_roots:
             if not beta.is_positive():
                 raise ConfigError(f"non-positive root {beta} in table")
+        self = super().__new__(cls, family, rank, simple_roots, positive_roots)
+        self._splittings = {}
+        return self
 
     def simple_index(self, label: str) -> int:
         try:
@@ -241,17 +254,19 @@ def _root_system(family: str, rank: int) -> RootSystemData:
     return RootSystemData(family, rank, labels, tuple(_positive_roots(family, rank)))
 
 
-@dataclass(frozen=True)
-class ParabolicContext:
+class _ParabolicFields(NamedTuple):
+    system: RootSystemData
+    J: frozenset[str]
+
+
+class ParabolicContext(_ParabolicFields):
     """A root system together with a choice J of simple roots (the Levi)."""
 
-    system: RootSystemData
-    J: frozenset[str] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        object.__setattr__(self, "J", frozenset(self.J))
-        for label in self.J:
-            self.system.simple_index(label)
+    def __new__(cls, system, J=frozenset()):
+        J = frozenset(J)
+        for label in J:
+            system.simple_index(label)
+        return super().__new__(cls, system, J)
 
     @property
     def rank(self) -> int:
@@ -297,15 +312,17 @@ class ParabolicContext:
         return max(self._layers, default=0)
 
 
-@dataclass(frozen=True)
-class LevelClass:
+class _LevelFields(NamedTuple):
     height: int
     level: int
     shape: Root
 
-    def __post_init__(self):
-        if self.level > self.height:
+
+class LevelClass(_LevelFields):
+    def __new__(cls, height, level, shape):
+        if level > height:
             raise DomainError("level cannot exceed height")
+        return super().__new__(cls, height, level, shape)
 
 
 def classify_root(beta: Root, ctx: ParabolicContext) -> LevelClass:
@@ -387,8 +404,7 @@ def check_scan_budget(
         )
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(NamedTuple):
     """Outcome of the level-2 decomposition-count scan for one context."""
 
     family: str
@@ -401,11 +417,8 @@ class PairingReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "family": self.family,
-            "rank": self.rank,
+            **self._asdict(),
             "J": list(self.J),
-            "p": self.p,
-            "ok": self.ok,
             "per_root": [
                 {"root": r.label(), "pairs": n, "ok": ok} for r, n, ok in self.per_root
             ],

@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import gt, sub
+from typing import NamedTuple
 
 from .errors import BudgetError, DomainError, UnsupportedOperationError
 from .grmodel import ModelContext, ModelGenerator
@@ -277,8 +277,13 @@ def aj_page(roots, r: int, p: int) -> tuple[PolyRing, tuple[ModelGenerator, ...]
     Block n (1 <= n <= r) holds the twist n-1 classes of each root:
     ``x[root]{n}`` of degree 2 and weight p^n root, and the exterior
     ``y[root]{n}`` of degree 1 and weight p^{n-1} root.  Variables run by
-    block, then root, x before y.
+    block, then root, x before y.  Pages are memoised on (roots, r, p).
     """
+    return _aj_page(tuple(roots), r, p)
+
+
+@functools.cache
+def _aj_page(roots: tuple[Root, ...], r: int, p: int):
     gens = tuple(
         ModelGenerator(kind, root, twist, p)
         for twist in range(r)
@@ -289,17 +294,19 @@ def aj_page(roots, r: int, p: int) -> tuple[PolyRing, tuple[ModelGenerator, ...]
     return PolyRing(p, [g.descriptor(n) for g, n in zip(gens, names)]), gens
 
 
-@dataclass(frozen=True)
-class AJMonomial:
-    """One first-page monomial: an exponent vector on the ring of ``aj_page``.
-
-    Its filtration index sums the weight scale of each factor: p^n for
-    ``x[root]{n}`` and p^{n-1} for ``y[root]{n}``.
-    """
-
+class _MonomialFields(NamedTuple):
     ring: PolyRing
     generators: tuple[ModelGenerator, ...]
     exps: tuple[int, ...]
+
+
+class AJMonomial(_MonomialFields):
+    """One first-page monomial: an exponent vector on the ring of ``aj_page``.
+
+    Its filtration index sums the weight scale of each factor: p^n for
+    ``x[root]{n}`` and p^{n-1} for ``y[root]{n}``.  The memoised name lives
+    outside equality and hash.
+    """
 
     @property
     def degree(self) -> int:
@@ -424,8 +431,7 @@ def aj_E1_enumerate(
     return out
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     """Outcome of the weight-space search pinning down a lifted class.
 
     The classification follows the first-differential pattern of the

@@ -15,19 +15,18 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import commvar, grmodel, polyalg, rootsys, specseq
 from .errors import FrobkernError
 from .rootsys import Root
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     key: str
     name: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
     elapsed_s: float = 0.0
 
     def line(self) -> str:
@@ -35,13 +34,7 @@ class CriterionResult:
         return f"[{status}] criterion {self.key}: {self.name} ({self.elapsed_s:.2f}s)"
 
     def to_json_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "name": self.name,
-            "passed": self.passed,
-            "details": self.details,
-            "elapsed_s": round(self.elapsed_s, 3),
-        }
+        return {**self._asdict(), "elapsed_s": round(self.elapsed_s, 3)}
 
 
 def _criterion(key: str, name: str):

@@ -380,6 +380,11 @@ class TestExitCodes:
             (None, ["variety", "components", "--q", "3,x"]),
             (None, ["variety", "components", "--N", "4", "--q", ""]),
             (None, ["conjecture", "subdiagrams", "--N", "4", "--count", "--q", ","]),
+            # a repeated q subtracted every subset once per copy: residuals
+            # -657 and -153 where the true residual is 0
+            (None, ["conjecture", "subdiagrams", "--N", "5", "--r", "2", "--count",
+                    "--q", "3,3"]),
+            (None, ["variety", "components", "--N", "4", "--r", "2", "--q", "3,5,3"]),
             (None, ["variety", "count", "--group", "Ux", "--q", "3"]),
             (None, ["rootsys", "info", "--J", "x"]),
             (None, ["model", "hilbert", "--family", "A", "--rank", "2", "--r", "2",
@@ -391,7 +396,8 @@ class TestExitCodes:
                     "--p", "9"]),
         ],
         ids=["env-budget", "negative-budget", "q-list", "empty-q-list",
-             "empty-q-list-subdiagrams", "group", "J",
+             "empty-q-list-subdiagrams", "repeated-q-subdiagrams", "repeated-q-components",
+             "group", "J",
              "negative-hilbert-degree", "negative-aj-degree", "negative-pairs",
              "composite-p"],
     )

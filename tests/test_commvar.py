@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -280,6 +281,66 @@ class TestStrataAgainstTheOracle:
         assert system.count(3, 3**44) == 33 * 9**20
 
 
+def joint_strata(system: VarietySystem) -> Counter:
+    """The strata by one joint enumeration of every linked free node, with
+    union-find over the pairs; each unlinked free node is zero, or nonzero
+    and a class of its own.  The oracle of the per-component enumeration."""
+    free = [s for s in range(1, system.N) if s not in system.zero]
+    pairs = [(s, t) for s, t in system.pairs if s in free and t in free]
+    linked = sorted({s for pair in pairs for s in pair}) if system.r > 1 else []
+    index = {s: i for i, s in enumerate(linked)}
+    edges = [(index[s], index[t]) for s, t in pairs if s in index]
+    out: Counter = Counter()
+    for live in range(1 << len(linked)):
+        root = list(range(len(linked)))
+        k = c = live.bit_count()
+        for i, j in edges:
+            if live >> i & 1 and live >> j & 1:
+                while root[i] != i:
+                    i = root[i]
+                while root[j] != j:
+                    j = root[j]
+                if i != j:
+                    root[i] = j
+                    c -= 1
+        out[c, k] += 1
+    for _ in range(len(free) - len(linked)):
+        out += Counter({(c + 1, k + 1): m for (c, k), m in out.items()})
+    return out
+
+
+class TestStrataByComponent:
+    """The strata convolve over the components of the binding pairs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_systems_against_the_joint_enumeration(self, data):
+        N = data.draw(st.integers(3, 9))
+        r = data.draw(st.integers(1, 3))
+        nodes = range(1, N)
+        zero = data.draw(st.lists(st.sampled_from(nodes), unique=True))
+        pairs = data.draw(
+            st.lists(st.sampled_from(list(itertools.product(nodes, nodes))), unique=True)
+        )
+        system = VarietySystem("random", N, r, zero=tuple(zero), pairs=tuple(pairs))
+        assert system.strata == joint_strata(system)
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_family_systems_against_the_joint_enumeration(self, N, r):
+        for label, system in _family_systems(N, r).items():
+            assert system.strata == joint_strata(system), label
+
+    def test_disjoint_pairs_are_enumerated_apart(self):
+        # ten disjoint pairs (s, s+1) at N = 21: 10 x 4 patterns, not 2^20;
+        # each pair is a rank <= 1 2x2 matrix, 33 points over F_3
+        system = VarietySystem(
+            "ten pairs", 21, 2, pairs=tuple((s, s + 1) for s in range(1, 21, 2))
+        )
+        assert system.count(3, 3**40) == 33**10
+        assert sum(system.strata.values()) == 2**20
+
+
 def _newton(values):
     """Forward differences at 0 of the values at 0, 1, 2, ...: the
     polynomial through them has degree d and leading coefficient
@@ -396,3 +457,11 @@ class TestConjecture:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             conjecture_check(5, 3, q_list=(5,))
+
+    def test_repeated_q_is_refused(self):
+        # counted twice, q = 3 would subtract every subset twice (residual -657)
+        with pytest.raises(ConfigError, match="more than once"):
+            conjecture_check(5, 2, q_list=(3, 3))
+        with pytest.raises(ConfigError, match="more than once"):
+            u4_component_counts(2, iter((3, 5, 3)))
+        assert conjecture_check(5, 2, q_list=iter((3, 5))).residuals == {3: 0, 5: 0}

@@ -431,6 +431,30 @@ def test_specseq_payload_matches_reference(key):
     assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_JOBS[key]["digest"]
 
 
+class TestFirstPageMemo:
+    def test_a_second_call_returns_the_same_ring(self):
+        roots = first_page_roots("A", 3, 2, 5)
+        ring, gens = aj_page(roots, 2, 5)
+        again, gens_again = aj_page(list(roots), 2, 5)
+        assert again is ring and gens_again is gens
+        assert aj_page(roots, 2, 3)[0] is not ring
+
+    @pytest.mark.parametrize(
+        "key",
+        [k for k in REFERENCE_JOBS if k.startswith(("specseq aj-enumerate", "specseq uniq"))],
+    )
+    def test_payloads_from_a_cold_and_a_warm_page_match_the_reference(self, key):
+        specseq._aj_page.cache_clear()
+        for _ in range(2):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert run(key.split()) == REFERENCE_JOBS[key]["exit"]
+            payload = json.loads(out.getvalue())["payload"]
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_JOBS[key]["digest"]
+        assert specseq._aj_page.cache_info().hits >= 1
+
+
 class TestUniqueness:
     def test_u3_p3_r2(self):
         ctx = model_context("A", 2, i=1, stage=3, r=2, p=3)
