@@ -38,7 +38,7 @@ for s in (1, 2):
         deg = g.degree
         note = f"degree {deg} < p^{s} = {3 ** s}" if deg < 3**s else f"degree {deg}"
         print(f"    {g.name:14s} in image: {hit}   ({note})")
-    power = target.w_var(top[0].root, 0) ** (3**s)
+    power = target.var("w", top[0].root, 0) ** (3**s)
     print(f"    ...but its p^{s}-th power is hit: {in_bracket_image(target, power, s)}")
 
 print("\n=== composing two steps ===")

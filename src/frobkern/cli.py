@@ -226,7 +226,7 @@ def payload_variety_components(ns) -> dict:
     if N == 4:
         counts = commvar.u4_component_counts(ns.r, ns.q, budget)
         out["counts"] = {str(q): c for q, c in counts.items()}
-        dims = commvar.subdiagram_components(4, ns.r).predicted_dims()
+        dims = commvar.subdiagram_components(4, ns.r, budget).predicted_dims()
         out["claimed_dims"] = {
             v: dims[label] for v, label in commvar.U4_COMPONENTS.items()
         }
@@ -263,10 +263,7 @@ def payload_specseq_transgression(ns) -> dict:
 def payload_specseq_steenrod(ns) -> dict:
     page = specseq.ExtensionPage(_model_ctx(ns))
     beta = rootsys.parse_root(ns.beta, ns.rank)
-    if ns.kind == "y":
-        target = page.y(beta, ns.twist)
-    else:
-        target = page.x(beta, ns.twist) ** ns.exponent
+    target = page.var(ns.kind, beta, ns.twist) ** (ns.exponent if ns.kind == "x" else 1)
     value = specseq.steenrod_apply(page, ns.op, target)
     return {
         "operation": ns.op,
@@ -293,11 +290,11 @@ def payload_specseq_uniqueness(ns) -> dict:
 
 
 def payload_conjecture(ns) -> dict:
-    N = ns.N
-    family = commvar.subdiagram_components(N, ns.r)
+    N, budget = ns.N, _budget(ns)
+    family = commvar.subdiagram_components(N, ns.r, budget)
     payload = {"N": N, "r": ns.r, "members": family.members_json()}
     if ns.count:
-        report = commvar.conjecture_check(N, ns.r, ns.q, _budget(ns))
+        report = commvar.conjecture_check(N, ns.r, ns.q, budget)
         payload["evidence"] = report.to_json_dict()
     return payload
 

@@ -26,8 +26,10 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import ConfigError, DomainError
-from .polyalg import IdealPresentation, check_point_count, pair_terms, plain_ring
+from .errors import BudgetError, ConfigError, DomainError
+from .polyalg import (
+    DEFAULT_POINT_BUDGET, IdealPresentation, check_point_count, pair_terms, plain_ring,
+)
 
 # re-exported: ``commvar.count_points`` names the enumeration oracle of the
 # counts here, and perfbench's tracer wraps it under that name
@@ -278,23 +280,31 @@ class SubdiagramFamily(NamedTuple):
         ]
 
 
-def subdiagram_components(N: int, r: int) -> SubdiagramFamily:
-    """Recursive family: remove a node only if it splits off a new component."""
+def _check_budget(work: int, what: str, budget: int | None) -> None:
+    """Exit 3 when ``work`` steps exceed ``budget``; ``what`` names them."""
+    budget = DEFAULT_POINT_BUDGET if budget is None else budget
+    if work > budget:
+        raise BudgetError(f"{what} exceed the enumeration budget {budget}")
+
+
+def subdiagram_components(N: int, r: int, budget: int | None = None) -> SubdiagramFamily:
+    """Recursive family: remove a node only if it splits off a new component.
+
+    Such a node is inside a segment, so the members are the path minus each
+    pairwise non-adjacent set of nodes 2..N-2: F(N-1) of them, refused before
+    they are listed when that exceeds ``budget``."""
     if N < 3 or r < 1:
         raise ConfigError("need N >= 3 and r >= 1")
-    full = Subdiagram(N, frozenset(range(1, N)))
-    found = {full.nodes}
-    queue = [full]
-    while queue:
-        diagram = queue.pop()
-        for node in sorted(diagram.nodes):
-            smaller = Subdiagram(N, diagram.nodes - {node})
-            if smaller.components == diagram.components + 1:
-                if smaller.nodes not in found:
-                    found.add(smaller.nodes)
-                    queue.append(smaller)
+    size, last = 1, 1  # F(s) and F(s-1), from s = 2
+    for _ in range(N - 3):
+        size, last = size + last, size
+    _check_budget(size, f"F({N - 1}) = {size} sub-diagrams of N = {N}", budget)
+    # the non-adjacent subsets of nodes 2..s, and of nodes 2..s-1
+    removed, shorter = [()], [()]
+    for s in range(2, N - 1):
+        removed, shorter = removed + [(*rest, s) for rest in shorter], removed
     members = sorted(
-        (Subdiagram(N, nodes) for nodes in found),
+        (Subdiagram(N, frozenset(range(1, N)).difference(gone)) for gone in removed),
         key=lambda d: (-len(d.nodes), sorted(d.nodes)),
     )
     return SubdiagramFamily(N, r, tuple(members))
@@ -409,19 +419,24 @@ def conjecture_check(
     residual means the predicted components cover every rational point with
     the right multiplicities; a nonzero residual is reported, not raised.
     Y's count checks q and the budget for every subset: they share its variables.
-    A q listed twice would subtract each subset twice, so it is refused.
+    A q listed twice would subtract each subset twice, so it is refused.  After
+    Y's count, itself bounded by q^n, and before any subset is counted, the
+    budget bounds the 2^k - 1 subsets of the k members times the 2^(N-1) zero
+    patterns each may visit.
     """
     q_list = tuple(q_list)
     if len(set(q_list)) < len(q_list):
         raise ConfigError(f"q_list names a q more than once: {list(q_list)}")
-    family = subdiagram_components(N, r)
     y_system = y_variety_system(N, r)
+    y_counts = {q: y_system.count(q, max_assignments) for q in q_list}
+    family = subdiagram_components(N, r, max_assignments)
+    k = len(family.members)
+    work = ((1 << k) - 1) << (N - 1)
+    what = f"(2^{k} - 1) subsets of the {k}-member family times 2^{N - 1} zero patterns"
+    _check_budget(work, f"{what} = {work}", max_assignments)
     systems = {d.label(): component_system(N, r, d) for d in family.members}
-    report = ComponentReport(N, r, q_list, family, {}, {}, {}, {})
+    report = ComponentReport(N, r, q_list, family, y_counts, {}, {}, dict(y_counts))
     labels = [d.label() for d in family.members]
-    for q in q_list:
-        report.y_counts[q] = y_system.count(q, max_assignments)
-        report.residuals[q] = report.y_counts[q]
     for size in range(1, len(labels) + 1):
         for combo in itertools.combinations(labels, size):
             merged = functools.reduce(VarietySystem.union, map(systems.get, combo))

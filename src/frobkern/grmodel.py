@@ -32,6 +32,7 @@ along increasing Frobenius height.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import warnings
@@ -169,9 +170,9 @@ def model_context(family, rank, J=(), i=1, stage=None, r=1, p=3) -> ModelContext
     return ModelContext(family.upper(), rank, frozenset(J), i, stage, r, p)
 
 
-class _Presentation:
+class Presentation:
     """The ring on ``generators``, one variable each in that order, plus a
-    relation list that the builders attach."""
+    relation list that the builders attach (none for a free algebra)."""
 
     kind = ""  # the "kind" of the JSON form
     noun = ""  # what the repr calls the ring's variables
@@ -184,6 +185,10 @@ class _Presentation:
         )
         self.relations: tuple[Poly, ...] = ()
         self._ideal = None
+
+    def var(self, kind: str, root: Root, twist: int) -> Poly:
+        """The variable of the class ``kind[root](twist)``."""
+        return self.ring.var(generator_name(kind, root.label(), twist))
 
     def ideal(self) -> IdealPresentation:
         if self._ideal is None:
@@ -227,18 +232,10 @@ class _Presentation:
         )
 
 
-class ModelPresentation(_Presentation):
+class ModelPresentation(Presentation):
     """Ambient model ring plus its relation list (empty for plain S*)."""
 
     kind, noun = "model", "generators"
-
-    # -- generator access ----------------------------------------------------
-
-    def x_var(self, root: Root, twist: int) -> Poly:
-        return self.ring.var(generator_name("x", root.label(), twist))
-
-    def w_var(self, root: Root, twist: int) -> Poly:
-        return self.ring.var(generator_name("w", root.label(), twist))
 
     def power_image(self, root: Root, twist: int) -> Poly:
         """The element (x_root^{(twist)})^{p^{r-twist-1}} of this model."""
@@ -247,8 +244,8 @@ class ModelPresentation(_Presentation):
             raise DomainError(f"twist {twist} out of range for r={ctx.r}")
         level = ctx.parabolic().level(root)
         if level == 1 and ctx.i == 1:
-            return self.x_var(root, twist) ** (ctx.p ** (ctx.r - twist - 1))
-        return self.w_var(root, twist)
+            return self.var("x", root, twist) ** (ctx.p ** (ctx.r - twist - 1))
+        return self.var("w", root, twist)
 
     def top_generators(self) -> list[str]:
         v, pctx = self.ctx.top_level, self.ctx.parabolic()
@@ -298,8 +295,8 @@ def s2_relation(pres: ModelPresentation, beta: Root, twist: int, j: int) -> Poly
     return pair_sum(
         pres.ring,
         ctx.pairs(beta),
-        lambda a: pres.x_var(a, twist) ** q,
-        lambda b: pres.x_var(b, twist + 1 + j),
+        lambda a: pres.var("x", a, twist) ** q,
+        lambda b: pres.var("x", b, twist + 1 + j),
     )
 
 
@@ -375,20 +372,16 @@ def top_free_factor(ctx: ModelContext) -> IdealPresentation:
     v = ctx.top_level
     if v < max(ctx.i, 2):
         raise DomainError("the splitting needs a top level >= 2")
-    top = ModelPresentation(ctx, _powers(ctx, "w", (v,)), "top")
-    return IdealPresentation(top.ring, [])
+    return ModelPresentation(ctx, _powers(ctx, "w", (v,)), "top").ideal()
 
 
 # -- coordinate algebra of the commuting variety -------------------------------
 
 
-class CoordinatePresentation(_Presentation):
+class CoordinatePresentation(Presentation):
     """k[V_r] of the quotient group: coordinates X[beta](l) and 2x2 minors."""
 
     kind, noun = "coordinate", "coordinates"
-
-    def var(self, root: Root, twist: int) -> Poly:
-        return self.ring.var(generator_name("X", root.label(), twist))
 
 
 def vr_coordinate_algebra(ctx: ModelContext) -> CoordinatePresentation:
@@ -411,7 +404,7 @@ def vr_coordinate_algebra(ctx: ModelContext) -> CoordinatePresentation:
         )
     pres = CoordinatePresentation(ctx, _powers(ctx, "X", ctx.levels()), f"k[V_{ctx.r}]")
     levels = range(2, ctx.stage)
-    commutations = _commutations(ctx, pres.ring, pres.var, levels)
+    commutations = _commutations(ctx, pres.ring, functools.partial(pres.var, "X"), levels)
     pres.relations = tuple(minor for *_, minor in commutations)
     return pres
 
@@ -519,7 +512,8 @@ def theta_power_identities(theta: AlgebraMap):
     if ctx.stage < 3:
         return []
     out = []
-    for beta, twist, twist2, minor in _commutations(ctx, coord.ring, coord.var, (2,)):
+    coordinate = functools.partial(coord.var, "X")
+    for beta, twist, twist2, minor in _commutations(ctx, coord.ring, coordinate, (2,)):
         image = theta.apply(minor)
         power = ctx.r - twist2 - 1
         base = s2_relation(sbar, beta, twist, twist2 - twist - 1) ** (ctx.p**power)
@@ -557,8 +551,8 @@ def theta_degree_U3(r: int, p: int) -> int:
             candidate = pair_sum(
                 q_model.ring,
                 [(a1, a2)],
-                lambda a: q_model.x_var(a, twist),
-                lambda b: q_model.x_var(b, 0) ** (p**twist),
+                lambda a: q_model.var("x", a, twist),
+                lambda b: q_model.var("x", b, 0) ** (p**twist),
             )
             if not normal_form(candidate, q_model.relations).is_zero():
                 raise CheckFailure(
@@ -587,10 +581,9 @@ def bracket_p(model: ModelPresentation) -> AlgebraMap:
     for g in model.generators:
         if g.twist == ctx.r - 1:
             images[g.name] = target.ring.zero()
-        elif g.kind == "x":
-            images[g.name] = target.x_var(g.root, g.twist)
         else:
-            images[g.name] = target.w_var(g.root, g.twist) ** ctx.p
+            image = target.var(g.kind, g.root, g.twist)
+            images[g.name] = image ** ctx.p if g.kind == "w" else image
     bracket = AlgebraMap(model, target, images, name="bracket_p")
     bracket.well_defined()
     return bracket

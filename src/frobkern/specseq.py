@@ -30,9 +30,10 @@ by a rule on generator powers.  Three rule sets use it:
 The file also carries the weight-space enumerator for the first page of
 the filtration-by-powers-of-the-augmentation-ideal spectral sequence,
 with the 1-dimensionality search used to pin down lifted classes.  Both
-pages are rings on ``grmodel.ModelGenerator`` classes; the first page
-names the twist l class by its block n = l+1.  No Steenrod operation is
-ever applied to that enumerator's data.
+pages are rings on ``grmodel.ModelGenerator`` classes: the second is a
+``grmodel.Presentation`` like the models it is compared with, and the first
+names the twist l class by its block n = l+1.  No Steenrod operation is ever
+applied to that enumerator's data.
 """
 
 from __future__ import annotations
@@ -43,44 +44,31 @@ from operator import gt, sub
 from typing import NamedTuple
 
 from .errors import BudgetError, DomainError, UnsupportedOperationError
-from .grmodel import ModelContext, ModelGenerator
+from .grmodel import ModelContext, ModelGenerator, Presentation
 from .polyalg import Poly, PolyRing, pair_sum
 from .rootsys import Root, check_pairing_hypothesis, generator_name
 
 
-class ExtensionPage:
-    """Second page of the central extension at the top level of a context."""
+class ExtensionPage(Presentation):
+    """Second page of the central extension at the top level of a context:
+    the free algebra, with no relations, on every x twist by twist, then
+    every y, over the roots of the context."""
+
+    kind, noun = "page", "classes"
 
     def __init__(self, ctx: ModelContext):
         if ctx.top_level < max(ctx.i, 2) and ctx.i == 1:
             raise DomainError("the extension needs a fiber level >= 2")
-        self.ctx = ctx
-        self.fiber_roots = ctx.roots_of_level(ctx.top_level)
         roots = ctx.roots()
-        #: the class of each ring variable: every x twist by twist, then every y
-        self.generators = tuple(
+        generators = (
             ModelGenerator(kind, root, twist, ctx.p)
             for kind in "xy"
             for twist in range(ctx.r)
             for root in roots
         )
-        self.ring = PolyRing(ctx.p, [g.descriptor() for g in self.generators])
-        self._fiber = set(self.fiber_roots)
+        super().__init__(ctx, generators, "E2")
+        self.fiber_roots = ctx.roots_of_level(ctx.top_level)
         self._transgressions: dict = {}  # (beta, twist, j): the shared, immutable value
-
-    # -- generator access ------------------------------------------------------
-
-    def x(self, root: Root, twist: int) -> Poly:
-        return self.ring.var(generator_name("x", root.label(), twist))
-
-    def y(self, root: Root, twist: int) -> Poly:
-        return self.ring.var(generator_name("y", root.label(), twist))
-
-    def is_fiber(self, root: Root) -> bool:
-        return root in self._fiber
-
-    def __repr__(self):
-        return f"ExtensionPage({self.ctx.label()})"
 
 
 # -- the Cartan-Leibniz fold -------------------------------------------------------
@@ -129,11 +117,12 @@ def _fold(page: ExtensionPage, f: Poly, n: int, rule) -> tuple[Poly, Poly]:
 def d2_on_y(page: ExtensionPage, beta: Root, twist: int) -> Poly:
     """Second-page value on the degree-1 fiber class at the given twist."""
     ctx = page.ctx
-    if not page.is_fiber(beta):
+    if beta not in page.fiber_roots:
         raise DomainError(f"{beta.label()} is not a fiber root of this page")
     if not 0 <= twist < ctx.r:
         raise DomainError(f"twist {twist} outside [0, {ctx.r})")
-    products = (page.y(a, twist) * page.y(b, twist) for a, b in ctx.pairs(beta))
+    y = functools.partial(page.var, "y")
+    products = (y(a, twist) * y(b, twist) for a, b in ctx.pairs(beta))
     return sum(products, page.ring.zero())
 
 
@@ -142,7 +131,7 @@ def transgression_power(page: ExtensionPage, beta: Root, twist: int, j: int) -> 
     ctx = page.ctx
     if twist < 0 or j < 0:
         raise DomainError("twist and j must be non-negative")
-    if not page.is_fiber(beta):
+    if beta not in page.fiber_roots:
         raise DomainError(f"{beta.label()} is not a fiber root of this page")
     if twist + 1 + j >= ctx.r:
         return page.ring.zero()
@@ -151,8 +140,8 @@ def transgression_power(page: ExtensionPage, beta: Root, twist: int, j: int) -> 
         page._transgressions[key] = pair_sum(
             page.ring,
             ctx.pairs(beta),
-            lambda a: page.x(a, twist) ** (ctx.p**j),
-            lambda b: page.y(b, twist + 1 + j),
+            lambda a: page.var("x", a, twist) ** (ctx.p**j),
+            lambda b: page.var("y", b, twist + 1 + j),
         )
     return page._transgressions[key]
 
@@ -162,7 +151,7 @@ def d2(page: ExtensionPage, f: Poly) -> Poly:
     values = {
         i: d2_on_y(page, g.root, g.twist)
         for i, g in enumerate(page.generators)
-        if g.kind == "y" and page.is_fiber(g.root)
+        if g.kind == "y" and g.root in page.fiber_roots
     }
 
     def rule(i: int, e: int):
@@ -185,7 +174,7 @@ def first_nonvanishing_differential(page: ExtensionPage, monomial: dict):
     ctx = page.ctx
     p, r = ctx.p, ctx.r
     for (beta, twist), n in monomial.items():
-        if not page.is_fiber(beta):
+        if beta not in page.fiber_roots:
             raise DomainError("monomial must live in the fiber polynomial part")
         if n < 0 or not 0 <= twist < r:
             raise DomainError("bad exponent data")
@@ -257,10 +246,10 @@ def steenrod_apply(page: ExtensionPage, op: str, f: Poly) -> Poly:
         g = page.generators[i]
         top = g.twist + 1 >= r  # ' is zero at the top twist
         if g.kind == "y":
-            shifted = {} if top else {0: page.y(g.root, g.twist + 1)}
-            return shifted, {0: page.x(g.root, g.twist)}
+            shifted = {} if top else {0: page.var("y", g.root, g.twist + 1)}
+            return shifted, {0: page.var("x", g.root, g.twist)}
         x = page.ring.var(g.name)
-        x1 = page.ring.zero() if top else page.x(g.root, g.twist + 1)
+        x1 = page.ring.zero() if top else page.var("x", g.root, g.twist + 1)
         grades = range(min(e, n) + 1)
         return {s: x ** (p * s) * x1 ** (e - s) * math.comb(e, s) for s in grades}, {}
 

@@ -385,6 +385,9 @@ class TestExitCodes:
             (None, ["conjecture", "subdiagrams", "--N", "5", "--r", "2", "--count",
                     "--q", "3,3"]),
             (None, ["variety", "components", "--N", "4", "--r", "2", "--q", "3,5,3"]),
+            # Y's count checks q before the subset bound (2^21 - 1 subsets) refuses
+            (None, ["conjecture", "subdiagrams", "--N", "9", "--r", "1", "--count",
+                    "--q", "4"]),
             (None, ["variety", "count", "--group", "Ux", "--q", "3"]),
             (None, ["rootsys", "info", "--J", "x"]),
             (None, ["model", "hilbert", "--family", "A", "--rank", "2", "--r", "2",
@@ -397,7 +400,7 @@ class TestExitCodes:
         ],
         ids=["env-budget", "negative-budget", "q-list", "empty-q-list",
              "empty-q-list-subdiagrams", "repeated-q-subdiagrams", "repeated-q-components",
-             "group", "J",
+             "even-q-before-the-subset-bound", "group", "J",
              "negative-hilbert-degree", "negative-aj-degree", "negative-pairs",
              "composite-p"],
     )
@@ -589,6 +592,34 @@ class TestScanBudget:
                            "40", "--J", J, "--v", "3", "--r", "1", "--p", "3",
                            "--beta", "a20+a21", "--budget", "100000000")
         assert code == 0 and doc["payload"]["surviving_count"] == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["conjecture", "subdiagrams", "--N", "9", "--r", "1", "--count", "--q", "3"],
+             "(2^21 - 1) subsets of the 21-member family times 2^8 zero patterns"
+             " = 536870656 exceed the enumeration budget 10000000"),
+            (["conjecture", "subdiagrams", "--N", "40", "--r", "1"],
+             "F(39) = 63245986 sub-diagrams of N = 40 exceed"),
+            (["conjecture", "subdiagrams", "--N", "6", "--r", "1", "--budget", "4"],
+             "F(5) = 5 sub-diagrams of N = 6 exceed the enumeration budget 4"),
+            # Y's 3^4 = 81 points fit, its 3 members' 7 subsets x 2^4 do not
+            (["variety", "components", "--N", "5", "--r", "1", "--budget", "111"],
+             "(2^3 - 1) subsets of the 3-member family times 2^4 zero patterns"
+             " = 112 exceed the enumeration budget 111"),
+        ],
+        ids=["subsets", "family", "family-option", "components-option"],
+    )
+    def test_sub_diagram_work_is_bounded_before_it_starts(self, capsys, monkeypatch,
+                                                          argv, message):
+        # each bound is checked before its work: the 2^21 - 1 subsets at N = 9
+        # (Y's 3^8 points at r = 1 fit), the F(39) members at N = 40
+        monkeypatch.delenv("FROBKERN_BUDGET", raising=False)
+        start = time.perf_counter()
+        code, doc = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and doc["error"]["code"] == "budget"
+        assert message in doc["error"]["message"]
 
     def test_a_model_over_a_large_table_is_refused(self, capsys, monkeypatch):
         monkeypatch.delenv("FROBKERN_BUDGET", raising=False)

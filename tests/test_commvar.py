@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -385,6 +386,26 @@ class TestCountPolynomials:
         )
 
 
+def removal_search(N: int) -> tuple[Subdiagram, ...]:
+    """The recursive family by search, the oracle of its closed form: from the
+    full path, remove a node whenever that splits off a new component."""
+    full = Subdiagram(N, frozenset(range(1, N)))
+    found, queue = {full.nodes}, [full]
+    while queue:
+        diagram = queue.pop()
+        for node in sorted(diagram.nodes):
+            smaller = Subdiagram(N, diagram.nodes - {node})
+            if smaller.components == diagram.components + 1 and smaller.nodes not in found:
+                found.add(smaller.nodes)
+                queue.append(smaller)
+    return tuple(
+        sorted(
+            (Subdiagram(N, nodes) for nodes in found),
+            key=lambda d: (-len(d.nodes), sorted(d.nodes)),
+        )
+    )
+
+
 class TestSubdiagrams:
     def test_n3(self):
         family = subdiagram_components(3, 2)
@@ -415,6 +436,27 @@ class TestSubdiagrams:
         # every removal step raised the component count by one
         for d in family.members:
             assert d.components == 1 + (5 - len(d.nodes))
+
+    @pytest.mark.parametrize("N", range(3, 15))
+    def test_closed_form_is_the_removal_search(self, N):
+        assert subdiagram_components(N, 2).members == removal_search(N)
+
+    def test_family_sizes_are_fibonacci(self):
+        fib = [0, 1]
+        while len(fib) < 40:
+            fib.append(fib[-1] + fib[-2])
+        for N in range(3, 25):
+            assert len(subdiagram_components(N, 1).members) == fib[N - 1]
+
+    def test_family_over_the_budget_is_refused_before_listing(self):
+        # F(27) = 196418 members at N = 28; F(39) = 63245986 at N = 40
+        with pytest.raises(BudgetError, match=r"F\(27\) = 196418 sub-diagrams"):
+            subdiagram_components(28, 1, budget=196417)
+        assert len(subdiagram_components(13, 1, budget=144).members) == 144
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=f"63245986 .* budget {DEFAULT_POINT_BUDGET}"):
+            subdiagram_components(40, 1)
+        assert time.perf_counter() - start < 1.0
 
     def test_segments(self):
         d = Subdiagram(6, frozenset({1, 3, 4}))
@@ -457,6 +499,25 @@ class TestConjecture:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             conjecture_check(5, 3, q_list=(5,))
+
+    def test_subsets_over_the_budget_are_refused_before_counting(self):
+        # N = 9 has 21 members: 2^21 - 1 subsets, each visiting up to 2^8
+        # zero patterns; Y's own 3^8 points fit the budget at r = 1
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=r"2\^21 - 1.* = 536870656 exceed"):
+            conjecture_check(9, 1, q_list=(3,))
+        assert time.perf_counter() - start < 1.0
+        # N = 5: 7 subsets times 16 patterns = 112, above Y's 3^4 = 81 points
+        with pytest.raises(BudgetError, match="= 112 exceed the enumeration budget 111"):
+            conjecture_check(5, 1, q_list=(3,), max_assignments=111)
+        assert conjecture_check(5, 1, q_list=(3,), max_assignments=112).residuals == {3: 0}
+
+    def test_the_default_budget_admits_the_n8_count(self):
+        # (2^13 - 1) 2^7 = 1048448 steps; perfbench (N <= 6) and criterion 4
+        # (N = 5) ask for less
+        report = conjecture_check(8, 2, q_list=(3,))
+        assert len(report.family.members) == 13
+        assert len(report.subset_counts) == 2**13 - 1 - 13
 
     def test_repeated_q_is_refused(self):
         # counted twice, q = 3 would subtract every subset twice (residual -657)

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
@@ -17,6 +18,7 @@ from frobkern.grmodel import (
     AlgebraMap,
     ModelGenerator,
     PairingHypothesisWarning,
+    Presentation,
     bracket_p,
     bracket_probe,
     build_Q,
@@ -109,8 +111,8 @@ class TestRelationIdeal:
         pres = build_S_star(ctx)
         rels = build_relation_ideal(pres)
         expected = (
-            pres.x_var(A1, 0) ** 3 * pres.x_var(A2, 1)
-            - pres.x_var(A2, 0) ** 3 * pres.x_var(A1, 1)
+            pres.var("x", A1, 0) ** 3 * pres.var("x", A2, 1)
+            - pres.var("x", A2, 0) ** 3 * pres.var("x", A1, 1)
         )
         assert len(rels) == 1
         assert rels[0] == expected
@@ -306,9 +308,8 @@ class TestCoordinateAlgebra:
         }
         assert len(coord.relations) == 1
         rel = coord.relations[0]
-        expected = coord.var(A1, 0) * coord.var(A2, 1) - coord.var(A1, 1) * coord.var(
-            A2, 0
-        )
+        X = functools.partial(coord.var, "X")
+        expected = X(A1, 0) * X(A2, 1) - X(A1, 1) * X(A2, 0)
         assert rel == expected
 
     def test_u3_r1_affine_space(self):
@@ -367,8 +368,8 @@ class TestTheta:
         p, r = ctx.p, ctx.r
         for alpha in [A1, A2]:
             for twist in range(r):
-                lhs = sbar.x_var(alpha, twist) ** (p ** (r - 1))
-                rhs = theta.apply(coord.var(alpha, twist)) ** (p**twist)
+                lhs = sbar.var("x", alpha, twist) ** (p ** (r - 1))
+                rhs = theta.apply(coord.var("X", alpha, twist)) ** (p**twist)
                 assert lhs == rhs
 
     @pytest.mark.parametrize(
@@ -408,11 +409,11 @@ class TestBracket:
         ctx = u3()
         bracket = bracket_p(build_Sbar(ctx))
         target = bracket.target
-        assert bracket.apply(build_Sbar(ctx).x_var(A1, 1)).is_zero()
-        assert bracket.apply(build_Sbar(ctx).w_var(A12, 1)).is_zero()
-        assert bracket.apply(build_Sbar(ctx).x_var(A1, 0)) == target.x_var(A1, 0)
+        assert bracket.apply(build_Sbar(ctx).var("x", A1, 1)).is_zero()
+        assert bracket.apply(build_Sbar(ctx).var("w", A12, 1)).is_zero()
+        assert bracket.apply(build_Sbar(ctx).var("x", A1, 0)) == target.var("x", A1, 0)
         # (x_b^{(0)})^{p^{r-1}} restricts to ((x_b^{(0)})^{p^{r-2}})^p
-        assert bracket.apply(build_Sbar(ctx).w_var(A12, 0)) == target.w_var(A12, 0) ** 3
+        assert bracket.apply(build_Sbar(ctx).var("w", A12, 0)) == target.var("w", A12, 0) ** 3
 
     def test_r1_rejected(self):
         with pytest.raises(DomainError):
@@ -457,8 +458,8 @@ class TestBracket:
                 if d < ctx.p**s:
                     assert not in_bracket_image(model, g, s)
             # p^s-th powers are hit
-            assert in_bracket_image(model, model.w_var(A12, 0) ** (ctx.p**s), s)
-            assert in_bracket_image(model, model.x_var(A1, 0) ** 2, s)
+            assert in_bracket_image(model, model.var("w", A12, 0) ** (ctx.p**s), s)
+            assert in_bracket_image(model, model.var("x", A1, 0) ** 2, s)
 
     def test_probe_scans_degrees_below_p_powers(self):
         # at p = 5 the top generators have degrees 10 (twist 0) and 2 (twist 1)
@@ -475,8 +476,8 @@ class TestBracket:
         composite = iterated_bracket(model, 2)
         target = composite.target
         assert target.ctx.r == 1
-        assert composite.apply(model.w_var(A12, 0)) == target.w_var(A12, 0) ** 9
-        assert composite.apply(model.x_var(A1, 2)).is_zero()
+        assert composite.apply(model.var("w", A12, 0)) == target.var("w", A12, 0) ** 9
+        assert composite.apply(model.var("x", A1, 2)).is_zero()
 
 
 def random_polys(ring, seed, count=25):
@@ -561,7 +562,7 @@ class TestAlgebraMapOracle:
         ctx = u3(r=1)
         page = ExtensionPage(ctx)
         source = build_S_star(ctx)
-        images = {g.name: page.x(g.root, g.twist) for g in source.generators}
+        images = {g.name: page.var("x", g.root, g.twist) for g in source.generators}
         with pytest.raises(DomainError, match="exterior"):
             AlgebraMap(source, page, images)
 
@@ -585,8 +586,8 @@ def test_model_payload_matches_reference(key):
 
 
 def generator_rings(ctx):
-    """(name, ring, generators, expected (kind, root, twist) set) for every
-    ring built on generator records over ``ctx``."""
+    """(name, presentation, expected (kind, root, twist) set) for every ring
+    built on generator records over ``ctx``."""
     pctx = ctx.parabolic()
     by_level = {}
     for beta in pctx.radical_roots():
@@ -609,16 +610,12 @@ def generator_rings(ctx):
         ("Sbar", build_Sbar, ctx.stage),
         ("Q", build_Q, ctx.top_level),
     ):
-        pres = build(ctx)
-        yield name, pres.ring, pres.generators, model(top)
+        yield name, build(ctx), model(top)
     levels = range(ctx.i, ctx.stage)
     if ctx.family == "A" and ctx.i == 1 and ctx.p >= min(ctx.rank + 1, ctx.stage):
-        coord = vr_coordinate_algebra(ctx)
-        yield "coord", coord.ring, coord.generators, classes("X", levels)
+        yield "coord", vr_coordinate_algebra(ctx), classes("X", levels)
     if ctx.top_level >= 2:
-        page = ExtensionPage(ctx)
-        expected = classes("x", levels) | classes("y", levels)
-        yield "page", page.ring, page.generators, expected
+        yield "page", ExtensionPage(ctx), classes("x", levels) | classes("y", levels)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -631,8 +628,10 @@ def test_generator_records_describe_their_rings(family, rank, p):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PairingHypothesisWarning)
             rings = list(generator_rings(ctx))
-        for name, ring, gens, expected in rings:
+        for name, pres, expected in rings:
+            ring, gens = pres.ring, pres.generators
             where = f"{name} of {ctx.label()}"
+            assert isinstance(pres, Presentation), where
             assert [g.descriptor() for g in gens] == list(ring.variables), where
             assert {(g.kind, g.root, g.twist) for g in gens} == expected, where
             assert len(gens) == len(expected), where
@@ -646,6 +645,8 @@ def test_generator_records_describe_their_rings(family, rank, p):
                     assert g.power == r - l - 1, where
                     degree, scale = 2 * p ** (r - l - 1), p**r
                 assert g.degree == degree, (where, g)
+                # the one lookup of every ring finds the class's own variable
+                assert pres.var(g.kind, g.root, g.twist) == ring.var(g.name), (where, g)
                 assert g.weight() == tuple(scale * c for c in beta), (where, g)
                 if g.kind == "w" and g.power:
                     label = g.root.label()

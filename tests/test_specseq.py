@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
@@ -6,6 +7,7 @@ import json
 import math
 import pathlib
 import random
+import re
 import sys
 
 import pytest
@@ -66,14 +68,47 @@ class TestGaPresentation:
         assert by["x[a1+a2](1)"].weight == (9, 9)
 
 
+class TestSecondPageAsPresentation:
+    """E2 is a Presentation with no relations, like S*: the free
+    graded-commutative algebra on its classes."""
+
+    def test_hilbert_series_is_the_free_series(self):
+        page = u4_page(r=2)
+        assert isinstance(page, grmodel.Presentation) and page.relations == ()
+        n = sum(g.kind == "x" for g in page.generators)
+        assert n == sum(g.kind == "y" for g in page.generators) == 10
+        # k of the n odd classes of degree 1, times a monomial of degree d - k
+        # in the n even classes of degree 2
+        free = [
+            sum(
+                math.comb(n, k) * math.comb(n - 1 + (d - k) // 2, n - 1)
+                for k in range(min(n, d) + 1)
+                if (d - k) % 2 == 0
+            )
+            for d in range(13)
+        ]
+        assert hilbert_series(page.ideal(), 12) == free
+
+    @pytest.mark.parametrize(
+        "kind, root, twist",
+        [("x", A12, 2), ("w", A12, 0), ("y", Root((1, 1, 1)), 0)],
+        ids=["twist-above-r", "no-w-on-the-page", "root-above-the-fiber"],
+    )
+    def test_a_class_off_the_page_is_named(self, kind, root, twist):
+        page = u3_page(r=2) if len(root.coeffs) == 2 else u4_page(r=2)
+        name = f"{kind}[{root.label()}]({twist})"
+        with pytest.raises(DomainError, match=re.escape(repr(name))):
+            page.var(kind, root, twist)
+
+
 class TestD2:
     def test_u3_twist0(self):
         page = u3_page()
-        assert d2_on_y(page, A12, 0) == page.y(A1, 0) * page.y(A2, 0)
+        assert d2_on_y(page, A12, 0) == page.var("y", A1, 0) * page.var("y", A2, 0)
 
     def test_u4_beta23_twist1(self):
         page = u4_page()
-        assert d2_on_y(page, B23, 1) == page.y(B2, 1) * page.y(B3, 1)
+        assert d2_on_y(page, B23, 1) == page.var("y", B2, 1) * page.var("y", B3, 1)
 
     def test_no_pairs_gives_zero(self):
         # inside Gamma_2 the level-2 fiber roots have no admissible pairs
@@ -88,7 +123,8 @@ class TestD2:
 class TestTransgression:
     def test_u3_base_case(self):
         page = u3_page()
-        expected = page.x(A1, 0) * page.y(A2, 1) - page.x(A2, 0) * page.y(A1, 1)
+        x, y = functools.partial(page.var, "x"), functools.partial(page.var, "y")
+        expected = x(A1, 0) * y(A2, 1) - x(A2, 0) * y(A1, 1)
         assert transgression_power(page, A12, 0, 0) == expected
 
     def test_truncated(self):
@@ -97,7 +133,8 @@ class TestTransgression:
     def test_j1_r3(self):
         page = u3_page(r=3)
         expected = (
-            page.x(A1, 0) ** 3 * page.y(A2, 2) - page.x(A2, 0) ** 3 * page.y(A1, 2)
+            page.var("x", A1, 0) ** 3 * page.var("y", A2, 2)
+            - page.var("x", A2, 0) ** 3 * page.var("y", A1, 2)
         )
         assert transgression_power(page, A12, 0, 1) == expected
 
@@ -147,42 +184,43 @@ class TestDerivation:
     def test_d2_squared_zero_low_fiber_degree(self):
         page = u3_page()
         candidates = [
-            page.y(A12, 0) * page.y(A12, 1),
-            page.y(A12, 0) * page.x(A1, 0),
-            page.y(A12, 1),
-            page.y(A12, 0) * page.y(A12, 1) * page.x(A2, 1),
+            page.var("y", A12, 0) * page.var("y", A12, 1),
+            page.var("y", A12, 0) * page.var("x", A1, 0),
+            page.var("y", A12, 1),
+            page.var("y", A12, 0) * page.var("y", A12, 1) * page.var("x", A2, 1),
         ]
         for f in candidates:
             assert d2(page, d2(page, f)).is_zero()
 
     def test_d2_vanishes_on_fiber_x(self):
         page = u3_page()
-        assert d2(page, page.x(A12, 0) ** 2).is_zero()
+        assert d2(page, page.var("x", A12, 0) ** 2).is_zero()
 
 
 class TestSteenrod:
     def test_bockstein_on_wedge_is_cartan_display(self):
         page = u3_page()
-        value = steenrod_apply(page, "bP0", page.y(A1, 0) * page.y(A2, 0))
-        expected = page.x(A1, 0) * page.y(A2, 1) - page.x(A2, 0) * page.y(A1, 1)
+        value = steenrod_apply(page, "bP0", page.var("y", A1, 0) * page.var("y", A2, 0))
+        x, y = functools.partial(page.var, "x"), functools.partial(page.var, "y")
+        expected = x(A1, 0) * y(A2, 1) - x(A2, 0) * y(A1, 1)
         assert value == expected
 
     def test_power_rule(self):
         page = u3_page(r=2)
-        value = steenrod_apply(page, "P3", page.x(A12, 0) ** 3)
-        assert value == page.x(A12, 0) ** 9
+        value = steenrod_apply(page, "P3", page.var("x", A12, 0) ** 3)
+        assert value == page.var("x", A12, 0) ** 9
 
     def test_truncated_bockstein(self):
         page = u3_page(r=2)
-        assert steenrod_apply(page, "bP0", page.y(A12, 1)) == page.x(A12, 1)
+        assert steenrod_apply(page, "bP0", page.var("y", A12, 1)) == page.var("x", A12, 1)
         # on a wedge at the top twist both Cartan terms hit truncated classes
-        top = page.y(A1, 1) * page.y(A2, 1)
+        top = page.var("y", A1, 1) * page.var("y", A2, 1)
         assert steenrod_apply(page, "bP0", top).is_zero()
 
     def test_p0_is_ring_map(self):
         page = u3_page(r=3)
-        f = page.x(A1, 0) + page.y(A2, 0) * page.y(A1, 1)
-        g = page.x(A2, 1) ** 2
+        f = page.var("x", A1, 0) + page.var("y", A2, 0) * page.var("y", A1, 1)
+        g = page.var("x", A2, 1) ** 2
         assert steenrod_apply(page, "P0", f * g) == steenrod_apply(
             page, "P0", f
         ) * steenrod_apply(page, "P0", g)
@@ -211,26 +249,26 @@ class TestSteenrod:
             if twist + 1 + j >= page.ctx.r:
                 assert value.is_zero()
                 continue
-            expected = page.x(A1, twist) ** (p ** (j + 1)) * page.x(
+            expected = page.var("x", A1, twist) ** (p ** (j + 1)) * page.var("x", 
                 A2, twist + 1 + j
-            ) - page.x(A2, twist) ** (p ** (j + 1)) * page.x(A1, twist + 1 + j)
+            ) - page.var("x", A2, twist) ** (p ** (j + 1)) * page.var("x", A1, twist + 1 + j)
             assert value == expected
 
     def test_weight_scaling(self):
         page = u3_page(r=3)
-        f = page.y(A1, 0) * page.y(A2, 0)
+        f = page.var("y", A1, 0) * page.var("y", A2, 0)
         value = steenrod_apply(page, "bP0", f)
         assert value.uniform_weight() == tuple(3 * w for w in f.uniform_weight())
 
     def test_unsupported_operation(self):
         page = u3_page()
         with pytest.raises(UnsupportedOperationError):
-            steenrod_apply(page, "P2", page.x(A1, 0))
+            steenrod_apply(page, "P2", page.var("x", A1, 0))
         with pytest.raises(UnsupportedOperationError):
-            steenrod_apply(page, "Q1", page.x(A1, 0))
+            steenrod_apply(page, "Q1", page.var("x", A1, 0))
         for op in ("P", "Px", "bP"):
             with pytest.raises(UnsupportedOperationError, match="cannot parse"):
-                steenrod_apply(page, op, page.x(A1, 0))
+                steenrod_apply(page, op, page.var("x", A1, 0))
 
     def test_generators_follow_the_ring(self):
         page = u4_page(r=2)
@@ -566,10 +604,10 @@ def oracle_steenrod_apply(page, op, f):
             if s != 0:
                 return ring.zero()
             if bock_flag:
-                return page.x(root, twist)
+                return page.var("x", root, twist)
             if twist + 1 >= r:
                 return ring.zero()
-            return page.y(root, twist + 1)
+            return page.var("y", root, twist + 1)
         if bock_flag:
             return ring.zero()
         if s > e:
@@ -583,7 +621,7 @@ def oracle_steenrod_apply(page, op, f):
         if s:
             out = out * ring.var(gen.name) ** (ctx.p * s)
         if e - s:
-            out = out * page.x(root, twist + 1) ** (e - s)
+            out = out * page.var("x", root, twist + 1) ** (e - s)
         return out
 
     def cartan(bock_flag, budget, factors):
@@ -631,7 +669,7 @@ def oracle_first_nonvanishing_differential(page, monomial):
             for (b2, t2), n2 in monomial.items():
                 e = n2 - q if (b2, t2) == (beta, twist) else n2
                 if e:
-                    rest = rest * page.x(b2, t2) ** e
+                    rest = rest * page.var("x", b2, t2) ** e
             total = total + rest * value * ((n // q) % p)
         if not total.is_zero():
             return j, total
