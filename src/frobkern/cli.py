@@ -223,15 +223,14 @@ def payload_variety_components(ns) -> dict:
     N = ns.N
     budget = _budget(ns)
     out: dict = {"N": N, "r": ns.r, "q_list": list(ns.q)}
+    report = commvar.conjecture_check(N, ns.r, ns.q, budget)
     if N == 4:
-        counts = commvar.u4_component_counts(ns.r, ns.q, budget)
-        out["counts"] = {str(q): c for q, c in counts.items()}
-        dims = commvar.subdiagram_components(4, ns.r, budget).predicted_dims()
+        out["counts"] = {str(q): c for q, c in commvar.u4_counts(report).items()}
+        dims = report.family.predicted_dims()
         out["claimed_dims"] = {
             v: dims[label] for v, label in commvar.U4_COMPONENTS.items()
         }
     else:
-        report = commvar.conjecture_check(N, ns.r, ns.q, budget)
         out["report"] = report.to_json_dict()
     return out
 
@@ -294,7 +293,7 @@ def payload_conjecture(ns) -> dict:
     family = commvar.subdiagram_components(N, ns.r, budget)
     payload = {"N": N, "r": ns.r, "members": family.members_json()}
     if ns.count:
-        report = commvar.conjecture_check(N, ns.r, ns.q, budget)
+        report = commvar.conjecture_check(N, ns.r, ns.q, budget, family)
         payload["evidence"] = report.to_json_dict()
     return payload
 
@@ -420,6 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     _leaf(sub, "verify-all", payload_verify_all, "--seed", help="run the acceptance criteria")
 
+    # each leaf by its command words ("variety count"), so run() can parse with it alone
+    parser.leaves = {
+        leaf.prog.partition(" ")[2]: leaf
+        for group in (sub, root_sub, model_sub, var_sub, ss_sub, conj_sub)
+        for leaf in group.choices.values()
+        if leaf.get_default("payload")
+    }
     return parser
 
 
@@ -435,11 +441,14 @@ def _echo(ns) -> dict:
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the words before the first option, known even when parsing fails
-    command = " ".join(itertools.takewhile(lambda t: not t.startswith("-"), argv))
+    words = list(itertools.takewhile(lambda t: not t.startswith("-"), argv))
+    command = " ".join(words)
     start = time.perf_counter()
     config = None  # echoed as null when the options themselves are malformed
     try:
-        ns = build_parser().parse_args(argv)
+        # a leaf parses alone; the tree takes the rest (group help, a bad group, a stray word)
+        leaf = build_parser().leaves.get(command)
+        ns = leaf.parse_args(argv[len(words):]) if leaf else build_parser().parse_args(argv)
         config = _echo(ns)
         budget = _budget(ns)
         payload = ns.payload(ns)
@@ -454,7 +463,7 @@ def run(argv=None) -> int:
                 "env_override": os.environ.get(ENV_BUDGET),
             },
         }
-        text = json.dumps(report, sort_keys=True, indent=2)
+        text = json.dumps(report, sort_keys=True)  # one line, by the C encoder
         if ns.output:  # written before printing, so a failed write prints one document
             try:
                 with open(ns.output, "w") as fh:
@@ -480,7 +489,7 @@ def _emit_error(command: str, config: dict | None, exc: FrobkernError) -> None:
         "config": config,
         "error": {"code": exc.code, "message": str(exc)},
     }
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(json.dumps(report, sort_keys=True))
 
 
 def main() -> None:  # console entry point

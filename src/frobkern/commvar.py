@@ -24,6 +24,7 @@ import functools
 import itertools
 import math
 from collections import Counter
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import BudgetError, ConfigError, DomainError
@@ -91,29 +92,37 @@ class VarietySystem(_SystemFields):
             [ring.from_terms((c, dict(exps)) for c, exps in rel) for rel in self.relations],
         )
 
-    def union(self, other: "VarietySystem") -> "VarietySystem":
-        """The intersection of the two varieties: both conditions at once."""
-        if (self.N, self.r, self.extra) != (other.N, other.r, other.extra):
+    def union(self, *others: "VarietySystem") -> "VarietySystem":
+        """The intersection of the varieties: all their conditions at once."""
+        systems = (self, *others)
+        if any((s.N, s.r, s.extra) != (self.N, self.r, self.extra) for s in others):
             raise DomainError("systems over different variable sets")
         return VarietySystem(
-            f"{self.label} & {other.label}",
+            " & ".join(s.label for s in systems),
             self.N,
             self.r,
-            zero=tuple(sorted({*self.zero, *other.zero})),
-            pairs=self.pairs + tuple(p for p in other.pairs if p not in self.pairs),
+            zero=tuple(sorted(set(chain.from_iterable(s.zero for s in systems)))),
+            pairs=tuple(dict.fromkeys(chain.from_iterable(s.pairs for s in systems))),
             extra=self.extra,
         )
+
+    @property
+    def binding(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """The free nodes and the sorted pairs among them, which bind at r >= 2
+        (a minor needs two twists): all that the strata read."""
+        free = tuple(s for s in range(1, self.N) if s not in self.zero)
+        pairs = [(s, t) for s, t in self.pairs if s in free and t in free and self.r > 1]
+        return free, tuple(sorted(pairs))
 
     @functools.cached_property
     def strata(self) -> Counter:
         """(classes c, nonzero nodes k) -> the number of zero patterns of the
-        free nodes whose k nonzero nodes the pairs join into c classes.
+        free nodes whose k nonzero nodes the binding pairs join into c classes.
 
-        A pair binds only at r >= 2 (a minor needs two twists).  The patterns
-        of each connected component of the binding pairs are enumerated, with
-        union-find over its pairs, and the strata of the components convolve."""
-        free = [s for s in range(1, self.N) if s not in self.zero]
-        pairs = [(s, t) for s, t in self.pairs if s in free and t in free and self.r > 1]
+        The patterns of each connected component of the binding pairs are
+        enumerated, with union-find over its pairs, and the strata of the
+        components convolve."""
+        free, pairs = self.binding
         component = {s: [s] for s in free}
         for s, t in pairs:
             nodes, other = component[s], component[t]
@@ -337,7 +346,11 @@ def u4_component_counts(
 
     A relabelling of ``conjecture_check(4, r, ...)``, whose family is exactly
     V1 and V2."""
-    report = conjecture_check(4, r, q_list, budget)
+    return u4_counts(conjecture_check(4, r, q_list, budget))
+
+
+def u4_counts(report: "ComponentReport") -> dict[int, dict[str, int]]:
+    """``u4_component_counts`` read off a ``conjecture_check`` report at N = 4."""
     (both,) = report.subset_counts.values()
     return {
         q: {
@@ -411,6 +424,7 @@ def conjecture_check(
     r: int,
     q_list=(3,),
     max_assignments: int | None = None,
+    family: SubdiagramFamily | None = None,
 ) -> ComponentReport:
     """Count the quotient variety and its predicted components exhaustively.
 
@@ -422,14 +436,15 @@ def conjecture_check(
     A q listed twice would subtract each subset twice, so it is refused.  After
     Y's count, itself bounded by q^n, and before any subset is counted, the
     budget bounds the 2^k - 1 subsets of the k members times the 2^(N-1) zero
-    patterns each may visit.
+    patterns each may visit.  A ``family`` of (N, r) already built is reused.
+    Subsets whose intersections have equal ``binding`` are counted once.
     """
     q_list = tuple(q_list)
     if len(set(q_list)) < len(q_list):
         raise ConfigError(f"q_list names a q more than once: {list(q_list)}")
     y_system = y_variety_system(N, r)
     y_counts = {q: y_system.count(q, max_assignments) for q in q_list}
-    family = subdiagram_components(N, r, max_assignments)
+    family = family or subdiagram_components(N, r, max_assignments)
     k = len(family.members)
     work = ((1 << k) - 1) << (N - 1)
     what = f"(2^{k} - 1) subsets of the {k}-member family times 2^{N - 1} zero patterns"
@@ -437,10 +452,14 @@ def conjecture_check(
     systems = {d.label(): component_system(N, r, d) for d in family.members}
     report = ComponentReport(N, r, q_list, family, y_counts, {}, {}, dict(y_counts))
     labels = [d.label() for d in family.members]
+    memo: dict = {}
     for size in range(1, len(labels) + 1):
         for combo in itertools.combinations(labels, size):
-            merged = functools.reduce(VarietySystem.union, map(systems.get, combo))
-            counts = {q: merged.count_polynomial(q) for q in q_list}
+            merged = systems[combo[0]].union(*map(systems.get, combo[1:]))
+            key = merged.binding
+            if key not in memo:
+                memo[key] = {q: merged.count_polynomial(q) for q in q_list}
+            counts = memo[key]
             if size == 1:
                 report.component_counts[combo[0]] = counts
             else:

@@ -125,8 +125,9 @@ class PolyRing:
         return hash((self.p, self.variables))
 
     def __repr__(self):
-        tag = self.label or ",".join(v.name for v in self.variables[:4])
-        return f"PolyRing(F{self.p}; {tag}{'...' if self.nvars > 4 else ''})"
+        names = ",".join(v.name for v in self.variables[:4])
+        tag = self.label or names + ("..." if self.nvars > 4 else "")
+        return f"PolyRing(F{self.p}; {tag})"
 
     def descriptor(self, name: str) -> VariableDescriptor:
         return self.variables[self.index[name]]

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import pathlib
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from frobkern import commvar
 from frobkern.cli import EXIT_STATUS, build_parser, run
+from frobkern.errors import ConfigError
 
 
 def invoke(capsys, *argv):
@@ -185,6 +188,22 @@ class TestReportContract:
         on_disk = json.loads(target.read_text())
         assert on_disk["payload"] == doc["payload"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["rootsys", "info"], ["variety", "count", "--group", "U3", "--q", "x"]],
+        ids=["report", "error"],
+    )
+    def test_a_report_is_one_line(self, capsys, argv):
+        run(argv)
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("}\n")
+        assert isinstance(json.loads(out), dict)
+
+    def test_output_file_equals_stdout(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        assert run(["rootsys", "info", "--output", str(target)]) == 0
+        assert target.read_text() == capsys.readouterr().out
+
     def test_output_into_a_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"
         code = run(["rootsys", "info", "--family", "A", "--rank", "2",
@@ -343,6 +362,83 @@ def test_an_option_nothing_reads_is_refused(capsys, command, option):
     code, doc = invoke(capsys, *command.split(), *args.split(), option, value)
     assert code == 2 and doc["error"]["code"] == "config"
     assert doc["config"] is None and option in doc["error"]["message"]
+    # the leaf parses alone, so its prog names the error
+    assert doc["error"]["message"].startswith(f"frobkern {command}: unrecognized arguments")
+
+
+#: the benchmark's command lines, each probe seed set to 7
+BENCH_ARGV = [
+    key.format(seed=7).split()
+    for key in json.loads(
+        (pathlib.Path(__file__).parents[1] / "perfbench" / "reference.json").read_text()
+    )["jobs"]
+]
+#: every leaf's example, each refused option, the benchmark's jobs, and edge cases
+PARSE_CORPUS = [
+    *(f"{command} {args}".split() for command, (args, _) in CONFIG_ECHO.items()),
+    *([*command.split(), *CONFIG_ECHO[command][0].split(), option, "2"]
+      for command, option in REMOVED),
+    *BENCH_ARGV,
+    *(line.split() for line in (
+        "variety count -h",
+        "variety count --he",
+        "variety count --h",
+        "verify-all --help",
+        "variety count --group=U3 --q=3 --r=2",
+        "model hilbert --degree=4 --weight=1,1 --budget=9",
+        "variety count --group U3 -- --q 3",
+        "variety count -- --group U3 --q 3",
+        "variety count --group U3 --q 3 --",
+        "variety count --group U3 --q 3 stray",
+        "variety count stray --group U3 --q 3",
+        "variety count --group U3",
+        "model hilbert --r 2",
+        "specseq d2 --v 3",
+        "no-such-command --q 3",
+        "variety counts --group U3 --q 3",
+        "model",
+        "model --help",
+        "--help",
+        "-h",
+        "",
+    )),
+]
+
+
+def _parse(parser, argv, capsys):
+    """How parsing argv ends: the namespace without the tree's group dests, the
+    error with its prog prefix split off, or the exit code and printed text."""
+    try:
+        ns = parser.parse_args(argv)
+    except ConfigError as exc:
+        return "error", *str(exc).partition(": ")[::2]
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().out
+    return "parsed", {k: v for k, v in vars(ns).items() if k not in ("command", "action")}
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_leaf_and_tree_parse_alike(capsys, argv):
+    # run() parses a leaf's options with the leaf alone; the tree must agree
+    tree = build_parser()
+    words = list(itertools.takewhile(lambda t: not t.startswith("-"), argv))
+    leaf = tree.leaves.get(" ".join(words))
+    want = _parse(tree, argv, capsys)
+    if leaf is None:  # run() hands these to the whole tree, message and all
+        code = run(argv)
+        out = capsys.readouterr().out
+        if want[0] == "exit":
+            assert code == 0 and out == want[2]
+        else:
+            assert want[0] == "error" and code == 2
+            assert json.loads(out)["error"]["message"] == ": ".join(want[1:])
+        return
+    got = _parse(leaf, argv[len(words):], capsys)
+    if got[0] == "error":
+        # an error of the tree named its own prog; the leaf names the leaf's
+        assert got[1] == leaf.prog and want[1] in ("frobkern", leaf.prog)
+        got, want = got[::2], want[::2]
+    assert got == want
 
 
 class TestExitCodes:
@@ -620,6 +716,36 @@ class TestScanBudget:
         assert time.perf_counter() - start < 1.0
         assert code == 3 and doc["error"]["code"] == "budget"
         assert message in doc["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            ("--N 40 --r 1", 3, "F(39) = 63245986 sub-diagrams of N = 40 exceed"),
+            ("--N 40 --r 1 --count", 3, "F(39) = 63245986 sub-diagrams of N = 40 exceed"),
+            ("--N 9 --r 1 --count --q 4", 2, "p must be an odd prime, got 2"),
+            ("--N 9 --r 2 --count --q 3", 3,
+             "3^16 = 43046721 assignments exceed the enumeration budget 10000000"),
+        ],
+        ids=["family", "family-count", "even-q", "y-points"],
+    )
+    def test_a_family_built_once_keeps_its_errors(self, capsys, monkeypatch, argv, code,
+                                                 message):
+        monkeypatch.delenv("FROBKERN_BUDGET", raising=False)
+        got, doc = invoke(capsys, "conjecture", "subdiagrams", *argv.split())
+        assert got == code and message in doc["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["conjecture subdiagrams --N 5 --r 2", "conjecture subdiagrams --N 5 --r 2 --count",
+         "variety components --N 4 --r 2 --q 3,5", "variety components --N 5 --r 2"],
+    )
+    def test_the_family_is_built_once_per_command(self, capsys, monkeypatch, argv):
+        builds = []
+        build = commvar.subdiagram_components
+        monkeypatch.setattr(commvar, "subdiagram_components",
+                            lambda *args: builds.append(args) or build(*args))
+        code, _ = invoke(capsys, *argv.split())
+        assert code == 0 and len(builds) == 1
 
     def test_a_model_over_a_large_table_is_refused(self, capsys, monkeypatch):
         monkeypatch.delenv("FROBKERN_BUDGET", raising=False)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -18,6 +19,7 @@ from frobkern.commvar import (
     subdiagram_components,
     u3_y_closed_form,
     u4_component_counts,
+    u4_counts,
     x_variety_system,
     y_variety_system,
 )
@@ -526,3 +528,72 @@ class TestConjecture:
         with pytest.raises(ConfigError, match="more than once"):
             u4_component_counts(2, iter((3, 5, 3)))
         assert conjecture_check(5, 2, q_list=iter((3, 5))).residuals == {3: 0, 5: 0}
+
+
+def subset_loop_report(N: int, r: int, q_list) -> ComponentReport:
+    """The subset loop of ``conjecture_check`` without its memo: every
+    subset's intersection is merged pairwise and counted afresh."""
+    q_list = tuple(q_list)
+    y_counts = {q: y_variety_system(N, r).count_polynomial(q) for q in q_list}
+    family = subdiagram_components(N, r)
+    systems = {d.label(): component_system(N, r, d) for d in family.members}
+    report = ComponentReport(N, r, q_list, family, y_counts, {}, {}, dict(y_counts))
+    for size in range(1, len(systems) + 1):
+        for combo in itertools.combinations(systems, size):
+            merged = functools.reduce(lambda a, b: a.union(b), map(systems.get, combo))
+            counts = {q: merged.count_polynomial(q) for q in q_list}
+            if size == 1:
+                report.component_counts[combo[0]] = counts
+            else:
+                report.subset_counts[combo] = counts
+            for q in q_list:
+                report.residuals[q] += (-1) ** size * counts[q]
+    return report
+
+
+class TestIntersectionsCountedOnce:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("N", range(3, 9))
+    def test_reports_equal_the_subset_loop(self, N, r):
+        # a budget that admits Y's nominal q^n at every N, r and q here
+        got = conjecture_check(N, r, (3, 5, 9), max_assignments=10**30)
+        assert got.to_json_dict() == subset_loop_report(N, r, (3, 5, 9)).to_json_dict()
+
+    def test_each_distinct_intersection_is_counted_once(self, monkeypatch):
+        family = subdiagram_components(6, 2)
+        systems = [component_system(6, 2, d) for d in family.members]
+        bindings = {
+            functools.reduce(VarietySystem.union, combo).binding
+            for size in range(1, len(systems) + 1)
+            for combo in itertools.combinations(systems, size)
+        }
+        calls = []
+        count = VarietySystem.count_polynomial
+        monkeypatch.setattr(
+            VarietySystem, "count_polynomial",
+            lambda system, q: calls.append(system.label) or count(system, q),
+        )
+        conjecture_check(6, 2, (3, 5))
+        # Y once per q, then each distinct intersection once per q
+        assert len(bindings) < 2 ** len(systems) - 1
+        assert len(calls) == 2 * (1 + len(bindings))
+
+    def test_binding_is_what_the_strata_read(self):
+        system = VarietySystem("s", 6, 2, zero=(3,), pairs=((4, 5), (1, 2), (2, 3)))
+        assert system.binding == ((1, 2, 4, 5), ((1, 2), (4, 5)))
+        assert system._replace(r=1).binding == ((1, 2, 4, 5), ())
+        same = VarietySystem("t", 6, 2, zero=(3,), pairs=((1, 2), (3, 4), (4, 5)))
+        assert same.binding == system.binding
+        assert same.count_polynomial(5) == system.count_polynomial(5)
+
+    def test_union_of_several_is_the_pairwise_union(self):
+        family = subdiagram_components(6, 2)
+        systems = [component_system(6, 2, d) for d in family.members]
+        for size in range(1, len(systems) + 1):
+            for combo in itertools.combinations(systems, size):
+                pairwise = functools.reduce(VarietySystem.union, combo)
+                assert combo[0].union(*combo[1:]) == pairwise
+
+    def test_u4_counts_read_the_report(self):
+        report = conjecture_check(4, 2, (3, 5))
+        assert u4_counts(report) == u4_component_counts(2, (3, 5))

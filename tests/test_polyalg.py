@@ -601,3 +601,11 @@ class TestPrimePower:
                 prime_power(n)
         assert is_prime(10**24 + 7) and is_prime(2**61 - 1)
         assert prime_power(999999999989**2) == (999999999989, 2)
+
+
+def test_repr_marks_only_a_cut_variable_list():
+    # the ellipsis stands for the variables past the first four, never after a label
+    names = [f"x{i}" for i in range(6)]
+    assert repr(plain_ring(3, names)) == "PolyRing(F3; x0,x1,x2,x3...)"
+    assert repr(plain_ring(3, names, label="E2(A3)")) == "PolyRing(F3; E2(A3))"
+    assert repr(plain_ring(5, names[:4])) == "PolyRing(F5; x0,x1,x2,x3)"
