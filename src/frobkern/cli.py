@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import os
@@ -426,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         for leaf in group.choices.values()
         if leaf.get_default("payload")
     }
+    gc.freeze()  # start-up ends here: no collection need scan the modules or the tree
     return parser
 
 

@@ -135,11 +135,11 @@ class PolyRing:
     # -- element constructors ----------------------------------------------
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return _canonical(self, {})
 
     def const(self, c: int) -> "Poly":
         c %= self.p
-        return Poly(self, {(0,) * self.nvars: c} if c else {})
+        return _canonical(self, {(0,) * self.nvars: c} if c else {})
 
     def one(self) -> "Poly":
         return self.const(1)
@@ -161,13 +161,10 @@ class PolyRing:
                 raise DomainError(f"exterior variable {name} cannot carry exponent {k}")
             e[i] = k
         coeff %= self.p
-        return Poly(self, {tuple(e): coeff} if coeff else {})
+        return _canonical(self, {tuple(e): coeff} if coeff else {})
 
     def from_terms(self, terms) -> "Poly":
-        out = self.zero()
-        for coeff, exps in terms:
-            out = out + self.monomial(exps, coeff)
-        return out
+        return sum((self.monomial(exps, coeff) for coeff, exps in terms), self.zero())
 
     # -- monomial helpers ----------------------------------------------------
 
@@ -200,15 +197,14 @@ class PolyRing:
     def mul_monomials(self, e1, e2):
         """(sign, exps) for the graded product, or None if it vanishes."""
         sign = 1
-        if self._odd:
-            o1 = [i for i in self._odd if e1[i]]
-            o2 = [i for i in self._odd if e2[i]]
-            if o1 and o2:
-                s2 = set(o2)
-                if any(i in s2 for i in o1):
-                    return None
-                inv = sum(1 for i in o1 for j in o2 if i > j)
-                sign = -1 if inv % 2 else 1
+        o1 = [i for i in self._odd if e1[i]]
+        o2 = [i for i in self._odd if e2[i]]
+        if o1 and o2:
+            s2 = set(o2)
+            if any(i in s2 for i in o1):
+                return None
+            inv = sum(1 for i in o1 for j in o2 if i > j)
+            sign = -1 if inv % 2 else 1
         return sign, tuple(map(add, e1, e2))
 
     def monomial_str(self, exps) -> str:
@@ -222,7 +218,7 @@ class PolyRing:
 
 
 class Poly:
-    """Immutable element of a PolyRing in canonical form."""
+    """Immutable element of a PolyRing, every coefficient in 1..p-1."""
 
     __slots__ = ("ring", "terms", "_lead")
 
@@ -241,15 +237,18 @@ class Poly:
         if isinstance(other, int):
             other = self.ring.const(other)
         self._check(other)
-        terms = dict(self.terms)
+        terms, p = dict(self.terms), self.ring.p
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return Poly(self.ring, terms)
+            if v := (terms.get(e, 0) + c) % p:
+                terms[e] = v
+            else:  # only a term already present cancels
+                del terms[e]
+        return _canonical(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return _canonical(self.ring, {e: self.ring.p - c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -257,17 +256,19 @@ class Poly:
         return self + (-other)
 
     def scale(self, c: int) -> "Poly":
-        return Poly(self.ring, {e: c * v for e, v in self.terms.items()})
+        p = self.ring.p  # a unit times a nonzero coefficient is nonzero mod p
+        terms = {e: c * v % p for e, v in self.terms.items()} if c % p else {}
+        return _canonical(self.ring, terms)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        ring = self.ring
+        ring, odd = self.ring, self.ring._odd
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                prod = ring.mul_monomials(e1, e2)
+                prod = ring.mul_monomials(e1, e2) if odd else (1, tuple(map(add, e1, e2)))
                 if prod is None:
                     continue
                 sign, e = prod
@@ -283,9 +284,8 @@ class Poly:
             ((e, c),) = self.terms.items()
             if n >= 2 and any(e[i] for i in self.ring._odd):
                 return self.ring.zero()
-            return Poly(self.ring, {tuple(n * x for x in e): pow(c, n, self.ring.p)})
-        result = self.ring.one()
-        base = self
+            return _canonical(self.ring, {tuple(n * x for x in e): pow(c, n, self.ring.p)})
+        result, base = self.ring.one(), self
         while n:
             if n & 1:
                 result = result * base
@@ -369,6 +369,13 @@ class Poly:
             else:
                 bits.append(f"{c}*{m}")
         return " + ".join(bits)
+
+
+def _canonical(ring: PolyRing, terms: dict) -> Poly:
+    """The Poly on ``terms``, whose coefficients already lie in 1..p-1."""
+    f = Poly.__new__(Poly)
+    f.ring, f.terms, f._lead = ring, terms, None
+    return f
 
 
 class IdealPresentation:
@@ -515,29 +522,27 @@ def normal_form(f: Poly, G) -> Poly:
     Groebner basis.
     """
     ring = f.ring
-    if isinstance(G, _Engine):
-        divisors = G.divisors  # the engine checked its relations once
-    else:
-        basis = G.basis if isinstance(G, GroebnerBasis) else tuple(G)
-        _even_only(ring, (f, *basis))
-        divisors = [_divisor(g) for g in basis if not g.is_zero()]
+    basis = G.basis if isinstance(G, GroebnerBasis) else tuple(G)
+    _even_only(ring, (f, *basis))
+    divisors = [_divisor(g) for g in basis if not g.is_zero()]
     if not divisors:
         return f
-    return Poly(ring, _reduce(dict(f.terms), divisors, ring))
+    return _canonical(ring, _reduce(dict(f.terms), divisors, ring))
 
 
-def _s_poly(f: Poly, g: Poly) -> Poly:
-    ring = f.ring
+def _s_poly(f: Poly, g: Poly) -> dict:
+    """The S-polynomial of f and g as a term dict, coefficients in 1..p-1."""
+    p = f.ring.p
     ef, cf = f.leading()
     eg, cg = g.leading()
     lcm = _lcm(ef, eg)
     terms: dict = {}
-    for h, e, scale in ((f, ef, pow(cf, -1, ring.p)), (g, eg, -pow(cg, -1, ring.p))):
+    for h, e, scale in ((f, ef, pow(cf, -1, p)), (g, eg, -pow(cg, -1, p))):
         u = _quotient(lcm, e)
         for t, v in h.terms.items():
             m = tuple(map(add, u, t))
-            terms[m] = terms.get(m, 0) + scale * v
-    return Poly(ring, terms)
+            terms[m] = (terms.get(m, 0) + scale * v) % p
+    return {m: c for m, c in terms.items() if c}
 
 
 class _Engine:
@@ -611,12 +616,12 @@ class _Engine:
             if self._chain(i, j, mi | mj, _lcm(ei, ej)):
                 counts["chain_skipped"] += 1
                 continue
-            h = normal_form(_s_poly(self.basis[i], self.basis[j]), self)
+            h = _reduce(_s_poly(self.basis[i], self.basis[j]), self.divisors, self.ring)
             counts["reductions"] += 1
-            if h.is_zero():
+            if not h:
                 counts["zero_reductions"] += 1
             else:
-                self._add(h.monic())
+                self._add(_canonical(self.ring, h).monic())
 
     def stats(self, basis_size: int) -> GroebnerStats:
         return GroebnerStats(
@@ -732,8 +737,9 @@ def hilbert_series(
 
     With ``weight``, of the components of that T-weight.  The leading ideal of
     the Groebner basis through ``degree`` has the numerator of the Hilbert
-    series (graded by degree and, when asked, T-weight); each even variable
-    divides it by 1 - t^d s^w and each odd one multiplies it by 1 + t^d s^w.
+    series (graded by degree and, when asked, T-weight); each class of m
+    variables of one degree d, weight w and parity divides it by
+    (1 - t^d s^w)^m when even and multiplies it by (1 + t^d s^w)^m when odd.
     """
     ring = presentation.ring
     bound = 2 * ring.p * ring.p + 2  # refuses runs whose basis would take long
@@ -750,12 +756,15 @@ def hilbert_series(
     def grade(e):
         return (ring.monomial_degree(e), *(ring.monomial_weight(e) if weighted else ()))
 
+    def cls(i):  # the variables of one class multiply the series by one factor
+        return ring._degrees[i], ring._weights[i] if weighted else (), i in ring._odd
+
     key = tuple(weight) if weighted else ()
     # with no negative variable weight, a class (k, wt) that order[n:] cannot
-    # bring to the target by degree ``degree`` is dropped, both while order[n]
-    # expands (it may still add to the class) and after it
+    # bring to the target by degree ``degree`` is dropped once the factors of
+    # order[:n] are in, both as the last run makes it and after that run
     monotone = weighted and min(itertools.chain(*ring._weights), default=0) >= 0
-    order, best = ring.weight_order() if monotone else (range(ring.nvars), None)
+    order, best = ring.weight_order() if monotone else (sorted(range(ring.nvars), key=cls), ())
 
     def keep(k, wt, n):
         return not monotone or all(
@@ -770,21 +779,24 @@ def hilbert_series(
     for g, c in _numerator(leads, degree, grade).items():
         if keep(g[0], g[1:], 0):
             by_degree[g[0]][g[1:]] += c
-    for n, i in enumerate(order):
-        d = ring._degrees[i]
-        w = ring._weights[i] if weighted else ()
-        # 1/(1 - x) reads the terms it has just made; 1 + x only the old ones
-        odd = i in ring._odd
-        for k in range(degree, d - 1, -1) if odd else range(d, degree + 1):
-            for wt, c in list(by_degree[k - d].items()):
-                wt = tuple(map(add, wt, w))
-                if keep(k, wt, n):
-                    by_degree[k][wt] += c
+    n = 0  # the variables of ``order`` whose factors are in
+    for (d, w, odd), run in itertools.groupby(order, key=cls):
+        m = len(tuple(run))
+        n += m
+        # x^j has coefficient C(m, j) in (1 + x)^m and C(m - 1 + j, j) in 1/(1 - x)^m;
+        # degrees go down, so x^j multiplies terms of the series before this run
+        for k in range(degree, d - 1, -1):
+            for j in range(1, k // d + 1):
+                if not (b := math.comb(m, j) if odd else math.comb(m - 1 + j, j)):
+                    break
+                shift = tuple(j * x for x in w)
+                for wt, c in by_degree[k - j * d].items():
+                    wt = tuple(map(add, wt, shift))
+                    if keep(k, wt, n):
+                        by_degree[k][wt] += b * c
         if monotone:
             for k, terms in enumerate(by_degree):
-                by_degree[k] = Counter(
-                    {wt: c for wt, c in terms.items() if keep(k, wt, n + 1)}
-                )
+                by_degree[k] = Counter({wt: c for wt, c in terms.items() if keep(k, wt, n)})
     return [terms[key] for terms in by_degree]
 
 

@@ -81,6 +81,10 @@ class Root(_RootFields):
         return other <= self
 
     def label(self) -> str:
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:  # generator names ask for it hundreds of times a model
         parts = []
         for i, c in enumerate(self.coeffs, start=1):
             if c == 1:
@@ -281,8 +285,10 @@ class ParabolicContext(_ParabolicFields):
 
     @cached_property
     def _levels(self) -> dict[Root, int]:
-        """Level of every positive root."""
-        return {b: self._level_of(b) for b in self.system.positive_roots}
+        """Level of every positive root: the sum of its coefficients outside J."""
+        roots = self.system.positive_roots
+        columns = itertools.compress(zip(*(b.coeffs for b in roots)), self._outside_mask)
+        return dict(zip(roots, map(sum, zip([0] * len(roots), *columns))))
 
     @cached_property
     def _radical(self) -> tuple[Root, ...]:
@@ -290,11 +296,16 @@ class ParabolicContext(_ParabolicFields):
 
     @cached_property
     def _layers(self) -> dict[int, tuple[Root, ...]]:
-        """Radical roots by level, each layer in the fixed order."""
+        """Radical roots by level, each layer in the fixed order, as the table is."""
         layers: dict[int, list[Root]] = {}
-        for b in sorted(self._radical, key=Root.sort_key):
-            layers.setdefault(self._levels[b], []).append(b)
+        for b, v in self._levels.items():
+            if v:
+                layers.setdefault(v, []).append(b)
         return {v: tuple(roots) for v, roots in layers.items()}
+
+    @cached_property
+    def _level2_pairs(self) -> tuple:  # (root, splittings), read by the scan at every p
+        return tuple((beta, summand_pairs(beta, self)) for beta in roots_of_level(self, 2))
 
     def level(self, beta: Root) -> int:
         level = self._levels.get(beta)
@@ -444,8 +455,7 @@ def check_pairing_hypothesis(ctx: ParabolicContext, p: int) -> PairingReport:
     check_odd_prime(p)
     per_root = []
     witnesses = []
-    for beta in roots_of_level(ctx, 2):
-        pairs = summand_pairs(beta, ctx)
+    for beta, pairs in ctx._level2_pairs:
         ok = len(pairs) < p
         per_root.append((beta, len(pairs), ok))
         if not ok:

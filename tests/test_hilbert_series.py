@@ -5,7 +5,8 @@ leading term divides and convolves those counts with the exterior wedges of
 the odd variables.  It shares only the truncated Groebner basis with
 ``hilbert_series``: neither the numerator nor the series expansion.  The
 numerator itself, by Bigatti's pivot, is checked against the colon
-recursion on monomial ideals.
+recursion on monomial ideals, and the expansion, one factor per class of
+variables, against one factor per variable.
 """
 
 import itertools
@@ -274,3 +275,72 @@ def test_pivot_numerator_on_the_leads_of_sbar_a4(weighted):
     leads = [g.leading()[0] for g in buchberger(pres, 20).basis]
     pivot, grade = pivot_numerator(pres.ring, leads, 20, weighted)
     assert nonzero(pivot) == nonzero(colon_numerator(leads, 20, grade))
+
+
+# -- the series by class against the expansion per variable ----------------------
+
+
+def per_variable_series(ring, numerator, degree, weight):
+    """The series through ``degree`` from its numerator, one variable at a
+    time and no class dropped: an even variable divides by 1 - t^d s^w in a
+    pass upwards, which reads the terms it has just made, and an odd one
+    multiplies by 1 + t^d s^w in a pass downwards, which reads only old ones."""
+    weighted = weight is not None
+    by_degree = [Counter() for _ in range(degree + 1)]
+    for g, c in numerator.items():
+        by_degree[g[0]][g[1:]] += c
+    for i in range(ring.nvars):
+        d = ring._degrees[i]
+        w = ring._weights[i] if weighted else ()
+        odd = i in ring._odd
+        for k in range(degree, d - 1, -1) if odd else range(d, degree + 1):
+            for wt, c in list(by_degree[k - d].items()):
+                by_degree[k][tuple(map(add, wt, w))] += c
+    return [terms[tuple(weight) if weighted else ()] for terms in by_degree]
+
+
+#: (degree, weight) choices, few enough that variables share a class
+SIGNED = [(1, 0), (0, -1), (-1, 2), (1, 1)]
+NON_NEGATIVE = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
+
+
+@st.composite
+def monomial_presentations(draw):
+    """(presentation, weights, leads): up to four even variables of degree 2,
+    4 or 6 and up to three odd ones of degree 1, 3 or 5, their weights all
+    non-negative or of both signs, and a monomial ideal in the even ones."""
+    weights = draw(st.sampled_from([SIGNED, NON_NEGATIVE]))
+    variables = [
+        VariableDescriptor(f"x{i}", "even", draw(st.sampled_from([2, 4, 6])),
+                           draw(st.sampled_from(weights)))
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    n_even = len(variables)
+    variables += [
+        VariableDescriptor(f"y{i}", "odd", draw(st.sampled_from([1, 3, 5])),
+                           draw(st.sampled_from(weights)))
+        for i in range(draw(st.integers(0, 3)))
+    ]
+    ring = PolyRing(3, variables)
+    monomial = st.tuples(*[st.integers(0, 3)] * n_even).filter(any)
+    leads = [e + (0,) * (ring.nvars - n_even) for e in draw(st.lists(monomial, max_size=5))]
+    names = [v.name for v in variables]
+    relations = [ring.monomial(dict(zip(names, e))) for e in leads]
+    return IdealPresentation(ring, relations), weights, leads
+
+
+@settings(max_examples=120, deadline=None)
+@given(monomial_presentations(), st.data())
+def test_series_by_class_matches_the_expansion_per_variable(case, data):
+    presentation, weights, leads = case
+    ring = presentation.ring
+    target = data.draw(st.sampled_from([None, *weights, (2, 1), (1, -1)]))
+    weighted = target is not None
+
+    def grade(e):
+        return (ring.monomial_degree(e), *(ring.monomial_weight(e) if weighted else ()))
+
+    for degree in range(17):
+        numerator = colon_numerator(leads, degree, grade)
+        want = per_variable_series(ring, numerator, degree, target)
+        assert hilbert_series(presentation, degree, target) == want, degree

@@ -11,9 +11,11 @@ from frobkern.errors import (
     DomainError,
     UnsupportedOperationError,
 )
+from frobkern.grmodel import AlgebraMap
 from frobkern.pointcount import GF, _cover
 from frobkern.polyalg import (
     IdealPresentation,
+    Poly,
     PolyRing,
     VariableDescriptor,
     buchberger,
@@ -23,6 +25,7 @@ from frobkern.polyalg import (
     normal_form,
     plain_ring,
     prime_power,
+    _s_poly,
 )
 
 
@@ -208,14 +211,12 @@ class TestBuchberger:
         assert normal_form(x**3, gb) == ring.one()
 
     def test_all_s_polynomials_reduce(self):
-        from frobkern.polyalg import _s_poly
-
         ring = plain_ring(3, ["x", "y"])
         x, y = ring.var("x"), ring.var("y")
         gb = buchberger(IdealPresentation(ring, [x * y - 1, y * y - x]))
         for i, f in enumerate(gb.basis):
             for g in gb.basis[i + 1 :]:
-                assert normal_form(_s_poly(f, g), gb).is_zero()
+                assert normal_form(Poly(ring, _s_poly(f, g)), gb).is_zero()
 
     def test_idempotent_on_own_output(self):
         ring = plain_ring(3, ["x", "y"])
@@ -609,3 +610,86 @@ def test_repr_marks_only_a_cut_variable_list():
     assert repr(plain_ring(3, names)) == "PolyRing(F3; x0,x1,x2,x3...)"
     assert repr(plain_ring(3, names, label="E2(A3)")) == "PolyRing(F3; E2(A3))"
     assert repr(plain_ring(5, names[:4])) == "PolyRing(F5; x0,x1,x2,x3)"
+
+
+# -- every producer returns canonical terms ------------------------------------------
+
+
+def assert_canonical(ring, terms):
+    """Every coefficient in 1..p-1, so the checked constructor changes nothing."""
+    assert all(type(c) is int and 0 < c < ring.p for c in terms.values()), terms
+    assert Poly(ring, dict(terms)).terms == terms
+
+
+@st.composite
+def canonical_cases(draw):
+    """(ring, f, g, k): a ring over F_3, F_5 or F_7, with or without exterior
+    variables; two elements built by the checked constructor from coefficients
+    of either sign, some of them multiples of p; and an integer that may be one."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    variables = [
+        VariableDescriptor("x1", "even", 2, (1, 0)),
+        VariableDescriptor("x2", "even", 2, (0, 1)),
+    ]
+    if draw(st.booleans()):
+        variables += [
+            VariableDescriptor("y1", "odd", 1, (1, 0)),
+            VariableDescriptor("y2", "odd", 1, (0, 1)),
+        ]
+    ring = PolyRing(p, variables)
+    odd = len(variables) - 2
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3), *[st.integers(0, 1)] * odd)
+    coeffs = st.integers(-3 * p, 3 * p)
+    poly = st.dictionaries(exps, coeffs, max_size=5).map(lambda t: Poly(ring, t))
+    k = draw(coeffs | st.sampled_from([0, p, -p, 2 * p]))
+    return ring, draw(poly), draw(poly), k
+
+
+def even_part(f):
+    return Poly(f.ring, {e: c for e, c in f.terms.items() if not any(e[2:])})
+
+
+@settings(max_examples=150, deadline=None)
+@given(canonical_cases())
+def test_every_producer_returns_canonical_terms(case):
+    ring, f, g, k = case
+    names = [v.name for v in ring.variables]
+    term = ring.monomial({names[0]: 1, names[-1]: 1}, k)
+    results = [
+        f + g, f - g, f - f, f + f.scale(ring.p - 1), f + k, k + f, f - k, -f,
+        f * g, f * k, k * f, f * ring.p, f.scale(k), f.monic() if f else f,
+        f**2, f**3, term, term**2, term**ring.p, ring.const(k), ring.zero(),
+    ]
+    fe, ge = even_part(f), even_part(g)
+    results += [normal_form(fe, [ge]), normal_form(fe, [ge, fe + ring.one()])]
+    for h in [f, g, *results]:
+        assert_canonical(ring, h.terms)
+    if fe and ge:
+        assert_canonical(ring, _s_poly(fe, ge))
+        if mixed := fe.scale(2) + ge:
+            assert_canonical(ring, _s_poly(fe, mixed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.data())
+def test_groebner_bases_and_algebra_maps_return_canonical_terms(p, data):
+    # the engine's S-polynomials and remainders, in a degree-0 ring where
+    # every relation is homogeneous
+    ring = plain_ring(p, ["a", "b"])
+    poly = st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-p, 2 * p), max_size=4
+    ).map(lambda t: Poly(ring, t))
+    for h in buchberger(IdealPresentation(ring, data.draw(st.lists(poly, max_size=3)))).basis:
+        assert_canonical(ring, h.terms)
+    # a substitution that sends x1 and x2 to the same term: the images of
+    # distinct monomials collide, and their coefficients may cancel mod p
+    source = IdealPresentation(RING if p == 3 else PolyRing(p, RING.variables), [])
+    term = ring.monomial({"a": data.draw(st.integers(0, 2))}, data.draw(st.integers(1, p - 1)))
+    images = {"x1": term, "x2": term, "y1": ring.zero(), "y2": ring.var("b")}
+    substitution = AlgebraMap(source, IdealPresentation(ring, []), images)
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1), st.integers(0, 1))
+    f = Poly(source.ring, data.draw(st.dictionaries(exps, st.integers(-p, 2 * p), max_size=6)))
+    assert_canonical(ring, substitution.apply(f).terms)
+    x1, x2 = source.ring.var("x1"), source.ring.var("x2")
+    assert_canonical(ring, substitution.apply(x1 - x2 + f).terms)
+    assert substitution.apply(x1 - x2).is_zero()

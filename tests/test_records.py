@@ -108,13 +108,36 @@ print(json.dumps(sorted(m for m in ("dataclasses", "inspect") if m in sys.module
 """
 
 
-def test_cold_start_generates_no_code():
-    # dataclasses loads inspect, ast, dis and tokenize and execs every
-    # generated method at each import; a command pays that before its payload
+def cold_run(code: str):
+    """What ``code`` prints as JSON, run in a fresh interpreter on ``src/``."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    return json.loads(proc.stdout)
+
+
+def test_cold_start_generates_no_code():
+    # dataclasses loads inspect, ast, dis and tokenize and execs every
+    # generated method at each import; a command pays that before its payload
+    assert cold_run(COLD_START) == []
+
+
+#: the size of the permanent generation after the first and the second build
+FREEZE = """
+import gc, json
+from frobkern import cli
+cli.build_parser()
+first = gc.get_freeze_count()
+cli.build_parser()
+print(json.dumps([first, gc.get_freeze_count()]))
+"""
+
+
+def test_start_up_freezes_the_heap_once():
+    # the modules and the parser live as long as the process: frozen, they
+    # stay out of every collection that a command's own garbage starts
+    first, second = cold_run(FREEZE)
+    assert first > 0 and second == first

@@ -349,3 +349,35 @@ def test_scan_budget_counts_without_building_a_table():
     check_scan_budget("A", 150, [f"a{k}" for k in range(1, 151)])
     with pytest.raises(BudgetError, match="positive-root table"):
         check_scan_budget("A", 1000)
+
+
+# -- the level table by columns, in the fixed order --------------------------------
+
+CLASSICAL = [(f, n) for f, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(low, 9)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CLASSICAL), st.data())
+def test_levels_are_the_sum_of_the_coefficients_outside_j(system, data):
+    family, rank = system
+    table = build_root_system(family, rank)
+    J = data.draw(st.sets(st.sampled_from(table.simple_roots)))
+    ctx = ParabolicContext(table, J)  # a fresh context: no memo from other tests
+    outside = [lab not in J for lab in table.simple_roots]
+    assert ctx._levels == {
+        b: sum(c for c, out in zip(b.coeffs, outside) if out) for b in table.positive_roots
+    }
+    # the layers keep the table's order, which is the fixed order
+    assert list(table.positive_roots) == sorted(table.positive_roots, key=Root.sort_key)
+    for layer in ctx._layers.values():
+        assert list(layer) == sorted(layer, key=Root.sort_key)
+
+
+def test_the_level_two_splittings_are_shared_by_every_p():
+    ctx = ParabolicContext(build_root_system("A", 5), {"a3"})
+    assert "_level2_pairs" not in vars(ctx)
+    check_pairing_hypothesis(ctx, 3)
+    table = ctx._level2_pairs
+    check_pairing_hypothesis(ctx, 5)
+    assert ctx._level2_pairs is table
+    assert table == tuple((b, summand_pairs(b, ctx)) for b in roots_of_level(ctx, 2))
