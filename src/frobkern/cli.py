@@ -201,11 +201,11 @@ def payload_variety_count(ns) -> dict:
     # X's extra coordinates are no nodes, so X has Y's strata and is counted
     # through Y; the budget on X's q^n only names the method
     count = y_count * q**x_system.free_rank
-    x_assignments = q ** len(x_system.variables)
+    x_assignments = q**x_system.nvars
     if x_assignments <= (polyalg.DEFAULT_POINT_BUDGET if budget is None else budget):
         method, assignments = "direct", x_assignments
     else:
-        method, assignments = "product", q ** len(y_system.variables)
+        method, assignments = "product", q**y_system.nvars
     return {
         "group": group,
         "quotient_stage": 3,

@@ -2,14 +2,13 @@
 
 Every system here is a chain condition on the level-1 coordinates: N - 1
 nodes, each an r-vector X[a_s](0..r-1), of which some vanish and some pairs
-are proportional (all their 2x2 minors vanish).  The integer relations are
-derived from that condition, and a presentation is materialised per
-characteristic on demand.  Counts need only the strata of the condition:
-for every zero pattern of the free nodes, the nonzero nodes fall into
-classes joined by the proportional pairs, and a stratum of c classes and k
-nonzero nodes has (q^r - 1)^c (q - 1)^(k - c) points over F_q.  Dimensions
-are bracketed by log_q of exact counts over two primes, and component
-decompositions are checked by inclusion-exclusion over unions of systems.
+are proportional (all their 2x2 minors vanish).  A system is that chain data
+and nothing else: counts need only the strata of the condition.  For every
+zero pattern of the free nodes, the nonzero nodes fall into classes joined
+by the proportional pairs, and a stratum of c classes and k nonzero nodes
+has (q^r - 1)^c (q - 1)^(k - c) points over F_q.  Dimensions are bracketed
+by log_q of exact counts over two primes, and component decompositions are
+checked by inclusion-exclusion over unions of systems.
 
 The component systems attached to sub-diagrams follow the pattern of the
 worked four-strand case: coordinates on removed nodes vanish, coordinates
@@ -28,23 +27,17 @@ from itertools import chain
 from typing import NamedTuple
 
 from .errors import BudgetError, ConfigError, DomainError
-from .polyalg import (
-    DEFAULT_POINT_BUDGET, IdealPresentation, check_point_count, pair_terms, plain_ring,
-)
+from .polyalg import DEFAULT_POINT_BUDGET, check_point_count
 
 # re-exported: ``commvar.count_points`` names the enumeration oracle of the
 # counts here, and perfbench's tracer wraps it under that name
 from .polyalg import count_points  # noqa: F401
-from .rootsys import generator_name
 
 #: how far log_q of a count may sit from the predicted dimension
 DIM_WINDOW = 0.5
 
-SignedTerm = tuple[int, tuple[tuple[str, int], ...]]
-
 
 class _SystemFields(NamedTuple):
-    label: str
     N: int
     r: int
     zero: tuple[int, ...] = ()
@@ -56,41 +49,18 @@ class VarietySystem(_SystemFields):
     """A chain condition on the nodes 1..N-1, each an r-vector: the ``zero``
     nodes vanish and the two nodes of each of ``pairs`` are proportional.
     Each label of ``extra`` adds coordinates X[label](0..r-1) that no
-    relation involves; at every twist they follow the nodes.  The memos
-    (variables, relations, strata) live outside equality and hash."""
+    relation involves.  Equality and hash are those of the chain data; the
+    strata memo lives outside them."""
 
-    @functools.cached_property
-    def variables(self) -> tuple[str, ...]:
-        labels = [f"a{s}" for s in range(1, self.N)] + list(self.extra)
-        return tuple(generator_name("X", x, l) for l in range(self.r) for x in labels)
+    @property
+    def nvars(self) -> int:
+        """The coordinates: r for each node and each label of ``extra``."""
+        return (self.N - 1 + len(self.extra)) * self.r
 
     @property
     def free_rank(self) -> int:
         """Rank of the affine factor of the ``extra`` coordinates."""
         return len(self.extra) * self.r
-
-    @functools.cached_property
-    def relations(self) -> tuple[tuple[SignedTerm, ...], ...]:
-        """Each zero coordinate, then each minor of each pair, as signed terms."""
-        twists = range(self.r)
-        zeros = [
-            ((1, ((generator_name("X", f"a{s}", l), 1),)),)
-            for s in self.zero
-            for l in twists
-        ]
-        minors = [
-            _minor(f"a{s}", f"a{t}", l1, l2)
-            for s, t in self.pairs
-            for l1, l2 in itertools.combinations(twists, 2)
-        ]
-        return tuple(zeros + minors)
-
-    def presentation(self, char: int) -> IdealPresentation:
-        ring = plain_ring(char, self.variables, label=self.label)
-        return IdealPresentation(
-            ring,
-            [ring.from_terms((c, dict(exps)) for c, exps in rel) for rel in self.relations],
-        )
 
     def union(self, *others: "VarietySystem") -> "VarietySystem":
         """The intersection of the varieties: all their conditions at once."""
@@ -98,7 +68,6 @@ class VarietySystem(_SystemFields):
         if any((s.N, s.r, s.extra) != (self.N, self.r, self.extra) for s in others):
             raise DomainError("systems over different variable sets")
         return VarietySystem(
-            " & ".join(s.label for s in systems),
             self.N,
             self.r,
             zero=tuple(sorted(set(chain.from_iterable(s.zero for s in systems)))),
@@ -167,50 +136,26 @@ class VarietySystem(_SystemFields):
         """Number of F_q points.  q must be a power of an odd prime (exit 2),
         and the budget bounds the nominal q^n assignments (exit 3), which also
         bounds the 2^(free nodes) zero patterns of the strata."""
-        check_point_count(q, len(self.variables), max_assignments=max_assignments)
+        check_point_count(q, self.nvars, max_assignments=max_assignments)
         return self.count_polynomial(q)
-
-
-def _minor(a: str, b: str, l1: int, l2: int) -> tuple[SignedTerm, ...]:
-    """X_a(l1) X_b(l2) - X_a(l2) X_b(l1) as signed terms."""
-    return tuple(
-        (sign, ((f, 1), (h, 1)))
-        for sign, f, h in pair_terms(
-            [(a, b)],
-            lambda s: generator_name("X", s, l1),
-            lambda s: generator_name("X", s, l2),
-        )
-    )
 
 
 def y_variety_system(N: int, r: int) -> VarietySystem:
     """Level-1 coordinates of the stage-3 quotient with consecutive minors."""
     if N < 3 or r < 1:
         raise ConfigError("need N >= 3 and r >= 1")
-    return VarietySystem(
-        label=f"Y_{r}(U{N}/G3)",
-        N=N,
-        r=r,
-        pairs=tuple((s, s + 1) for s in range(1, N - 1)),
-    )
+    return VarietySystem(N, r, pairs=tuple((s, s + 1) for s in range(1, N - 1)))
 
 
 def x_variety_system(N: int, r: int) -> VarietySystem:
     """Full stage-3 quotient system: the chain minors of the Y system.
 
     The level-2 coordinates X[a_s+a_(s+1)](l) appear in no relation, so the
-    system splits off an affine factor of rank (N-2) r.  Variables follow the
-    coordinate algebra: for each twist, the level-1 coordinates, then the
-    level-2 ones.
+    system splits off an affine factor of rank (N-2) r.  Its ring is
+    ``grmodel.vr_coordinate_algebra`` of U_N / Gamma_3.
     """
-    y = y_variety_system(N, r)
-    return VarietySystem(
-        label=f"X_{r}(U{N}/G3)",
-        N=N,
-        r=r,
-        pairs=y.pairs,
-        extra=tuple(f"a{s}+a{s + 1}" for s in range(1, N - 1)),
-    )
+    extra = tuple(f"a{s}+a{s + 1}" for s in range(1, N - 1))
+    return VarietySystem(N, r, pairs=y_variety_system(N, r).pairs, extra=extra)
 
 
 def u3_y_closed_form(q: int, r: int) -> int:
@@ -322,9 +267,8 @@ def subdiagram_components(N: int, r: int, budget: int | None = None) -> Subdiagr
 def component_system(N: int, r: int, diagram: Subdiagram) -> VarietySystem:
     """Removed coordinates vanish; retained segments are pairwise proportional."""
     return VarietySystem(
-        label=f"V[{diagram.label()}]",
-        N=N,
-        r=r,
+        N,
+        r,
         zero=tuple(s for s in range(1, N) if s not in diagram.nodes),
         pairs=tuple(
             pair

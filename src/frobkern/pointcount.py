@@ -1,11 +1,11 @@
 """Brute-force F_q point counting on numpy field tables.
 
 This is the independent oracle for the stratified counts of ``commvar``:
-the tests check ``VarietySystem.count`` against ``count_points`` on the
-presentation of the same system, and ``count_points`` against the full
-point list of ``solution_rows``.  No command imports this module, so numpy
-stays off the command-line path: it comes with the ``test`` extra
-(``pip install -e .[test]``), not with the package.
+the tests check ``VarietySystem.count`` against ``count_points`` on a ring
+that writes the same chain condition as polynomials, and ``count_points``
+against the full point list of ``solution_rows``.  No command imports this
+module, so numpy stays off the command-line path: it comes with the
+``test`` extra (``pip install -e .[test]``), not with the package.
 
 Extension fields are realised through precomputed tables so that the
 evaluation and elimination paths are plain table gathers.
@@ -130,17 +130,24 @@ def solution_chunks(system: IdealPresentation, gf: GF, chunk: int = 1 << 16):
     return (found for found, _ in _survivors(gf, n, range(n), rels, chunk))
 
 
-def solution_rows(system, q: int, max_rows: int | None = None) -> np.ndarray:
-    """All F_q solutions of a ``commvar.VarietySystem`` as rows of variable
+def solution_rows(
+    system: IdealPresentation, q: int, max_rows: int | None = None
+) -> np.ndarray:
+    """All F_q solutions of an even polynomial system as rows of variable
     values (index encoding)."""
+    _check_even(system.ring)
     budget = DEFAULT_POINT_LIST_BUDGET if max_rows is None else max_rows
-    n = len(system.variables)
+    n = system.ring.nvars
     if q**n > budget:
         raise BudgetError(f"{q}^{n} assignments exceed the point-list budget {budget}")
-    char = prime_power(q)[0]
-    chunks = solution_chunks(system.presentation(char), GF(q, char=char))
+    chunks = solution_chunks(system, GF(q, char=system.ring.p))
     found = np.concatenate(list(chunks))
     return np.stack([(found // q**i % q).astype(np.int32) for i in range(n)], axis=1)
+
+
+def _check_even(ring) -> None:
+    if ring._odd:
+        raise UnsupportedOperationError("point counting needs an even-variable ring")
 
 
 def _cover(relations) -> tuple[list[int], list[int]]:
@@ -194,8 +201,7 @@ def count_points(
     solvable fibre adds q^(m - rank).  The budget bounds q^nvars.
     """
     ring = system.ring
-    if ring._odd:
-        raise UnsupportedOperationError("point counting needs an even-variable ring")
+    _check_even(ring)
     n = ring.nvars
     check_point_count(q, n, ring.p, max_assignments)  # before the q x q tables
     gf = GF(q, char=ring.p)

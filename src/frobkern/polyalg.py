@@ -132,6 +132,13 @@ class PolyRing:
     def descriptor(self, name: str) -> VariableDescriptor:
         return self.variables[self.index[name]]
 
+    def check_weight(self, weight) -> tuple[int, ...]:
+        """``weight`` as a tuple; a length other than the ring's is a DomainError."""
+        weight = tuple(weight)
+        if len(weight) != self.weight_len:
+            raise DomainError("weight vector has the wrong length")
+        return weight
+
     # -- element constructors ----------------------------------------------
 
     def zero(self) -> "Poly":
@@ -162,9 +169,6 @@ class PolyRing:
             e[i] = k
         coeff %= self.p
         return _canonical(self, {tuple(e): coeff} if coeff else {})
-
-    def from_terms(self, terms) -> "Poly":
-        return sum((self.monomial(exps, coeff) for coeff, exps in terms), self.zero())
 
     # -- monomial helpers ----------------------------------------------------
 
@@ -749,9 +753,8 @@ def hilbert_series(
         return []
     if any(d <= 0 for d in ring._degrees):
         raise DomainError("dimension counting needs positive variable degrees")
-    if weight is not None and len(weight) != ring.weight_len:
-        raise DomainError("weight vector has the wrong length")
     weighted = weight is not None
+    key = ring.check_weight(weight) if weighted else ()
 
     def grade(e):
         return (ring.monomial_degree(e), *(ring.monomial_weight(e) if weighted else ()))
@@ -759,7 +762,6 @@ def hilbert_series(
     def cls(i):  # the variables of one class multiply the series by one factor
         return ring._degrees[i], ring._weights[i] if weighted else (), i in ring._odd
 
-    key = tuple(weight) if weighted else ()
     # with no negative variable weight, a class (k, wt) that order[n:] cannot
     # bring to the target by degree ``degree`` is dropped once the factors of
     # order[:n] are in, both as the last run makes it and after that run
@@ -864,24 +866,13 @@ def count_points(
     return pointcount.count_points(system, q, max_assignments, chunk)
 
 
-def plain_ring(p: int, names, label: str = "") -> PolyRing:
-    """Even degree-0 variables with no weights: the generic Groebner setting."""
-    return PolyRing(p, [VariableDescriptor(n) for n in names], label=label)
-
-
-def pair_terms(pairs, f, g):
-    """Terms of the pair sum over (a, b) in ``pairs`` of f(a) g(b) - g(a) f(b),
-    as (sign, factor, factor) triples.
+def pair_sum(ring: PolyRing, pairs, f, g) -> Poly:
+    """The sum over (a, b) in ``pairs`` of f(a) g(b) - g(a) f(b) in ``ring``.
 
     Every relation family has this form: with f and g the same class at two
-    twists it is a commutation minor.  The factors are whatever ``f`` and
-    ``g`` return: ring elements, or variable names for the integer systems.
+    twists it is a commutation minor.
     """
+    total = ring.zero()
     for a, b in pairs:
-        yield 1, f(a), g(b)
-        yield -1, g(a), f(b)
-
-
-def pair_sum(ring: PolyRing, pairs, f, g) -> Poly:
-    """The pair sum of ``pair_terms`` as an element of ``ring``."""
-    return sum(((u * v).scale(s) for s, u, v in pair_terms(pairs, f, g)), ring.zero())
+        total = total + f(a) * g(b) - g(a) * f(b)
+    return total

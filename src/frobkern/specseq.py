@@ -359,9 +359,7 @@ def aj_E1_enumerate(
     (position, degree left, weight missing) that found nothing is never redone.
     """
     ring, gens = aj_page(roots, r, p)
-    target_weight = tuple(target_weight)
-    if len(target_weight) != ring.weight_len:
-        raise DomainError("weight vector has the wrong length")
+    target_weight = ring.check_weight(target_weight)
     degrees = ring._degrees
     weights = ring._weights
     order, best = ring.weight_order(lead={i for i, g in enumerate(gens) if g.scale == 1})

@@ -40,6 +40,22 @@ class TestExamples:
         assert doc["payload"]["count"] == 297
         assert doc["payload"]["y_count"] == 33
 
+    @pytest.mark.parametrize(
+        "budget, method, assignments",
+        [(3**10, "direct", 3**10), (3**10 - 1, "product", 3**6)],
+    )
+    def test_variety_count_method_follows_the_budget(self, capsys, budget, method, assignments):
+        # X of U4 at r = 2 has 10 coordinates and Y 6: the budget on X's 3^10
+        # names the method, and Y's 3^6 is what the product reports
+        code, doc = invoke(
+            capsys, "variety", "count", "--group", "U4", "--r", "2", "--q", "3",
+            "--budget", str(budget),
+        )
+        assert code == 0
+        payload = doc["payload"]
+        assert (payload["method"], payload["assignments_enumerated"]) == (method, assignments)
+        assert payload["count"] == 153 * 3**4
+
     def test_rootsys_info(self, capsys):
         code, doc = invoke(
             capsys, "rootsys", "info", "--family", "A", "--rank", "3", "--J", ""

@@ -27,29 +27,29 @@ from frobkern.errors import BudgetError, ConfigError
 from frobkern.grmodel import model_context, vr_coordinate_algebra
 from frobkern.pointcount import GF, solution_rows
 from frobkern.polyalg import DEFAULT_POINT_BUDGET, count_points, prime_power
-from test_polyalg import table_count
+from ring_helpers import chain_names, chain_relations, chain_ring, table_count
 
 
 class TestSystems:
     def test_y_shape(self):
         y = y_variety_system(3, 2)
-        assert len(y.variables) == 4 and len(y.relations) == 1
+        assert y.nvars == 4 and len(chain_relations(y)) == 1
         y = y_variety_system(4, 2)
-        assert len(y.variables) == 6 and len(y.relations) == 2
+        assert y.nvars == 6 and len(chain_relations(y)) == 2
         y = y_variety_system(3, 1)
-        assert len(y.variables) == 2 and len(y.relations) == 0
+        assert y.nvars == 2 and len(chain_relations(y)) == 0
 
     def test_x_system_free_factor(self):
         x = x_variety_system(3, 2)
         assert x.free_rank == 2
-        assert len(x.variables) == 6
+        assert x.nvars == 6
         # level-2 coordinates appear in no relation
-        used = {name for rel in x.relations for _, exps in rel for name, _ in exps}
+        used = {name for rel in chain_relations(x) for _, exps in rel for name in exps}
         assert used == {"X[a1](0)", "X[a1](1)", "X[a2](0)", "X[a2](1)"}
 
     def test_x_system_coefficients_signed(self):
         x = x_variety_system(4, 2)
-        coeffs = {c for rel in x.relations for c, _ in rel}
+        coeffs = {c for rel in chain_relations(x) for c, _ in rel}
         assert coeffs == {1, -1}
 
     def test_bad_config(self):
@@ -58,13 +58,39 @@ class TestSystems:
 
     @pytest.mark.parametrize("N", [3, 4, 5, 6])
     def test_x_system_is_the_coordinate_algebra(self, N):
-        # independent path: the model-side coordinate algebra of U_N / Gamma_3
+        # the tests' chain ring of X is grmodel's coordinate algebra of
+        # U_N / Gamma_3, term for term
         for r in (1, 2, 3):
             coord = vr_coordinate_algebra(model_context("A", N - 1, stage=3, r=r, p=3))
             x = x_variety_system(N, r)
-            assert x.variables == tuple(v.name for v in coord.ring.variables)
-            ours = [f.terms for f in x.presentation(3).relations]
+            assert chain_names(x) == [v.name for v in coord.ring.variables]
+            ours = [f.terms for f in chain_ring(x, 3).relations]
             assert ours == [f.terms for f in coord.relations], (N, r)
+
+    def test_a_system_is_its_chain_data(self):
+        assert VarietySystem._fields == ("N", "r", "zero", "pairs", "extra")
+        x = x_variety_system(4, 2)
+        built = VarietySystem(4, 2, pairs=((1, 2), (2, 3)), extra=("a1+a2", "a2+a3"))
+        assert x.strata  # the memo changes neither equality nor hash
+        assert x == built and hash(x) == hash(built)
+        assert x != y_variety_system(4, 2)
+        v2, v1 = (component_system(4, 2, d) for d in subdiagram_components(4, 2).members)
+        both = VarietySystem(4, 2, zero=(2,), pairs=((1, 2), (1, 3), (2, 3)))
+        assert v2.union(v1) == both and hash(v2.union(v1)) == hash(both)
+
+    @pytest.mark.parametrize("N, r, q", [(3, 2, 3), (4, 2, 5), (5, 3, 3), (6, 1, 9)])
+    def test_the_budget_bounds_q_to_the_coordinates(self, N, r, q):
+        # n counts every coordinate of the chain ring, X's free ones included
+        last = subdiagram_components(N, r).members[-1]
+        for system in (
+            y_variety_system(N, r), x_variety_system(N, r), component_system(N, r, last)
+        ):
+            n = len(chain_names(system))
+            assert system.nvars == n
+            assert system.count(q, q**n) == system.count_polynomial(q)
+            message = rf"^{q}\^{n} = {q**n} assignments exceed the enumeration budget {q**n - 1}$"
+            with pytest.raises(BudgetError, match=message):
+                system.count(q, q**n - 1)
 
 
 class TestU3Counts:
@@ -74,7 +100,7 @@ class TestU3Counts:
         # the nominal 27^6 of r = 3 is past the default budget; the cover
         # enumerates only 27^3 assignments
         y = y_variety_system(3, r)
-        assert y.count(q, q ** len(y.variables)) == u3_y_closed_form(q, r)
+        assert y.count(q, q**y.nvars) == u3_y_closed_form(q, r)
 
     @pytest.mark.parametrize("q", [3, 5])
     @pytest.mark.parametrize("r", [1, 2])
@@ -141,21 +167,25 @@ class TestU4Components:
 
     def test_intersection_points_satisfy_both(self):
         systems = _u4_systems(2)
-        inter = {tuple(map(int, row)) for row in solution_rows(systems["V1&V2"], 3)}
-        v1 = {tuple(map(int, row)) for row in solution_rows(systems["V1"], 3)}
-        v2 = {tuple(map(int, row)) for row in solution_rows(systems["V2"], 3)}
+        points = {
+            label: {tuple(map(int, row)) for row in solution_rows(chain_ring(system, 3), 3)}
+            for label, system in systems.items()
+        }
+        inter, v1, v2 = points["V1&V2"], points["V1"], points["V2"]
         assert inter <= v1 and inter <= v2
         assert inter == v1 & v2
 
     def test_point_list_spans_chunks(self):
         # 7^6 assignments: the list is assembled from several evaluation chunks
         y = y_variety_system(3, 3)
-        rows = solution_rows(y, 7).astype(np.int64)
+        rows = solution_rows(chain_ring(y, 7), 7).astype(np.int64)
         assert len(rows) == u3_y_closed_form(7, 3)
         assert np.all(np.diff(rows @ 7 ** np.arange(6)) > 0)  # index order
-        col = dict(zip(y.variables, rows.T))
-        for rel in y.relations:
-            value = sum(c * np.prod([col[n] ** e for n, e in exps], axis=0) for c, exps in rel)
+        col = dict(zip(chain_names(y), rows.T))
+        for rel in chain_relations(y):
+            value = sum(
+                c * np.prod([col[n] ** e for n, e in exps.items()], axis=0) for c, exps in rel
+            )
             assert np.all(value % 7 == 0)
 
     def test_u4_product_law(self):
@@ -213,12 +243,12 @@ class TestCountingWorkloadSystems:
         for label, system in systems.items():
             frozen = FROZEN_COUNTS.get((label, N, r, q))
             if frozen is None:
-                frozen = len(solution_rows(system, q))
+                frozen = len(solution_rows(chain_ring(system, prime_power(q)[0]), q))
             assert system.count(q) == frozen, label
 
 
 def _oracle_count(system, q):
-    return count_points(system.presentation(prime_power(q)[0]), q)
+    return count_points(chain_ring(system, prime_power(q)[0]), q)
 
 
 #: (N, r, q) with N <= 6, r <= 3 and q <= 5 whose q^n points the pure-python
@@ -234,10 +264,10 @@ SMALL_CHAINS = [
 
 def _term_maps(system):
     """The signed relations as maps exponent vector -> coefficient."""
-    names = system.variables
+    names = chain_names(system)
     return [
-        {tuple(dict(factors).get(v, 0) for v in names): c for c, factors in rel}
-        for rel in system.relations
+        {tuple(factors.get(v, 0) for v in names): c for c, factors in rel}
+        for rel in chain_relations(system)
     ]
 
 
@@ -264,14 +294,28 @@ class TestStrataAgainstTheOracle:
         pairs = data.draw(
             st.lists(st.sampled_from(list(itertools.permutations(nodes, 2))), unique=True)
         )
-        system = VarietySystem("random", N, r, zero=tuple(zero), pairs=tuple(pairs))
+        system = VarietySystem(N, r, zero=tuple(zero), pairs=tuple(pairs))
         if q % 2:
             assert system.count(q) == _oracle_count(system, q)
         else:  # no ring, hence no count or presentation, has characteristic 2
-            want = table_count(_term_maps(system), len(system.variables), GF(q))
+            want = table_count(_term_maps(system), system.nvars, GF(q))
             assert system.count_polynomial(q) == want
             with pytest.raises(ConfigError, match="p must be an odd prime, got 2"):
                 system.count(q)
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_x_against_the_coordinate_algebra(self, N, r):
+        # the oracle counts grmodel's ring: this path runs no code of commvar
+        x = x_variety_system(N, r)
+        counted = []
+        for q in (3, 5, 9):
+            ctx = model_context("A", N - 1, stage=3, r=r, p=prime_power(q)[0])
+            coord = vr_coordinate_algebra(ctx)
+            if q**coord.ring.nvars <= DEFAULT_POINT_BUDGET:
+                assert x.count(q) == count_points(coord.ideal(), q), q
+                counted.append(q)
+        assert counted
 
     def test_unlinked_nodes_are_not_patterned(self):
         # at r = 1 no pair binds, so none of U30's 29 nodes is enumerated;
@@ -280,7 +324,7 @@ class TestStrataAgainstTheOracle:
         assert x_variety_system(30, 1).count(3, 10**30) == 3**57
         # at r = 2, 20 nodes that no pair links beside one pair (1, 2): a
         # rank <= 1 2x2 matrix, 27 + 9 - 3 = 33 points over F_3
-        system = VarietySystem("one pair", 23, 2, pairs=((1, 2),))
+        system = VarietySystem(23, 2, pairs=((1, 2),))
         assert system.count(3, 3**44) == 33 * 9**20
 
 
@@ -325,7 +369,7 @@ class TestStrataByComponent:
         pairs = data.draw(
             st.lists(st.sampled_from(list(itertools.product(nodes, nodes))), unique=True)
         )
-        system = VarietySystem("random", N, r, zero=tuple(zero), pairs=tuple(pairs))
+        system = VarietySystem(N, r, zero=tuple(zero), pairs=tuple(pairs))
         assert system.strata == joint_strata(system)
 
     @pytest.mark.parametrize("N", [3, 4, 5, 6])
@@ -337,9 +381,7 @@ class TestStrataByComponent:
     def test_disjoint_pairs_are_enumerated_apart(self):
         # ten disjoint pairs (s, s+1) at N = 21: 10 x 4 patterns, not 2^20;
         # each pair is a rank <= 1 2x2 matrix, 33 points over F_3
-        system = VarietySystem(
-            "ten pairs", 21, 2, pairs=tuple((s, s + 1) for s in range(1, 21, 2))
-        )
+        system = VarietySystem(21, 2, pairs=tuple((s, s + 1) for s in range(1, 21, 2)))
         assert system.count(3, 3**40) == 33**10
         assert sum(system.strata.values()) == 2**20
 
@@ -571,18 +613,19 @@ class TestIntersectionsCountedOnce:
         count = VarietySystem.count_polynomial
         monkeypatch.setattr(
             VarietySystem, "count_polynomial",
-            lambda system, q: calls.append(system.label) or count(system, q),
+            lambda system, q: calls.append(system.binding) or count(system, q),
         )
         conjecture_check(6, 2, (3, 5))
         # Y once per q, then each distinct intersection once per q
         assert len(bindings) < 2 ** len(systems) - 1
         assert len(calls) == 2 * (1 + len(bindings))
+        assert Counter(calls) == {b: 2 for b in {*bindings, y_variety_system(6, 2).binding}}
 
     def test_binding_is_what_the_strata_read(self):
-        system = VarietySystem("s", 6, 2, zero=(3,), pairs=((4, 5), (1, 2), (2, 3)))
+        system = VarietySystem(6, 2, zero=(3,), pairs=((4, 5), (1, 2), (2, 3)))
         assert system.binding == ((1, 2, 4, 5), ((1, 2), (4, 5)))
         assert system._replace(r=1).binding == ((1, 2, 4, 5), ())
-        same = VarietySystem("t", 6, 2, zero=(3,), pairs=((1, 2), (3, 4), (4, 5)))
+        same = VarietySystem(6, 2, zero=(3,), pairs=((1, 2), (3, 4), (4, 5)))
         assert same.binding == system.binding
         assert same.count_polynomial(5) == system.count_polynomial(5)
 

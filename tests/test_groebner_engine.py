@@ -28,6 +28,7 @@ from frobkern.polyalg import (
     buchberger,
     graded_dimension,
 )
+from ring_helpers import from_terms
 
 #: the benchmark's pinned exit codes and payload digests, by job
 REFERENCE_JOBS = json.loads(
@@ -83,7 +84,7 @@ def even_ideals(draw):
             st.lists(st.integers(1, p - 1), min_size=len(exps), max_size=len(exps))
         )
         relations.append(
-            ring.from_terms((c, dict(zip(names, e))) for c, e in zip(coeffs, exps))
+            from_terms(ring, ((c, dict(zip(names, e))) for c, e in zip(coeffs, exps)))
         )
     return ring, relations
 

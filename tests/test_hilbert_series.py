@@ -29,6 +29,7 @@ from frobkern.polyalg import (
     buchberger,
     hilbert_series,
 )
+from ring_helpers import from_terms
 
 
 def standard_monomials(ring, degree, leads):
@@ -127,7 +128,7 @@ def graded_ideals(draw):
             terms = [(1, a), (c, b)]
         else:
             terms = [(1, draw(st.sampled_from(exps)))]
-        relations.append(ring.from_terms((c, dict(zip(names, e))) for c, e in terms))
+        relations.append(from_terms(ring, ((c, dict(zip(names, e))) for c, e in terms)))
     target = draw(st.sampled_from(exps)) + (0,) * n_odd
     return IdealPresentation(ring, relations), ring.monomial_weight(target)
 

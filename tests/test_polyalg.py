@@ -23,10 +23,10 @@ from frobkern.polyalg import (
     graded_dimension,
     is_prime,
     normal_form,
-    plain_ring,
     prime_power,
     _s_poly,
 )
+from ring_helpers import from_terms, plain_ring, table_count
 
 
 @pytest.fixture
@@ -345,28 +345,6 @@ def brute_force_count(relations, nvars, q):
     return count
 
 
-def table_count(relations, nvars, gf):
-    """Pure-python oracle for any q, characteristic 2 included: every point,
-    through the field tables.  A relation is a map exponent vector ->
-    integer coefficient, such as ``Poly.terms``."""
-    add, mul = gf.add_table.tolist(), gf.mul_table.tolist()
-    count = 0
-    for point in itertools.product(range(gf.q), repeat=nvars):
-        for rel in relations:
-            total = 0
-            for exps, coeff in rel.items():
-                v = coeff % gf.p
-                for i, e in enumerate(exps):
-                    for _ in range(e):
-                        v = mul[v][point[i]]
-                total = add[total][v]
-            if total:
-                break
-        else:
-            count += 1
-    return count
-
-
 def assert_is_cover(relations, cover):
     for rel in relations:
         for exps in rel.terms:
@@ -390,7 +368,7 @@ def small_systems(draw):
         )
     )
     relations = [
-        ring.from_terms((c, {f"x{i}": e for i, e in enumerate(ex)}) for c, ex in rel)
+        from_terms(ring, ((c, {f"x{i}": e for i, e in enumerate(ex)}) for c, ex in rel))
         for rel in rels
     ]
     return ring, relations

@@ -78,8 +78,8 @@ def test_reprs_name_the_record_and_its_fields():
 
 
 def test_memos_stay_out_of_equality_and_hash():
-    system = VarietySystem("Y", 5, 2, pairs=((1, 2), (2, 3)))
-    fresh = VarietySystem("Y", 5, 2, pairs=((1, 2), (2, 3)))
+    system = VarietySystem(5, 2, pairs=((1, 2), (2, 3)))
+    fresh = VarietySystem(5, 2, pairs=((1, 2), (2, 3)))
     assert system.count_polynomial(3) > 0 and "strata" in vars(system)
     assert system == fresh and hash(system) == hash(fresh) and not vars(fresh)
     assert repr(system) == repr(fresh)

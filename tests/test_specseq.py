@@ -334,6 +334,16 @@ class TestAJEnumeration:
         out = aj_E1_enumerate([A1, A2, A12], r=2, p=3, total_degree=2, target_weight=(-1, 0))
         assert out == []
 
+    @pytest.mark.parametrize("weight", [(1,), (1, 0, 0)], ids=["short", "long"])
+    def test_weight_of_the_wrong_length(self, weight):
+        # one check on the ring, reached from the enumerator and the series
+        with pytest.raises(DomainError, match="^weight vector has the wrong length$"):
+            aj_E1_enumerate([A1, A2, A12], r=2, p=3, total_degree=2, target_weight=weight)
+        sbar = grmodel.build_Sbar(model_context("A", 2, r=2, p=3)).ideal()
+        assert hilbert_series(sbar, 4, weight=(0, 0)) == [1, 0, 0, 0, 0]
+        with pytest.raises(DomainError, match="^weight vector has the wrong length$"):
+            hilbert_series(sbar, 4, weight=weight)
+
     def test_u3_key_weight_space(self):
         # hand enumeration over the block profile (a_1, b_2): (3, 0) gives the
         # pure power; (2, 2) gives the pair wedge and the two cross terms that
