@@ -249,6 +249,11 @@ def payload_specseq_d2(ns) -> dict:
 
 def payload_specseq_transgression(ns) -> dict:
     page = specseq.ExtensionPage(_model_ctx(ns))
+    budget = _budget(ns)
+    # p^j passes the budget once j passes its bit length: no larger power is computed
+    bits = (polyalg.DEFAULT_POINT_BUDGET if budget is None else budget).bit_length()
+    step = ns.p ** min(ns.j, bits + 1)
+    polyalg.check_budget(step, f"p^j = {ns.p}^{ns.j} steps to page 2p^j + 1", budget)
     beta = rootsys.parse_root(ns.beta, ns.rank)
     value = specseq.transgression_power(page, beta, ns.twist, ns.j)
     x = rootsys.generator_name("x", beta.label(), ns.twist)
@@ -264,7 +269,7 @@ def payload_specseq_steenrod(ns) -> dict:
     page = specseq.ExtensionPage(_model_ctx(ns))
     beta = rootsys.parse_root(ns.beta, ns.rank)
     target = page.var(ns.kind, beta, ns.twist) ** (ns.exponent if ns.kind == "x" else 1)
-    value = specseq.steenrod_apply(page, ns.op, target)
+    value = specseq.steenrod_apply(page, ns.op, target, _budget(ns))
     return {
         "operation": ns.op,
         "argument": target.to_json_dict(),

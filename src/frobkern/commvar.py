@@ -26,8 +26,8 @@ from collections import Counter
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import BudgetError, ConfigError, DomainError
-from .polyalg import DEFAULT_POINT_BUDGET, check_point_count
+from .errors import ConfigError, DomainError
+from .polyalg import check_budget, check_point_count, show_value
 
 # re-exported: ``commvar.count_points`` names the enumeration oracle of the
 # counts here, and perfbench's tracer wraps it under that name
@@ -234,13 +234,6 @@ class SubdiagramFamily(NamedTuple):
         ]
 
 
-def _check_budget(work: int, what: str, budget: int | None) -> None:
-    """Exit 3 when ``work`` steps exceed ``budget``; ``what`` names them."""
-    budget = DEFAULT_POINT_BUDGET if budget is None else budget
-    if work > budget:
-        raise BudgetError(f"{what} exceed the enumeration budget {budget}")
-
-
 def subdiagram_components(N: int, r: int, budget: int | None = None) -> SubdiagramFamily:
     """Recursive family: remove a node only if it splits off a new component.
 
@@ -252,7 +245,7 @@ def subdiagram_components(N: int, r: int, budget: int | None = None) -> Subdiagr
     size, last = 1, 1  # F(s) and F(s-1), from s = 2
     for _ in range(N - 3):
         size, last = size + last, size
-    _check_budget(size, f"F({N - 1}) = {size} sub-diagrams of N = {N}", budget)
+    check_budget(size, f"F({N - 1}) = {size} sub-diagrams of N = {N}", budget)
     # the non-adjacent subsets of nodes 2..s, and of nodes 2..s-1
     removed, shorter = [()], [()]
     for s in range(2, N - 1):
@@ -392,7 +385,7 @@ def conjecture_check(
     k = len(family.members)
     work = ((1 << k) - 1) << (N - 1)
     what = f"(2^{k} - 1) subsets of the {k}-member family times 2^{N - 1} zero patterns"
-    _check_budget(work, f"{what} = {work}", max_assignments)
+    check_budget(work, show_value(what, work), max_assignments)
     systems = {d.label(): component_system(N, r, d) for d in family.members}
     report = ComponentReport(N, r, q_list, family, y_counts, {}, {}, dict(y_counts))
     labels = [d.label() for d in family.members]

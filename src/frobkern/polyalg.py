@@ -10,9 +10,9 @@ test there first compares support bitmasks (Singular's divisor mask), and
 the Hilbert numerator comes from Bigatti's pivot recursion.
 
 The checks that every F_q point count makes before any work (q a power of
-an odd prime, then the budget on q^n) live here too; the counts themselves
-are in ``commvar``, and their numpy oracle ``count_points`` defers to
-``pointcount``.
+an odd prime, then the budget on q^n by the shared ``check_budget``) live
+here too; the counts themselves are in ``commvar``, and their numpy oracle
+``count_points`` defers to ``pointcount``.
 """
 
 from __future__ import annotations
@@ -837,6 +837,18 @@ def prime_power(q: int, char: int | None = None) -> tuple[int, int]:
     return p, k
 
 
+def show_value(name: str, value: int) -> str:
+    """``name = value``, or ``name`` past 2^9999: str() refuses an int of 4300 digits."""
+    return f"{name} = {value}" if value.bit_length() < 10_000 else name
+
+
+def check_budget(work: int, what: str, budget: int | None = None) -> None:
+    """Exit 3 when ``work`` steps exceed ``budget``; ``what`` names them."""
+    budget = DEFAULT_POINT_BUDGET if budget is None else budget
+    if work > budget:
+        raise BudgetError(f"{what} exceed the enumeration budget {budget}")
+
+
 def check_point_count(
     q: int, n: int, char: int | None = None, max_assignments: int | None = None
 ) -> None:
@@ -845,11 +857,7 @@ def check_point_count(
     assignments fit the budget (exit 3)."""
     check_odd_prime(prime_power(q, char)[0])
     total = q**n
-    budget = DEFAULT_POINT_BUDGET if max_assignments is None else max_assignments
-    if total > budget:
-        raise BudgetError(
-            f"{q}^{n} = {total} assignments exceed the enumeration budget {budget}"
-        )
+    check_budget(total, f"{show_value(f'{q}^{n}', total)} assignments", max_assignments)
 
 
 def count_points(

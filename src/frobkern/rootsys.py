@@ -8,8 +8,9 @@ its level (coefficient sum over simple roots outside ``J``) and its shape
 the unipotent radical is then read off level-wise: the ``v``-th stage is
 spanned by the roots of level >= v.
 
-Root systems and contexts are cached; a context keeps its level table and
-a root system the two-term decompositions of each root it was asked about.
+Root systems and contexts are cached and built whole: a root system holds
+its table in the fixed order and memoises the two-term decompositions of
+each root it is asked about; a context holds its level table and layers.
 
 The fixed total order on roots compares coefficient vectors from the
 highest simple-root index downwards, so alpha < alpha + gamma whenever
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 from functools import cache, cached_property
 from operator import sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetError, ConfigError, DomainError
 from .polyalg import DEFAULT_POINT_BUDGET, check_odd_prime
@@ -166,14 +167,12 @@ def _segments(family: str, n: int) -> tuple[tuple[tuple[int, int, int], ...], ..
     raise ConfigError(f"unknown family {family!r}")  # pragma: no cover
 
 
-def _positive_roots(family: str, n: int) -> list[Root]:
-    roots = []
+def _positive_roots(family: str, n: int) -> Iterator[Root]:
     for segments in _segments(family, n):
         coeffs = [0] * n
         for lo, hi, c in segments:
             coeffs[lo - 1 : hi] = [c] * (hi - lo + 1)
-        roots.append(Root(tuple(coeffs)))
-    return sorted(roots, key=Root.sort_key)
+        yield Root(tuple(coeffs))
 
 
 def classical_positive_count(family: str, n: int) -> int:
@@ -192,19 +191,21 @@ class _RootSystemFields(NamedTuple):
 
 
 class RootSystemData(_RootSystemFields):
-    """A positive-root table; its memos live outside equality and hash."""
+    """A positive-root table, stored in the fixed order whatever order it is
+    given in; its lookup and memo live outside equality and hash."""
 
     def __new__(cls, family, rank, simple_roots, positive_roots):
+        roots = tuple(sorted(positive_roots, key=Root.sort_key))
         expected = classical_positive_count(family, rank)
-        if len(positive_roots) != expected:
+        if len(roots) != expected:
             raise ConfigError(
-                f"{family}{rank}: got {len(positive_roots)} "
-                f"positive roots, expected {expected}"
+                f"{family}{rank}: got {len(roots)} positive roots, expected {expected}"
             )
-        for beta in positive_roots:
+        for beta in roots:
             if not beta.is_positive():
                 raise ConfigError(f"non-positive root {beta} in table")
-        self = super().__new__(cls, family, rank, simple_roots, positive_roots)
+        self = super().__new__(cls, family, rank, simple_roots, roots)
+        self._by_coeffs = {beta.coeffs: beta for beta in roots}
         self._splittings = {}
         return self
 
@@ -214,15 +215,12 @@ class RootSystemData(_RootSystemFields):
         except ValueError:
             raise ConfigError(f"unknown simple root {label!r}") from None
 
-    @cached_property
-    def _by_coeffs(self) -> dict[tuple[int, ...], Root]:
-        return {beta.coeffs: beta for beta in self.positive_roots}
-
     def contains(self, beta: Root) -> bool:
         return beta.coeffs in self._by_coeffs
 
     def decompositions(self, beta: Root) -> tuple[tuple[Root, Root], ...]:
-        """Pairs alpha < alpha' of positive roots summing to beta, by alpha (memoised)."""
+        """Pairs alpha < alpha' of positive roots summing to beta, by alpha (memoised):
+        alpha runs over the table, which is in the fixed order."""
         pairs = self._splittings.get(beta)
         if pairs is None:
             lookup, target = self._by_coeffs, beta.coeffs
@@ -231,7 +229,6 @@ class RootSystemData(_RootSystemFields):
                 rest = lookup.get(tuple(map(sub, target, alpha.coeffs)))
                 if rest is not None and alpha < rest:
                     found.append((alpha, rest))
-            found.sort(key=lambda ab: ab[0].sort_key())
             pairs = self._splittings[beta] = tuple(found)
         return pairs
 
@@ -255,7 +252,7 @@ def build_root_system(family: str, rank: int) -> RootSystemData:
 @cache
 def _root_system(family: str, rank: int) -> RootSystemData:
     labels = tuple(f"a{i}" for i in range(1, rank + 1))
-    return RootSystemData(family, rank, labels, tuple(_positive_roots(family, rank)))
+    return RootSystemData(family, rank, labels, _positive_roots(family, rank))
 
 
 class _ParabolicFields(NamedTuple):
@@ -264,52 +261,33 @@ class _ParabolicFields(NamedTuple):
 
 
 class ParabolicContext(_ParabolicFields):
-    """A root system together with a choice J of simple roots (the Levi)."""
+    """A root system together with a choice J of simple roots (the Levi); its
+    level table, in the fixed order, and layers live outside equality and hash."""
 
     def __new__(cls, system, J=frozenset()):
         J = frozenset(J)
         for label in J:
             system.simple_index(label)
-        return super().__new__(cls, system, J)
+        self = super().__new__(cls, system, J)
+        self._outside_mask = mask = tuple(lab not in J for lab in system.simple_roots)
+        roots = system.positive_roots
+        columns = itertools.compress(zip(*(b.coeffs for b in roots)), mask)
+        self._levels = dict(zip(roots, map(sum, zip([0] * len(roots), *columns))))
+        layers: dict[int, list[Root]] = {}
+        for b, v in self._levels.items():
+            if v:
+                layers.setdefault(v, []).append(b)
+        self._layers = {v: tuple(layer) for v, layer in layers.items()}
+        return self
 
     @property
     def rank(self) -> int:
         return self.system.rank
 
-    @cached_property
-    def _outside_mask(self) -> tuple[bool, ...]:
-        return tuple(lab not in self.J for lab in self.system.simple_roots)
-
-    def _level_of(self, beta: Root) -> int:
-        return sum(itertools.compress(beta.coeffs, self._outside_mask))
-
-    @cached_property
-    def _levels(self) -> dict[Root, int]:
-        """Level of every positive root: the sum of its coefficients outside J."""
-        roots = self.system.positive_roots
-        columns = itertools.compress(zip(*(b.coeffs for b in roots)), self._outside_mask)
-        return dict(zip(roots, map(sum, zip([0] * len(roots), *columns))))
-
-    @cached_property
-    def _radical(self) -> tuple[Root, ...]:
-        return tuple(b for b, v in self._levels.items() if v >= 1)
-
-    @cached_property
-    def _layers(self) -> dict[int, tuple[Root, ...]]:
-        """Radical roots by level, each layer in the fixed order, as the table is."""
-        layers: dict[int, list[Root]] = {}
-        for b, v in self._levels.items():
-            if v:
-                layers.setdefault(v, []).append(b)
-        return {v: tuple(roots) for v, roots in layers.items()}
-
-    @cached_property
-    def _level2_pairs(self) -> tuple:  # (root, splittings), read by the scan at every p
-        return tuple((beta, summand_pairs(beta, self)) for beta in roots_of_level(self, 2))
-
     def level(self, beta: Root) -> int:
-        level = self._levels.get(beta)
-        return self._level_of(beta) if level is None else level
+        """The sum of beta's coefficients outside J, looked up for a positive root."""
+        level = self._levels.get(beta)  # None off the table; a Levi root's 0 sums to 0
+        return level or sum(itertools.compress(beta.coeffs, self._outside_mask))
 
     def shape(self, beta: Root) -> Root:
         mask = self._outside_mask
@@ -317,7 +295,7 @@ class ParabolicContext(_ParabolicFields):
 
     def radical_roots(self) -> tuple[Root, ...]:
         """Roots of the unipotent radical: positive roots of level >= 1."""
-        return self._radical
+        return tuple(b for b, v in self._levels.items() if v)
 
     def max_level(self) -> int:
         return max(self._layers, default=0)
@@ -350,8 +328,7 @@ def gamma_roots(ctx: ParabolicContext, v: int) -> tuple[Root, ...]:
     """Roots of level >= v, in the fixed order (the v-th central-series stage)."""
     if v < 1:
         raise DomainError("central series stage v must be >= 1")
-    stage = (b for u, layer in ctx._layers.items() if u >= v for b in layer)
-    return tuple(sorted(stage, key=Root.sort_key))
+    return tuple(b for b, u in ctx._levels.items() if u >= v)
 
 
 def roots_of_level(ctx: ParabolicContext, v: int) -> tuple[Root, ...]:
@@ -455,7 +432,8 @@ def check_pairing_hypothesis(ctx: ParabolicContext, p: int) -> PairingReport:
     check_odd_prime(p)
     per_root = []
     witnesses = []
-    for beta, pairs in ctx._level2_pairs:
+    for beta in roots_of_level(ctx, 2):
+        pairs = summand_pairs(beta, ctx)
         ok = len(pairs) < p
         per_root.append((beta, len(pairs), ok))
         if not ok:

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 from .errors import BudgetError, DomainError, UnsupportedOperationError
 from .grmodel import ModelContext, ModelGenerator, Presentation
-from .polyalg import Poly, PolyRing, pair_sum
+from .polyalg import Poly, PolyRing, check_budget, pair_sum
 from .rootsys import Root, check_pairing_hypothesis, generator_name
 
 
@@ -228,10 +228,23 @@ def _is_supported(n: int, p: int) -> bool:
     return n == 1
 
 
-def steenrod_apply(page: ExtensionPage, op: str, f: Poly) -> Poly:
+def _lucas_grades(e: int, n: int, p: int) -> dict[int, int]:
+    """{s: C(e, s) mod p} over the s <= n where it is nonzero, in order: by Lucas'
+    theorem, each base-p digit t of s is at most e's digit d, and C(e, s) = prod C(d, t)."""
+    grades, place = {0: 1}, 1
+    while e:
+        e, d = divmod(e, p)
+        grades = {s + t * place: c * math.comb(d, t) % p for t in range(d + 1)
+                  for s, c in grades.items() if s + t * place <= n}
+        place *= p
+    return grades
+
+
+def steenrod_apply(page: ExtensionPage, op: str, f: Poly, budget: int | None = None) -> Poly:
     """Apply P^0, P^{p^j}, bP^0 or bP^{p^j} to a page class, as part n of
     the fold whose rules the module docstring lists.  Operations P^n with n
-    neither zero nor a p-power are outside the encoded fragment."""
+    neither zero nor a p-power are outside the encoded fragment.  The
+    min(e, n) + 1 grades of a power x^e must fit ``budget`` (exit 3)."""
     bock, n = _parse_op(op)
     ctx = page.ctx
     if f.ring != page.ring:
@@ -250,8 +263,10 @@ def steenrod_apply(page: ExtensionPage, op: str, f: Poly) -> Poly:
             return shifted, {0: page.var("x", g.root, g.twist)}
         x = page.ring.var(g.name)
         x1 = page.ring.zero() if top else page.var("x", g.root, g.twist + 1)
-        grades = range(min(e, n) + 1)
-        return {s: x ** (p * s) * x1 ** (e - s) * math.comb(e, s) for s in grades}, {}
+        grades = min(e, n) + 1
+        check_budget(grades, f"min(e, n) + 1 = {grades} grades of P^{n} on x^{e}", budget)
+        nonzero = _lucas_grades(e, n, p)
+        return {s: x ** (p * s) * x1 ** (e - s) * c for s, c in nonzero.items()}, {}
 
     a, b = _fold(page, f, n, rule)
     return b if bock else a

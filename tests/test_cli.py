@@ -1,6 +1,7 @@
 import argparse
 import itertools
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -792,6 +793,89 @@ class TestScanBudget:
         assert code == 3 and "36" in doc["error"]["message"]
         code, doc = invoke(capsys, *base, "--budget", "36")
         assert code == 0 and doc["config"]["budget"] == 36
+
+
+#: 3^2000: its q^6 runs past the 4300 digits that str() writes out
+HUGE_Q = str(3**2000)
+STEENROD = ("specseq", "steenrod", "--family", "A", "--rank", "2", "--v", "3", "--r", "2",
+            "--beta", "a1+a2", "--kind", "x")
+
+
+def steenrod_oracle(p, e, n, twist):
+    """The terms of P^n(x^e) = C(e, n) x^{pn} x'^{e-n}, with x' zero at the top twist."""
+    c = math.comb(e, n) % p
+    if not c or (e > n and twist == 1):  # r = 2
+        return []
+    exps = {f"x[a1+a2]({twist})": p * n, f"x[a1+a2]({twist + 1})": e - n}
+    return [{"c": c, "e": {name: k for name, k in exps.items() if k}}]
+
+
+class TestLargeNumbers:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["variety", "count", "--group", "U4", "--r", "2", "--q", HUGE_Q],
+             f"{HUGE_Q}^6 assignments exceed the enumeration budget 10000000"),
+            (["conjecture", "subdiagrams", "--N", "4", "--r", "2", "--count", "--q", HUGE_Q],
+             f"{HUGE_Q}^6 assignments exceed the enumeration budget 10000000"),
+            (["specseq", "transgression", "--family", "A", "--rank", "2", "--v", "3",
+              "--r", "2", "--beta", "a1+a2", "--j", "10000"],
+             "p^j = 3^10000 steps to page 2p^j + 1 exceed the enumeration budget 10000000"),
+            # Y's 3^22 points fit; the subsets' (2^17711 - 1) x 2^22 run past 4300 digits
+            (["conjecture", "subdiagrams", "--N", "23", "--r", "1", "--count",
+              "--budget", "100000000000"],
+             "(2^17711 - 1) subsets of the 17711-member family times 2^22 zero patterns"
+             " exceed the enumeration budget 100000000000"),
+        ],
+        ids=["variety-count", "conjecture-count", "transgression", "subsets"],
+    )
+    def test_a_number_too_long_to_print_is_refused(self, capsys, monkeypatch, argv, message):
+        # run() returns, so no traceback: the JSON error and exit 3
+        monkeypatch.delenv("FROBKERN_BUDGET", raising=False)
+        code, doc = invoke(capsys, *argv)
+        assert code == 3 and doc["error"] == {"code": "budget", "message": message}
+
+    @pytest.mark.parametrize("j, budget, code", [(14, None, 0), (15, None, 3), (2, "8", 3),
+                                                 (2, "9", 0), (40, "100", 3)])
+    def test_the_transgression_page_fits_the_budget(self, capsys, monkeypatch, j, budget,
+                                                    code):
+        monkeypatch.delenv("FROBKERN_BUDGET", raising=False)
+        argv = ["specseq", "transgression", "--family", "A", "--rank", "2", "--v", "3",
+                "--r", "2", "--beta", "a1+a2", "--j", str(j)]
+        got, doc = invoke(capsys, *argv, *(["--budget", budget] if budget else []))
+        assert got == code
+        if code == 0:
+            assert doc["payload"]["page"] == 2 * 3**j + 1
+        else:
+            assert doc["error"]["message"].startswith(f"p^j = 3^{j} steps to page")
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_steenrod_powers_match_the_binomial_coefficients(self, capsys, p):
+        # every supported n that can act on x^e for e <= 60, and one beyond
+        ns = [0, *itertools.takewhile(lambda n: n < 60 * p, (p**j for j in range(9)))]
+        for twist in (0, 1):
+            for n in ns:
+                for e in range(61):
+                    code, doc = invoke(capsys, *STEENROD, "--p", str(p), "--op", f"P{n}",
+                                       "--exponent", str(e), "--l", str(twist))
+                    assert code == 0
+                    assert doc["payload"]["value"]["terms"] == steenrod_oracle(p, e, n, twist)
+
+    def test_a_large_steenrod_power_is_bounded(self, capsys, monkeypatch):
+        monkeypatch.delenv("FROBKERN_BUDGET", raising=False)
+        argv = (*STEENROD, "--p", "3", "--op", "P59049", "--exponent", "100000")
+        start = time.perf_counter()
+        code, doc = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert doc["payload"]["value"]["terms"] == steenrod_oracle(3, 100000, 59049, 0)
+        code, doc = invoke(capsys, *argv, "--budget", "59049")
+        assert code == 3 and doc["error"]["message"] == (
+            "min(e, n) + 1 = 59050 grades of P^59049 on x^100000 exceed the enumeration "
+            "budget 59049"
+        )
+        code, _ = invoke(capsys, *argv, "--budget", "59050")
+        assert code == 0
 
 
 def _pick(draw, good, bad=()):

@@ -14,11 +14,14 @@ from frobkern.errors import (
 from frobkern.grmodel import AlgebraMap
 from frobkern.pointcount import GF, _cover
 from frobkern.polyalg import (
+    DEFAULT_POINT_BUDGET,
     IdealPresentation,
     Poly,
     PolyRing,
     VariableDescriptor,
     buchberger,
+    check_budget,
+    check_point_count,
     count_points,
     graded_dimension,
     is_prime,
@@ -481,6 +484,19 @@ class TestCountPoints:
             count_points(IdealPresentation(ring, []), 1_000_003, max_assignments=10**6)
         with pytest.raises(ConfigError):  # the characteristic is checked first
             count_points(IdealPresentation(ring, []), 3**13, max_assignments=10)
+
+    def test_every_budget_check_has_one_body(self):
+        with pytest.raises(BudgetError, match=r"^7 steps exceed the enumeration budget 6$"):
+            check_budget(7, "7 steps", 6)
+        check_budget(DEFAULT_POINT_BUDGET, "steps")  # the default, when none is given
+        with pytest.raises(BudgetError, match=rf"^steps exceed .* {DEFAULT_POINT_BUDGET}$"):
+            check_budget(DEFAULT_POINT_BUDGET + 1, "steps")
+        # q^n is written out while it prints, and named by q and n past that
+        with pytest.raises(BudgetError, match=r"^3\^5 = 243 assignments exceed .* 242$"):
+            check_point_count(3, 5, max_assignments=242)
+        q = 3**2000
+        with pytest.raises(BudgetError, match=rf"^{q}\^6 assignments exceed .* 10000000$"):
+            check_point_count(q, 6)
 
     def test_chunking_consistent(self):
         ring = plain_ring(3, ["a", "b", "c"])

@@ -88,6 +88,11 @@ def test_memos_stay_out_of_equality_and_hash():
     fresh = type(table)(*table)
     assert table._splittings and not fresh._splittings
     assert table == fresh and hash(table) == hash(fresh)
+    # a context builds its tables whole, and they stay out of equality and hash
+    ctx, twin = ParabolicContext(table, {"a2"}), ParabolicContext(fresh, ("a2",))
+    assert ctx._levels == twin._levels and ctx._layers == twin._layers
+    assert ctx == twin and hash(ctx) == hash(twin) and repr(ctx) == repr(twin)
+    assert ctx != ParabolicContext(table, {"a1"})
 
 
 def test_roots_compare_by_the_sort_key_in_every_direction():

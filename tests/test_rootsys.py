@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -161,16 +162,27 @@ class TestSummandPairs:
         assert summand_pairs(R(1, 1, 1), ctx, min_level=2) == []
 
     def test_storage_order_irrelevant(self):
+        # the table is stored in the fixed order whatever order it is given in
         from frobkern.rootsys import ParabolicContext, RootSystemData
 
         sys = build_root_system("A", 4)
-        rev = RootSystemData(
-            sys.family, sys.rank, sys.simple_roots, tuple(reversed(sys.positive_roots))
-        )
-        for beta in [R(1, 1, 0, 0), R(1, 1, 1, 0), R(1, 1, 1, 1)]:
-            assert summand_pairs(beta, ParabolicContext(sys)) == summand_pairs(
-                beta, ParabolicContext(rev)
-            )
+        orders = [list(reversed(sys.positive_roots))]
+        for seed in (1, 2, 3):
+            orders.append(list(sys.positive_roots))
+            random.Random(seed).shuffle(orders[-1])
+        for given in orders:
+            table = RootSystemData(sys.family, sys.rank, sys.simple_roots, tuple(given))
+            assert table == sys and hash(table) == hash(sys)
+            for beta in sys.positive_roots:
+                assert table.decompositions(beta) == sys.decompositions(beta)
+            for J in [(), ("a2",), ("a2", "a3"), ("a1", "a4")]:
+                ctx, built = ParabolicContext(table, J), ParabolicContext(sys, J)
+                assert ctx._layers == built._layers
+                for v in range(1, 6):
+                    assert gamma_roots(ctx, v) == gamma_roots(built, v)
+                    assert roots_of_level(ctx, v) == roots_of_level(built, v)
+                for beta in [R(1, 1, 0, 0), R(1, 1, 1, 0), R(1, 1, 1, 1)]:
+                    assert summand_pairs(beta, ctx) == summand_pairs(beta, built)
 
 
 class TestPairingHypothesis:
@@ -373,11 +385,23 @@ def test_levels_are_the_sum_of_the_coefficients_outside_j(system, data):
         assert list(layer) == sorted(layer, key=Root.sort_key)
 
 
-def test_the_level_two_splittings_are_shared_by_every_p():
-    ctx = ParabolicContext(build_root_system("A", 5), {"a3"})
-    assert "_level2_pairs" not in vars(ctx)
+def test_a_context_is_built_whole():
+    table = build_root_system("A", 5)
+    ctx = ParabolicContext(table, {"a3"})
+    # the mask, the level table and the layers exist before any method runs
+    assert set(vars(ctx)) == {"_outside_mask", "_levels", "_layers"}
+    assert list(ctx._levels) == list(table.positive_roots)
+    outside = (1, 1, 0, 1, 1)
+    assert ctx._levels == {b: sum(map(int.__mul__, b.coeffs, outside)) for b in ctx._levels}
+    assert ctx._layers == {
+        v: tuple(b for b, u in ctx._levels.items() if u == v) for v in range(1, 5)
+    }
+    twin = ParabolicContext(table, ("a3",))
+    assert ctx == twin and hash(ctx) == hash(twin) and ctx == context("A", 5, {"a3"})
+    # the scan at every p, on every equal context, reads the table's one memo
     check_pairing_hypothesis(ctx, 3)
-    table = ctx._level2_pairs
-    check_pairing_hypothesis(ctx, 5)
-    assert ctx._level2_pairs is table
-    assert table == tuple((b, summand_pairs(b, ctx)) for b in roots_of_level(ctx, 2))
+    memo = dict(table._splittings)
+    assert set(roots_of_level(ctx, 2)) <= set(memo)
+    check_pairing_hypothesis(twin, 5)
+    assert table._splittings.keys() == memo.keys()
+    assert all(table._splittings[b] is pairs for b, pairs in memo.items())
