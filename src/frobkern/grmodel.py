@@ -185,10 +185,14 @@ class Presentation:
         )
         self.relations: tuple[Poly, ...] = ()
         self._ideal = None
+        self._vars: dict = {}  # (kind, root, twist) -> variable, filled on first use
 
     def var(self, kind: str, root: Root, twist: int) -> Poly:
         """The variable of the class ``kind[root](twist)``."""
-        return self.ring.var(generator_name(kind, root.label(), twist))
+        key = (kind, root, twist)
+        if (v := self._vars.get(key)) is None:
+            v = self._vars[key] = self.ring.var(generator_name(kind, root.label(), twist))
+        return v
 
     def ideal(self) -> IdealPresentation:
         if self._ideal is None:
@@ -239,13 +243,17 @@ class ModelPresentation(Presentation):
 
     def power_image(self, root: Root, twist: int) -> Poly:
         """The element (x_root^{(twist)})^{p^{r-twist-1}} of this model."""
-        ctx = self.ctx
-        if not 0 <= twist < ctx.r:
-            raise DomainError(f"twist {twist} out of range for r={ctx.r}")
-        level = ctx.parabolic().level(root)
-        if level == 1 and ctx.i == 1:
-            return self.var("x", root, twist) ** (ctx.p ** (ctx.r - twist - 1))
-        return self.var("w", root, twist)
+        key = (root, twist)  # beside the variables' (kind, root, twist) keys
+        if (image := self._vars.get(key)) is None:
+            ctx = self.ctx
+            if not 0 <= twist < ctx.r:
+                raise DomainError(f"twist {twist} out of range for r={ctx.r}")
+            if ctx.parabolic().level(root) == 1 and ctx.i == 1:
+                image = self.var("x", root, twist) ** (ctx.p ** (ctx.r - twist - 1))
+            else:
+                image = self.var("w", root, twist)
+            self._vars[key] = image
+        return image
 
     def top_generators(self) -> list[str]:
         v, pctx = self.ctx.top_level, self.ctx.parabolic()
@@ -437,27 +445,33 @@ class AlgebraMap:
             if image.ring != target.ring or len(terms) > 1:
                 raise DomainError(f"{name}: {v.name} does not map to one term of the target")
             self._terms.append(terms[0] if terms else None)
+        self._images: dict = {}  # source monomial -> (exps, coeff) of its image, or None
+
+    def _image(self, exps):
+        """(exps, coeff) of the image of the source monomial ``exps``, or None for 0."""
+        ring, coeff = self.target.ring, 1
+        image = [0] * ring.nvars
+        for e, term in zip(exps, self._terms):
+            if not e:
+                continue
+            if term is None:
+                return None
+            sparse, c = term
+            coeff = coeff * pow(c, e, ring.p)
+            for j, k in sparse:
+                image[j] += e * k
+        return tuple(image), coeff
 
     def apply(self, f: Poly) -> Poly:
         if f.ring != self.source.ring:
             raise DomainError(f"{self.name}: argument from the wrong ring")
-        ring = self.target.ring
         out: dict = {}
         for exps, coeff in f.terms.items():
-            image = [0] * ring.nvars
-            for e, term in zip(exps, self._terms):
-                if not e:
-                    continue
-                if term is None:
-                    break
-                sparse, c = term
-                coeff = coeff * pow(c, e, ring.p)
-                for j, k in sparse:
-                    image[j] += e * k
-            else:
-                key = tuple(image)
-                out[key] = out.get(key, 0) + coeff
-        return Poly(ring, out)
+            if (image := self._images.get(exps, False)) is False:
+                image = self._images[exps] = self._image(exps)
+            if image is not None:
+                out[image[0]] = out.get(image[0], 0) + coeff * image[1]
+        return Poly(self.target.ring, out)
 
     def relation_images(self):
         return [(rel, self.apply(rel)) for rel in self.source.relations]
@@ -637,10 +651,11 @@ def bracket_probe(model: ModelPresentation, pairs: int, seed: int):
     if pairs and not powers:
         raise DomainError(f"{model.ctx.label()}: the model has no generators to probe")
     for _ in range(pairs):
-        a1 = rng.choice(powers)[rng.randint(0, 2)]
-        b1 = rng.choice(powers)[rng.randint(0, 2)] * rng.randint(1, 2)
-        a2 = rng.choice(powers)[rng.randint(0, 2)]
-        b2 = rng.choice(powers)[rng.randint(0, 2)] * rng.randint(1, 2)
+        # randrange(3) and 1 + randrange(2) draw as randint(0, 2) and randint(1, 2) do
+        a1 = rng.choice(powers)[rng.randrange(3)]
+        b1 = rng.choice(powers)[rng.randrange(3)] * (1 + rng.randrange(2))
+        a2 = rng.choice(powers)[rng.randrange(3)]
+        b2 = rng.choice(powers)[rng.randrange(3)] * (1 + rng.randrange(2))
         f, g = a1 * a2, b1 + b2
         if bracket.apply(f * g) != bracket.apply(f) * bracket.apply(g):
             raise CheckFailure("bracket map failed a multiplicativity probe")

@@ -4,14 +4,16 @@ dimension counting.
 A ring holds even (polynomial) and odd (exterior) variables; monomials are
 dense exponent tuples in a fixed variable order, odd exponents never exceed
 one, and products pick up the Koszul sign from transposing odd factors.
-Ideal machinery (Buchberger, normal forms, Hilbert series) is restricted
-to the even subring, which is all the model ideals need.  Every divisibility
-test there first compares support bitmasks (Singular's divisor mask), and
-the Hilbert numerator comes from Bigatti's pivot recursion.
+Ideal machinery (Buchberger, normal forms, Hilbert series) is restricted to
+the even subring, which is all the model ideals need.  It packs a monomial
+into one int (``_Packing``): a product is a sum, the degrevlex order is the
+order of ints, and a divisibility test is a support-mask prefilter
+(Singular's divisor mask), then one subtraction and one mask.  The Hilbert
+numerator comes from Bigatti's pivot recursion.
 
 The checks that every F_q point count makes before any work (q a power of
 an odd prime, then the budget on q^n by the shared ``check_budget``) live
-here too; the counts themselves are in ``commvar``, and their numpy oracle
+here too; the counts are in ``commvar``, and their numpy oracle
 ``count_points`` defers to ``pointcount``.
 """
 
@@ -78,10 +80,8 @@ class VariableDescriptor(_DescriptorFields):
     def __new__(cls, name: str, parity: str = EVEN, degree: int = 0, weight=()):
         if parity not in (EVEN, ODD):
             raise ConfigError(f"parity must be 'even' or 'odd', got {parity!r}")
-        if parity == ODD and degree % 2 == 0:
-            raise ConfigError(f"odd variable {name} needs odd degree")
-        if parity == EVEN and degree % 2 == 1:
-            raise ConfigError(f"even variable {name} needs even degree")
+        if degree % 2 != (parity == ODD):
+            raise ConfigError(f"{parity} variable {name} needs {parity} degree")
         return super().__new__(cls, name, parity, degree, tuple(int(w) for w in weight))
 
 
@@ -101,18 +101,14 @@ class PolyRing:
         self.variables = variables
         self.label = label
         self.index = {v.name: i for i, v in enumerate(variables)}
+        self.nvars = len(variables)
         self._odd = tuple(i for i, v in enumerate(variables) if v.parity == ODD)
-        self._bits = tuple(1 << i for i in range(len(variables)))
         self._degrees = tuple(v.degree for v in variables)
         self._weights = tuple(v.weight for v in variables)
         self._weight_columns = tuple(zip(*self._weights))
         self.weight_len = wlens.pop() if wlens else 0
 
     # -- basic structure ---------------------------------------------------
-
-    @property
-    def nvars(self) -> int:
-        return len(self.variables)
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -152,8 +148,6 @@ class PolyRing:
         return self.const(1)
 
     def var(self, name: str) -> "Poly":
-        if name not in self.index:
-            raise DomainError(f"no variable {name!r} in {self!r}")
         return self.monomial({name: 1})
 
     def monomial(self, exps: dict, coeff: int = 1) -> "Poly":
@@ -198,27 +192,9 @@ class PolyRing:
         best.reverse()
         return order, best
 
-    def mul_monomials(self, e1, e2):
-        """(sign, exps) for the graded product, or None if it vanishes."""
-        sign = 1
-        o1 = [i for i in self._odd if e1[i]]
-        o2 = [i for i in self._odd if e2[i]]
-        if o1 and o2:
-            s2 = set(o2)
-            if any(i in s2 for i in o1):
-                return None
-            inv = sum(1 for i in o1 for j in o2 if i > j)
-            sign = -1 if inv % 2 else 1
-        return sign, tuple(map(add, e1, e2))
-
     def monomial_str(self, exps) -> str:
-        parts = []
-        for i, e in enumerate(exps):
-            if e == 1:
-                parts.append(self.variables[i].name)
-            elif e:
-                parts.append(f"{self.variables[i].name}^{e}")
-        return "*".join(parts) if parts else "1"
+        names = (v.name for v in self.variables)
+        return "*".join(x if e == 1 else f"{x}^{e}" for x, e in zip(names, exps) if e) or "1"
 
 
 class Poly:
@@ -255,8 +231,6 @@ class Poly:
         return _canonical(self.ring, {e: self.ring.p - c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.ring.const(other)
         return self + (-other)
 
     def scale(self, c: int) -> "Poly":
@@ -268,16 +242,11 @@ class Poly:
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        ring, odd = self.ring, self.ring._odd
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                prod = ring.mul_monomials(e1, e2) if odd else (1, tuple(map(add, e1, e2)))
-                if prod is None:
-                    continue
-                sign, e = prod
-                terms[e] = terms.get(e, 0) + sign * c1 * c2
-        return Poly(ring, terms)
+        ring = self.ring
+        if len(self.terms) == len(other.terms) == 1 and not ring._odd:
+            ((e1, c1),), ((e2, c2),) = self.terms.items(), other.terms.items()
+            return _canonical(ring, {tuple(map(add, e1, e2)): c1 * c2 % ring.p})
+        return Poly(ring, _add_product({}, self, other))
 
     __rmul__ = __mul__
 
@@ -332,47 +301,49 @@ class Poly:
         return self.scale(pow(c, -1, self.ring.p))
 
     def homogeneous_degree(self):
-        """The common cohomological degree of all terms; None if mixed."""
-        degs = {self.ring.monomial_degree(e) for e in self.terms}
-        if not degs:
-            return 0
-        return degs.pop() if len(degs) == 1 else None
+        """The common cohomological degree of all terms (0 for zero); None if mixed."""
+        degrees = set(map(self.ring.monomial_degree, self.terms)) or {0}
+        return degrees.pop() if len(degrees) == 1 else None
 
     def uniform_weight(self):
-        """The common T-weight of all terms, or None if mixed."""
-        ws = {self.ring.monomial_weight(e) for e in self.terms}
-        if not ws:
-            return (0,) * self.ring.weight_len
-        w = ws.pop()
-        return w if not ws else None
+        """The common T-weight of all terms (0 for zero), or None if mixed."""
+        ws = set(map(self.ring.monomial_weight, self.terms)) or {(0,) * self.ring.weight_len}
+        return ws.pop() if len(ws) == 1 else None
 
     def is_even(self) -> bool:
         odd = set(self.ring._odd)
         return all(all(e[i] == 0 for i in odd) for e in self.terms)
 
     def to_json_dict(self) -> dict:
-        out = []
-        for e in self.monomials():
-            exps = {
-                self.ring.variables[i].name: k for i, k in enumerate(e) if k
-            }
-            out.append({"c": self.terms[e], "e": exps})
-        return {"terms": out}
+        names = [v.name for v in self.ring.variables]
+        terms = [(self.terms[e], zip(names, e)) for e in self.monomials()]
+        return {"terms": [{"c": c, "e": {x: k for x, k in exps if k}} for c, exps in terms]}
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
         bits = []
         for e in self.monomials():
-            c = self.terms[e]
-            m = self.ring.monomial_str(e)
-            if m == "1":
-                bits.append(str(c))
-            elif c == 1:
-                bits.append(m)
-            else:
-                bits.append(f"{c}*{m}")
-        return " + ".join(bits)
+            c, m = self.terms[e], self.ring.monomial_str(e)
+            bits.append(str(c) if m == "1" else m if c == 1 else f"{c}*{m}")
+        return " + ".join(bits) or "0"
+
+
+def _add_product(terms: dict, f: Poly, g: Poly, sign: int = 1) -> dict:
+    """``terms`` (returned) with sign * f * g added in, coefficients unreduced: a
+    product of monomials sharing an exterior variable vanishes, and otherwise
+    picks up the sign of the transpositions that sort its exterior factors."""
+    f._check(g)
+    odd = f.ring._odd
+    for e1, c1 in f.terms.items():
+        o1 = [i for i in odd if e1[i]]
+        for e2, c2 in g.terms.items():
+            s = sign
+            if o1 and (o2 := [j for j in odd if e2[j]]):
+                if not set(o1).isdisjoint(o2):
+                    continue
+                s *= (-1) ** sum(i > j for i in o1 for j in o2)
+            e = tuple(map(add, e1, e2))
+            terms[e] = terms.get(e, 0) + s * c1 * c2
+    return terms
 
 
 def _canonical(ring: PolyRing, terms: dict) -> Poly:
@@ -388,11 +359,9 @@ class IdealPresentation:
     Every relation must be homogeneous in cohomological degree and a T-weight
     eigenvector (DomainError otherwise).  Rings whose variables all sit in
     degree zero with no weights pass the check vacuously, which is how the
-    generic Groebner examples are phrased.
-
-    The presentation keeps one Buchberger engine: ``hilbert_series`` runs it
-    only as far as the degree it asks for, and ``groebner`` runs the same
-    state to completion.
+    generic Groebner examples are phrased.  The presentation keeps one
+    Buchberger engine: ``hilbert_series`` runs it only as far as the degree it
+    asks for, and ``groebner`` runs the same state to completion.
     """
 
     def __init__(self, ring: PolyRing, relations):
@@ -405,8 +374,7 @@ class IdealPresentation:
                 raise DomainError(f"relation {r} is not degree-homogeneous")
             if r.uniform_weight() is None:
                 raise DomainError(f"relation {r} is not a T-weight eigenvector")
-        self._engine = None
-        self._gb = None
+        self._engine = self._gb = None
 
     def groebner(self) -> "GroebnerBasis":
         if self._gb is None:
@@ -440,80 +408,96 @@ class GroebnerBasis(_GroebnerFields):
         return self
 
 
-def _quotient(e1, e2):
-    return tuple(a - b for a, b in zip(e1, e2))
-
-
-def _lcm(e1, e2):
-    return tuple(map(max, e1, e2))
-
-
-def _support(exps):
-    """(index, exponent) pairs of the nonzero exponents, for divisibility tests."""
-    return tuple((i, k) for i, k in enumerate(exps) if k)
-
-
-def _mask(ring: PolyRing, exps) -> int:
-    """Bit i set when exponent i is positive.  A divisor's mask lies inside its
-    multiple's, so ``dmask & ~mask`` rejects most non-divisors at once."""
-    return sum(itertools.compress(ring._bits, exps))
-
-
 def _lead_key(exps):
     """The one key of the degrevlex order: min(key) is the leading monomial."""
     return (-sum(exps), exps[::-1])
 
 
-def _even_only(ring: PolyRing, polys) -> None:
-    for f in polys:
-        if not f.is_even():
-            raise UnsupportedOperationError(
-                "Groebner machinery only covers the even subring"
-            )
+#: byte 0 to the digit 0 and every other byte to 1, for ``_Packing.mask``
+_BINARY = b"0" + b"1" * 255
 
 
-def _divisor(g: Poly):
-    """(lead mask, lead support, lead, inverse lead coefficient, tail terms) of g."""
-    e, c = g.leading()
-    tail = [(t, v) for t, v in g.terms.items() if t != e]
-    return _mask(g.ring, e), _support(e), e, pow(c, -1, g.ring.p), tail
+class _Packing:
+    """Monomials in n variables as ints: exponent i fills the ``width``-bit
+    field at bit width * i, whose top bit is a guard kept clear, and the total
+    degree, negated, sits above the fields.  A product is then a sum, the
+    least int leads (as ``_lead_key``), and a divides b when b - a borrows into
+    no guard bit.  The width starts at 8 and doubles until every total degree,
+    hence every exponent, is below ``bound`` = 2^(width - 1)."""
+
+    def __init__(self, ring: PolyRing, polys=(), degree: int = 0):
+        """Wide enough for ``polys`` (in the even subring), or else for ``degree``."""
+        if not all(f.is_even() for f in polys):
+            raise UnsupportedOperationError("Groebner machinery only covers the even subring")
+        terms = itertools.chain.from_iterable(f.terms for f in polys)
+        degree, width = max(map(sum, terms), default=degree), 8
+        while degree >> width - 1:
+            width *= 2
+        self.n, self.width, self.bound = ring.nvars, width, 1 << width - 1
+        self.shift = self.n * width
+        self.low = (1 << self.shift) - 1
+        self.guard = self.low // ((1 << width) - 1) * self.bound
+
+    def pack(self, exps) -> int:
+        if (w := self.width) == 8:
+            return int.from_bytes(bytes(exps), "little") - (sum(exps) << self.shift)
+        return sum(x << w * i for i, x in enumerate(exps)) - (sum(exps) << self.shift)
+
+    def unpack(self, k: int) -> tuple[int, ...]:
+        if (w := self.width) == 8:
+            return tuple((k & self.low).to_bytes(self.n, "little"))
+        return tuple(k >> w * i & (1 << w) - 1 for i in range(self.n))
+
+    def mask(self, k: int) -> int:
+        """Bit i set when exponent i is positive: a divisor's lies inside its multiple's."""
+        if self.width == 8:
+            return int((k & self.low).to_bytes(self.n + 1, "big").translate(_BINARY), 2)
+        return sum(1 << i for i, x in enumerate(self.unpack(k)) if x)
+
+    def lcm(self, a: int, b: int) -> int:
+        """Each field of a where a's is at least b's, else of b."""
+        a, b = a & self.low, b & self.low
+        keep = (((a | self.guard) - b) & self.guard) // self.bound * ((1 << self.width) - 1)
+        m = b ^ (a ^ b) & keep
+        return m - (sum(self.unpack(m)) << self.shift)
+
+    def divisor(self, terms: dict, p: int):
+        """(lead mask, lead, 1 / lead coefficient, tail) of a nonzero packed term dict."""
+        lead = min(terms)
+        return self.mask(lead), lead, pow(terms.pop(lead), -1, p), list(terms.items())
 
 
-def _reduce(work: dict, divisors, ring: PolyRing) -> dict:
-    """Remainder of the term dict ``work`` (consumed) under ``divisors``.
-
-    The leading term of ``work`` is top-reduced by the first divisor whose
-    lead divides it; a term that no lead divides moves to the remainder.  A
-    heap of ``_lead_key`` values finds the leading term; entries whose
-    monomial has since cancelled are skipped.
-    """
-    p = ring.p
-    heap = [(_lead_key(e), e) for e in work]
+def _reduce(work: dict, divisors, packing: _Packing, p: int) -> dict:
+    """Remainder of the packed term dict ``work`` (consumed) under the records
+    ``divisors`` of ``_Packing.divisor``: the leading term of ``work``, found by
+    a heap whose cancelled entries are skipped, is top-reduced by the first
+    divisor whose lead divides it (masks reject most others before the
+    guard-bit test), else moves to the remainder."""
+    heap = list(work)
     heapq.heapify(heap)
     remainder = {}
+    mask, guard = packing.mask, packing.guard
     while heap:
-        e = heapq.heappop(heap)[1]
-        c = work.pop(e, 0)
+        k = heapq.heappop(heap)
+        c = work.pop(k, 0)
         if not c:
             continue
-        outside = ~_mask(ring, e)
-        for dmask, support, le, inv, tail in divisors:
-            if not dmask & outside and all(e[i] >= k for i, k in support):
+        outside = ~mask(k)
+        for dmask, lead, inv, tail in divisors:
+            if not dmask & outside and not (q := k - lead) & guard:
                 break
         else:
-            remainder[e] = c
+            remainder[k] = c
             continue
-        q = _quotient(e, le)
         factor = c * inv % p
         for t, v in tail:
-            m = tuple(map(add, q, t))
-            old = work.get(m)
-            new = ((old or 0) - factor * v) % p
-            if new:
+            m = q + t
+            if m not in work:  # a new term: both factors are units mod p
+                work[m] = -factor * v % p
+                heapq.heappush(heap, m)
+            elif new := (work[m] - factor * v) % p:
                 work[m] = new
-                if old is None:
-                    heapq.heappush(heap, (_lead_key(m), m))
-            elif old is not None:
+            else:
                 del work[m]
     return remainder
 
@@ -527,110 +511,141 @@ def normal_form(f: Poly, G) -> Poly:
     """
     ring = f.ring
     basis = G.basis if isinstance(G, GroebnerBasis) else tuple(G)
-    _even_only(ring, (f, *basis))
-    divisors = [_divisor(g) for g in basis if not g.is_zero()]
+    packing = _Packing(ring, (f, *basis))
+    pack, p = packing.pack, ring.p
+    packed = [{pack(e): c for e, c in g.terms.items()} for g in (f, *basis)]
+    divisors = [packing.divisor(terms, p) for terms in packed[1:] if terms]
     if not divisors:
         return f
-    return _canonical(ring, _reduce(dict(f.terms), divisors, ring))
-
-
-def _s_poly(f: Poly, g: Poly) -> dict:
-    """The S-polynomial of f and g as a term dict, coefficients in 1..p-1."""
-    p = f.ring.p
-    ef, cf = f.leading()
-    eg, cg = g.leading()
-    lcm = _lcm(ef, eg)
-    terms: dict = {}
-    for h, e, scale in ((f, ef, pow(cf, -1, p)), (g, eg, -pow(cg, -1, p))):
-        u = _quotient(lcm, e)
-        for t, v in h.terms.items():
-            m = tuple(map(add, u, t))
-            terms[m] = (terms.get(m, 0) + scale * v) % p
-    return {m: c for m, c in terms.items() if c}
+    remainder = _reduce(packed[0], divisors, packing, p)
+    return _canonical(ring, {packing.unpack(k): c for k, c in remainder.items()})
 
 
 class _Engine:
     """Buchberger state of one even ideal: the basis so far, pending S-pairs.
 
-    Pairs leave a heap ordered by the cohomological degree of
-    lcm(lead_i, lead_j), ties broken by (i, j).  A pair is skipped by the
+    Elements are monic ``_Packing.divisor`` records.  Pairs leave a heap by the
+    cohomological degree of lcm(lead_i, lead_j), then (i, j), unless the
     product criterion (coprime leads) or the chain criterion (some lead_k
-    divides the lcm and neither (i, k) nor (j, k) is pending).  Relations are
-    degree-homogeneous (``IdealPresentation`` checks), so when every even
-    variable has positive degree, an S-pair of degree D reduces to a
-    polynomial homogeneous of degree D, and pairs above a degree cannot
-    change the leading ideal at or below it: ``advance(limit)`` then stops
-    before the first such pair.  Other ideals always run to completion.
+    divides the lcm and neither (i, k) nor (j, k) is pending) skips them.
+    Relations are degree-homogeneous, so when every even variable has positive
+    degree a pair of degree D reduces in degree D, and ``advance(limit)`` keeps
+    the pairs above ``limit`` in a plain list, outside the heap and ``pending``:
+    the chain criterion never asks for them, as (i, k) lies at most at the
+    degree of (i, j).  Other ideals run to completion.  A pair whose lcm
+    outgrows the fields first repacks every element at a width that holds it.
     """
 
     def __init__(self, ring: PolyRing, relations):
-        _even_only(ring, relations)
         self.ring = ring
-        self.basis: list[Poly] = []  # monic, in insertion order
-        self.divisors: list = []  # _divisor of each basis element
-        self.queue: list = []  # heap of (degree, i, j)
-        self.pending: set = set()  # (i, j) still in the queue
+        self.packing = _Packing(ring, relations)
+        self.leads: list = []  # (degree, mask, exponents) of each lead
+        self.divisors: list = []  # each element, as a record of _reduce
+        self.queue: list = []  # heap of (degree, i, j), the pairs at most ``limit``
+        self.pending: set = set()  # (i, j) in the queue
+        self.later: list = []  # (degree, i, j) of the pairs above ``limit``
+        self.limit = -1
         self.graded = all(d > 0 for i, d in enumerate(ring._degrees) if i not in ring._odd)
         self.counts: Counter = Counter()  # GroebnerStats fields
         for r in relations:
-            if not r.is_zero():
-                self._add(r.monic())
+            if r:
+                self._add({self.packing.pack(e): c for e, c in r.terms.items()})
 
-    def _add(self, g: Poly) -> None:
-        n = len(self.basis)
-        e = g.leading()[0]
-        degrees = self.ring._degrees
-        base = self.ring.monomial_degree(e)
-        for k, (_, support, _, _, _) in enumerate(self.divisors):
-            # the degree of lcm(lead_k, e), from lead_k's few nonzero exponents
-            degree = base + sum(degrees[a] * (b - e[a]) for a, b in support if b > e[a])
-            heapq.heappush(self.queue, (degree, k, n))
-            self.pending.add((k, n))
-        self.basis.append(g)
-        self.divisors.append(_divisor(g))
+    def _add(self, terms: dict) -> None:
+        """Append the monic multiple of the packed ``terms`` and queue its pairs."""
+        mask, k, inv, tail = self.packing.divisor(terms, self.ring.p)
+        e = self.packing.unpack(k)
+        degrees, base, n = self.ring._degrees, self.ring.monomial_degree(e), len(self.leads)
+        for i, (d, m, f) in enumerate(self.leads):
+            d += base  # the degree of lcm(f, e): less that of gcd(f, e), on common bits
+            common = m & mask
+            while common:
+                a = (common & -common).bit_length() - 1
+                d -= degrees[a] * min(f[a], e[a])
+                common &= common - 1
+            if d <= self.limit:
+                heapq.heappush(self.queue, (d, i, n))
+                self.pending.add((i, n))
+            else:
+                self.later.append((d, i, n))
+        self.leads.append((base, mask, e))
+        self.divisors.append((mask, k, 1, [(t, c * inv % self.ring.p) for t, c in tail]))
 
-    def _chain(self, i: int, j: int, mask: int, lcm) -> bool:
-        pending = self.pending
-        for k, (dmask, support, _, _, _) in enumerate(self.divisors):
-            if (
-                not dmask & ~mask
-                and k != i
-                and k != j
-                and all(lcm[a] >= b for a, b in support)
-                and (min(i, k), max(i, k)) not in pending
-                and (min(j, k), max(j, k)) not in pending
-            ):
-                return True
-        return False
+    def _chain(self, i: int, j: int, mask: int, lcm: int) -> bool:
+        pending, guard, outside = self.pending, self.packing.guard, ~mask
+        return any(
+            not dmask & outside and k != i and k != j and not (lcm - lead) & guard
+            and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
+            for k, (dmask, lead, _, _) in enumerate(self.divisors)
+        )
+
+    def _s_poly(self, i: int, j: int) -> dict:
+        """The packed S-polynomial of elements i and j, whose leads are 1 and cancel."""
+        (_, ki, _, ti), (_, kj, _, tj) = self.divisors[i], self.divisors[j]
+        lcm, p = self.packing.lcm(ki, kj), self.ring.p
+        work = {lcm - ki + t: c for t, c in ti}
+        for t, c in tj:
+            if v := (work.get(m := lcm - kj + t, 0) - c) % p:
+                work[m] = v
+            else:
+                del work[m]
+        return work
+
+    def _repack(self, degree: int) -> None:
+        """Rewrite every element at a width that holds total degree ``degree``."""
+        old, new = self.packing, _Packing(self.ring, degree=degree)
+        for n, (m, k, inv, tail) in enumerate(self.divisors):
+            tail = [(new.pack(old.unpack(t)), c) for t, c in tail]
+            self.divisors[n] = m, new.pack(old.unpack(k)), inv, tail
+        self.packing = new
 
     def advance(self, limit: int | None = None) -> None:
         """Process pairs up to degree ``limit`` (all of them when None)."""
-        if not self.graded:
-            limit = None
-        queue, counts = self.queue, self.counts
-        while queue and (limit is None or queue[0][0] <= limit):
+        self.limit = limit = math.inf if limit is None or not self.graded else limit
+        ready = [pair for pair in self.later if pair[0] <= limit]
+        self.later = [pair for pair in self.later if pair[0] > limit]
+        self.pending.update(pair[1:] for pair in ready)
+        self.queue += ready
+        heapq.heapify(queue := self.queue)
+        counts, divisors = self.counts, self.divisors
+        while queue:
             _, i, j = heapq.heappop(queue)
             self.pending.discard((i, j))
             counts["pairs"] += 1
-            mi, _, ei, _, _ = self.divisors[i]
-            mj, _, ej, _, _ = self.divisors[j]
+            (mi, ki, _, _), (mj, kj, _, _) = divisors[i], divisors[j]
             if not mi & mj:
                 counts["product_skipped"] += 1
                 continue
-            if self._chain(i, j, mi | mj, _lcm(ei, ej)):
+            lcm = self.packing.lcm(ki, kj)
+            if self._chain(i, j, mi | mj, lcm):
                 counts["chain_skipped"] += 1
                 continue
-            h = _reduce(_s_poly(self.basis[i], self.basis[j]), self.divisors, self.ring)
+            if (total := -(lcm >> self.packing.shift)) >= self.packing.bound:
+                self._repack(total)
+            h = _reduce(self._s_poly(i, j), divisors, self.packing, self.ring.p)
             counts["reductions"] += 1
-            if not h:
-                counts["zero_reductions"] += 1
-            else:
-                self._add(_canonical(self.ring, h).monic())
+            counts["zero_reductions"] += not h
+            if h:
+                self._add(h)
 
-    def stats(self, basis_size: int) -> GroebnerStats:
-        return GroebnerStats(
-            **self.counts, deferred=len(self.pending), basis_size=basis_size
-        )
+    def poly(self, i: int) -> Poly:
+        _, k, _, tail = self.divisors[i]
+        unpack = self.packing.unpack
+        return _canonical(self.ring, {unpack(k): 1, **{unpack(t): c for t, c in tail}})
+
+    def result(self, basis) -> GroebnerBasis:
+        """``basis``, with the work done so far as its stats."""
+        basis = tuple(basis)
+        stats = GroebnerStats(**self.counts, deferred=len(self.later), basis_size=len(basis))
+        return GroebnerBasis(self.ring, basis, stats)
+
+
+def _advanced(ideal: IdealPresentation, degree: int | None) -> _Engine:
+    """The ideal's engine, run through ``degree``."""
+    if ideal._engine is None:
+        ideal._engine = _Engine(ideal.ring, ideal.relations)
+    ideal._engine.advance(degree)
+    return ideal._engine
 
 
 def buchberger(ideal: IdealPresentation, degree: int | None = None) -> GroebnerBasis:
@@ -644,27 +659,19 @@ def buchberger(ideal: IdealPresentation, degree: int | None = None) -> GroebnerB
     is neither minimal nor reduced.  An ``IdealPresentation`` keeps the
     engine between calls.
     """
-    if ideal._engine is None:
-        ideal._engine = _Engine(ideal.ring, ideal.relations)
-    engine = ideal._engine
-    engine.advance(degree)
-    ring, G = engine.ring, engine.basis
+    engine = _advanced(ideal, degree)
+    elements, leads = range(len(engine.leads)), engine.leads
     if degree is not None:
-        below = tuple(g for g in G if ring.monomial_degree(g.leading()[0]) <= degree)
-        return GroebnerBasis(ring, below, engine.stats(len(below)))
+        return engine.result(engine.poly(i) for i in elements if leads[i][0] <= degree)
     # minimalise: drop elements whose lead is divisible by another lead
     minimal: list[Poly] = []
-    for g in sorted(G, key=lambda g: _lead_key(g.leading()[0]), reverse=True):
-        eg = g.leading()[0]
-        if not any(all(map(le, h.leading()[0], eg)) for h in minimal):
-            minimal.append(g)
-    # inter-reduce tails
-    reduced = []
-    for k, g in enumerate(minimal):
-        others = minimal[:k] + minimal[k + 1 :]
-        reduced.append(normal_form(g, others).monic() if others else g)
+    for i in sorted(elements, key=lambda i: engine.divisors[i][1], reverse=True):
+        if not any(all(map(le, h.leading()[0], leads[i][2])) for h in minimal):
+            minimal.append(engine.poly(i))
+    # inter-reduce tails, and order by lead from the last
+    reduced = [normal_form(g, minimal[:k] + minimal[k + 1 :]) for k, g in enumerate(minimal)]
     reduced.sort(key=lambda g: _lead_key(g.leading()[0]), reverse=True)
-    return GroebnerBasis(ring, tuple(reduced), engine.stats(len(reduced)))
+    return engine.result(g.monic() for g in reduced)
 
 
 # -- graded dimension --------------------------------------------------------
@@ -681,38 +688,36 @@ def _minimal(leads, left: int) -> list:
     return minimal
 
 
-def _numerator(minimal, left: int, grade) -> Counter:
+def _numerator(minimal, left: int, grade) -> dict:
     """Numerator of the Hilbert series of ring/(leads), through degree ``left``.
 
     ``minimal`` holds the minimal generators as (degree, support mask,
     exponents), none above ``left``; the result maps grade to coefficient,
     every term of degree <= ``left``.  Pairwise coprime leads give the
     product of 1 - grade(m).  Otherwise Bigatti's pivot P = x_i^k splits
-    N(I) = N(I + (P)) + grade(P) N(I : P) (Bigatti 1997): i is the variable
-    in most leads and k the median of its positive exponents, below the pure
-    power x_i^j when that is a lead, so that P is not in I.  A lead
+    N(I) = N(I + (P)) + grade(P) N(I : P) (Bigatti 1997): i is the first
+    variable in most leads and k the median of its positive exponents, below
+    the pure power x_i^j when that is a lead, so that P is not in I.  A lead
     contributes terms of at least its degree, so leads above what is left of
     the degree are dropped.
     """
     # occurs[i]: the number of leads that x_i divides
-    occurs = Counter(
-        i for _, _, e in minimal for i in itertools.compress(itertools.count(), e)
-    )
-    ((i, most),) = occurs.most_common(1) or [(0, 0)]
+    occurs = [len(column) - column.count(0) for column in zip(*(e for _, _, e in minimal))]
+    most = max(occurs, default=0)
     if most <= 1:  # pairwise coprime leads
-        out = Counter({grade(()): 1})
+        out = {grade(()): 1}
         for _, _, e in minimal:
             g = grade(e)
             for h, c in list(out.items()):
                 if h[0] + g[0] <= left:
-                    out[tuple(map(add, h, g))] -= c
+                    h = tuple(map(add, h, g))
+                    out[h] = out.get(h, 0) - c
         return out
+    i = occurs.index(most)
     bit = 1 << i
     powers = sorted(e[i] for _, m, e in minimal if m & bit)
-    k = powers[len(powers) // 2]
-    for _, m, e in minimal:
-        if m == bit:  # the pure power x_i^j is a lead, and P must stay outside I
-            k = min(k, e[i] - 1)
+    # below a pure power x_i^j that is a lead, so that P stays outside I
+    k = min([powers[len(powers) // 2], *(e[i] - 1 for _, m, e in minimal if m == bit)])
     pivot = tuple(k if j == i else 0 for j in range(len(minimal[0][2])))
     gp = grade(pivot)
     step = gp[0] // k  # the degree of x_i
@@ -728,14 +733,13 @@ def _numerator(minimal, left: int, grade) -> Counter:
     out = _numerator(below + [(gp[0], bit, pivot)], left, grade)
     rest = left - gp[0]
     for g, c in _numerator(_minimal(colon, rest), rest, grade).items():
-        out[tuple(map(add, g, gp))] += c
+        g = tuple(map(add, g, gp))
+        out[g] = out.get(g, 0) + c
     return out
 
 
 def hilbert_series(
-    presentation: IdealPresentation,
-    degree: int,
-    weight: tuple[int, ...] | None = None,
+    presentation: IdealPresentation, degree: int, weight: tuple[int, ...] | None = None
 ) -> list[int]:
     """F_p-dimensions of the degree 0..``degree`` components of ring/ideal.
 
@@ -774,13 +778,13 @@ def hilbert_series(
             for m, (num, den) in zip(map(sub, key, wt), best[n])
         )
 
-    leads = [g.leading()[0] for g in buchberger(presentation, degree).basis]
-    leads = _minimal(((ring.monomial_degree(e), _mask(ring, e), e) for e in leads), degree)
+    leads = _minimal(_advanced(presentation, degree).leads, degree)
     # by_degree[k]: {weight (or ()): coefficient} of the series in degree k
-    by_degree = [Counter() for _ in range(degree + 1)]
+    by_degree: list[dict] = [{} for _ in range(degree + 1)]
     for g, c in _numerator(leads, degree, grade).items():
         if keep(g[0], g[1:], 0):
-            by_degree[g[0]][g[1:]] += c
+            terms = by_degree[g[0]]
+            terms[g[1:]] = terms.get(g[1:], 0) + c
     n = 0  # the variables of ``order`` whose factors are in
     for (d, w, odd), run in itertools.groupby(order, key=cls):
         m = len(tuple(run))
@@ -791,21 +795,19 @@ def hilbert_series(
             for j in range(1, k // d + 1):
                 if not (b := math.comb(m, j) if odd else math.comb(m - 1 + j, j)):
                     break
-                shift = tuple(j * x for x in w)
+                shift, terms = tuple(j * x for x in w), by_degree[k]
                 for wt, c in by_degree[k - j * d].items():
                     wt = tuple(map(add, wt, shift))
                     if keep(k, wt, n):
-                        by_degree[k][wt] += b * c
+                        terms[wt] = terms.get(wt, 0) + b * c
         if monotone:
             for k, terms in enumerate(by_degree):
-                by_degree[k] = Counter({wt: c for wt, c in terms.items() if keep(k, wt, n)})
-    return [terms[key] for terms in by_degree]
+                by_degree[k] = {wt: c for wt, c in terms.items() if keep(k, wt, n)}
+    return [terms.get(key, 0) for terms in by_degree]
 
 
 def graded_dimension(
-    presentation: IdealPresentation,
-    degree: int,
-    weight: tuple[int, ...] | None = None,
+    presentation: IdealPresentation, degree: int, weight: tuple[int, ...] | None = None
 ) -> int:
     """F_p-dimension of the (degree[, weight]) component of ring/ideal."""
     return hilbert_series(presentation, degree, weight)[degree] if degree >= 0 else 0
@@ -861,10 +863,7 @@ def check_point_count(
 
 
 def count_points(
-    system: IdealPresentation,
-    q: int,
-    max_assignments: int | None = None,
-    chunk: int = 1 << 16,
+    system: IdealPresentation, q: int, max_assignments: int | None = None, chunk: int = 1 << 16
 ) -> int:
     """Number of F_q solutions of an even polynomial system, by the numpy
     enumerator ``pointcount.count_points``.  No command calls it: the import
@@ -880,7 +879,8 @@ def pair_sum(ring: PolyRing, pairs, f, g) -> Poly:
     Every relation family has this form: with f and g the same class at two
     twists it is a commutation minor.
     """
-    total = ring.zero()
+    terms: dict = {}
     for a, b in pairs:
-        total = total + f(a) * g(b) - g(a) * f(b)
-    return total
+        _add_product(terms, f(a), g(b))
+        _add_product(terms, g(a), f(b), -1)
+    return Poly(ring, terms)

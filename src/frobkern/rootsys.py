@@ -209,6 +209,11 @@ class RootSystemData(_RootSystemFields):
         self._splittings = {}
         return self
 
+    @classmethod
+    def _make(cls, fields):
+        """Through ``__new__``, so that ``_replace`` builds the tables too."""
+        return cls(*fields)
+
     def simple_index(self, label: str) -> int:
         try:
             return self.simple_roots.index(label)
@@ -279,6 +284,8 @@ class ParabolicContext(_ParabolicFields):
                 layers.setdefault(v, []).append(b)
         self._layers = {v: tuple(layer) for v, layer in layers.items()}
         return self
+
+    _make = vars(RootSystemData)["_make"]  # the same classmethod
 
     @property
     def rank(self) -> int:

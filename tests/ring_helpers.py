@@ -1,6 +1,7 @@
 """Rings that the tests build by hand: the plain ring of the generic Groebner
-setting, polynomials from signed terms, the ring of a chain condition of
-``commvar``, and a pure-python count of every F_q point.
+setting, polynomials from signed terms, the S-polynomial from public
+operations alone, the ring of a chain condition of ``commvar``, and a
+pure-python count of every F_q point.
 
 ``commvar.VarietySystem`` is chain data only and counts its points from its
 strata.  ``chain_ring`` writes the same condition as polynomials, so that
@@ -24,6 +25,19 @@ def from_terms(ring, terms):
     """The sum of coeff times the monomial ``exps`` ({name: exponent}) over
     the (coeff, exps) ``terms``."""
     return sum((ring.monomial(exps, coeff) for coeff, exps in terms), ring.zero())
+
+
+def s_polynomial(f, g):
+    """lcm/lead(f) f/c_f - lcm/lead(g) g/c_g, from the public Poly operations."""
+    ring = f.ring
+    (ef, cf), (eg, cg) = f.leading(), g.leading()
+    lcm = [max(a, b) for a, b in zip(ef, eg)]
+
+    def cofactor(e, c):
+        exps = {v.name: m - k for v, m, k in zip(ring.variables, lcm, e) if m > k}
+        return ring.monomial(exps, pow(c, -1, ring.p))
+
+    return cofactor(ef, cf) * f - cofactor(eg, cg) * g
 
 
 def chain_names(system):

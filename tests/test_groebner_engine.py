@@ -23,10 +23,13 @@ from frobkern.polyalg import (
     GroebnerBasis,
     GroebnerStats,
     IdealPresentation,
+    Poly,
     PolyRing,
     VariableDescriptor,
+    _Engine,
     buchberger,
     graded_dimension,
+    hilbert_series,
 )
 from ring_helpers import from_terms
 
@@ -96,24 +99,73 @@ def monic_terms(terms, p):
     return frozenset((e, c * inv % p) for e, c in terms.items() if c % p)
 
 
-@settings(max_examples=60, deadline=None)
-@given(even_ideals())
-def test_reduced_basis_matches_sympy(ideal):
-    ring, relations = ideal
+def sympy_reduced_basis(ring, relations):
+    """The reduced basis from ``sympy.groebner``, each element as ``monic_terms``."""
     gens = sympy.symbols([v.name for v in ring.variables])
     exprs = [
         sum(c * sympy.Mul(*(g**k for g, k in zip(gens, e))) for e, c in f.terms.items())
         for f in relations
     ]
     theirs = sympy.groebner(exprs, *gens, order="grevlex", modulus=ring.p)
-    their_basis = {
+    return {
         monic_terms(dict(sympy.Poly(g, *gens, modulus=ring.p).terms()), ring.p)
         for g in theirs.exprs
         if g != 0
     }
+
+
+@settings(max_examples=60, deadline=None)
+@given(even_ideals())
+def test_reduced_basis_matches_sympy(ideal):
+    ring, relations = ideal
+    their_basis = sympy_reduced_basis(ring, relations)
     ours = buchberger(IdealPresentation(ring, relations)).basis
     assert {monic_terms(f.terms, ring.p) for f in ours} == their_basis
     assert len(ours) == len(their_basis)
+
+
+def scaled(relations, n):
+    """Every exponent times n.  x -> x^n keeps the degrevlex order and the
+    divisibility of monomials, so it maps a reduced basis to the reduced basis
+    of the scaled relations."""
+    return [Poly(f.ring, {tuple(n * k for k in e): c for e, c in f.terms.items()}) for f in relations]
+
+
+@settings(max_examples=30, deadline=None)
+@given(even_ideals(), st.sampled_from([2**15, 2**15 + 1, 2**16 + 3]))
+def test_wide_exponents_repack_and_match_sympy(ideal, n):
+    # exponents of 2^15 and above overflow the 8- and 16-bit fields (a guard bit
+    # each), so the engine repacks to a width of 32; sympy, whose dense
+    # polynomials cannot hold such exponents, runs on the unscaled relations
+    ring, relations = ideal
+    wide = scaled(relations, n)
+    if any(any(e) for f in wide for e in f.terms):
+        assert _Engine(ring, wide).packing.width == 32
+    ours = buchberger(IdealPresentation(ring, wide)).basis
+    theirs = {frozenset((tuple(n * k for k in e), c) for e, c in t)
+              for t in sympy_reduced_basis(ring, relations)}
+    assert {monic_terms(f.terms, ring.p) for f in ours} == theirs
+    assert len(ours) == len(theirs)
+
+
+def test_an_lcm_past_the_fields_repacks_mid_run():
+    # x^n y^n - 1 and y^2n - x^n fit 16-bit fields (2n < 2^15), but their S-pair
+    # has lcm x^n y^2n of total degree 3n >= 2^15
+    n = 2**14 - 1
+    ring = PolyRing(5, [VariableDescriptor("x"), VariableDescriptor("y")])
+    x, y = ring.var("x"), ring.var("y")
+    relations = [x**n * y**n - 1, y ** (2 * n) - x**n]
+    ideal = IdealPresentation(ring, relations)
+    engine = _Engine(ring, ideal.relations)
+    assert engine.packing.width == 16
+    engine.advance()
+    assert engine.packing.width == 32
+    small = [x * y - 1, y * y - x]
+    ours = buchberger(ideal).basis
+    assert ours == tuple(scaled(buchberger(IdealPresentation(ring, small)).basis, n))
+    theirs = {frozenset((tuple(n * k for k in e), c) for e, c in t)
+              for t in sympy_reduced_basis(ring, small)}
+    assert {monic_terms(f.terms, ring.p) for f in ours} == theirs
 
 
 # -- the degree-truncated engine against the full basis ---------------------------
@@ -189,6 +241,28 @@ def _monomial(ring, exps):
 
 
 # -- regression guard and counters ---------------------------------------------
+
+
+#: GroebnerStats of the tuple engine that the packed one replaced, as (pairs,
+#: product_skipped, chain_skipped, deferred, reductions, zero_reductions,
+#: basis_size): the packing changes how the work is done, not what is done
+PINNED_STATS = {
+    ("A", 4, None, 2, 12): (11, 0, 0, 109, 11, 1, 16),
+    ("B", 3, None, 2, 12): (19, 0, 0, 191, 19, 4, 21),
+    ("A", 2, None, 4, 12): (0, 0, 0, 36, 0, 0, 3),
+    ("A", 3, 3, 3, 12): (0, 0, 0, 28, 0, 0, 4),
+    ("A", 6, None, 2, 16): (1130, 85, 100, 123121, 945, 461, 499),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_STATS, ids=lambda c: f"{c[0]}{c[1]}-r{c[3]}-d{c[4]}")
+def test_the_engine_does_the_pinned_work(case):
+    family, rank, stage, r, degree = case
+    ideal = sbar(family, rank, r=r, p=3, stage=stage).ideal()
+    hilbert_series(ideal, degree)  # the command's path, which builds no Poly
+    assert tuple(buchberger(ideal, degree).stats) == PINNED_STATS[case]
+    # a lower degree asks for no more work (only the basis it lists is smaller)
+    assert buchberger(ideal, degree - 2).stats[:-1] == PINNED_STATS[case][:-1]
 
 
 def test_a3_r3_full_basis_size():

@@ -23,7 +23,6 @@ from frobkern.polyalg import (
     IdealPresentation,
     PolyRing,
     VariableDescriptor,
-    _mask,
     _minimal,
     _numerator,
     buchberger,
@@ -224,7 +223,8 @@ def pivot_numerator(ring, leads, left, weighted):
     def grade(e):
         return (ring.monomial_degree(e), *(ring.monomial_weight(e) if weighted else ()))
 
-    triples = [(ring.monomial_degree(e), _mask(ring, e), e) for e in leads]
+    masks = [sum(1 << i for i, k in enumerate(e) if k) for e in leads]
+    triples = [(ring.monomial_degree(e), m, e) for e, m in zip(leads, masks)]
     return _numerator(_minimal(triples, left), left, grade), grade
 
 

@@ -27,9 +27,9 @@ from frobkern.polyalg import (
     is_prime,
     normal_form,
     prime_power,
-    _s_poly,
+    _Engine,
 )
-from ring_helpers import from_terms, plain_ring, table_count
+from ring_helpers import from_terms, plain_ring, s_polynomial, table_count
 
 
 @pytest.fixture
@@ -219,7 +219,7 @@ class TestBuchberger:
         gb = buchberger(IdealPresentation(ring, [x * y - 1, y * y - x]))
         for i, f in enumerate(gb.basis):
             for g in gb.basis[i + 1 :]:
-                assert normal_form(Poly(ring, _s_poly(f, g)), gb).is_zero()
+                assert normal_form(s_polynomial(f, g), gb).is_zero()
 
     def test_idempotent_on_own_output(self):
         ring = plain_ring(3, ["x", "y"])
@@ -659,9 +659,13 @@ def test_every_producer_returns_canonical_terms(case):
     for h in [f, g, *results]:
         assert_canonical(ring, h.terms)
     if fe and ge:
-        assert_canonical(ring, _s_poly(fe, ge))
-        if mixed := fe.scale(2) + ge:
-            assert_canonical(ring, _s_poly(fe, mixed))
+        for other in (ge, fe.scale(2) + ge):
+            if other:  # the engine's S-polynomial, unpacked, against the oracle's
+                engine = _Engine(ring, [fe, other])
+                terms = engine._s_poly(0, 1)
+                unpacked = {engine.packing.unpack(k): c for k, c in terms.items()}
+                assert_canonical(ring, unpacked)
+                assert unpacked == s_polynomial(fe, other).terms
 
 
 @settings(max_examples=80, deadline=None)

@@ -10,6 +10,7 @@ from frobkern.errors import BudgetError, ConfigError, DomainError
 from frobkern.rootsys import (
     ParabolicContext,
     Root,
+    RootSystemData,
     build_root_system,
     check_pairing_hypothesis,
     check_scan_budget,
@@ -405,3 +406,23 @@ def test_a_context_is_built_whole():
     check_pairing_hypothesis(twin, 5)
     assert table._splittings.keys() == memo.keys()
     assert all(table._splittings[b] is pairs for b, pairs in memo.items())
+
+
+def test_replace_and_make_rebuild_the_tables():
+    # NamedTuple's _replace and _make go through _make, which goes through __new__
+    table = build_root_system("A", 3)
+    top = table.positive_roots[-1]
+    for copy in (table._replace(family="A"), RootSystemData._make(list(table))):
+        assert copy == table and hash(copy) == hash(table)
+        assert copy.contains(top) and copy.decompositions(top) == table.decompositions(top)
+        assert copy._by_coeffs == table._by_coeffs
+    reversed_table = table._replace(positive_roots=table.positive_roots[::-1])
+    assert reversed_table.positive_roots == table.positive_roots  # stored in the fixed order
+    ctx = context("A", 3, {"a2"})
+    full = ctx._replace(J=frozenset())
+    assert full == context("A", 3) and full.level(top) == 3 and ctx.level(top) == 2
+    assert full._layers == context("A", 3)._layers
+    made = ParabolicContext._make([table, {"a2"}])
+    assert made == ctx and made.level(top) == 2 and made._layers == ctx._layers
+    with pytest.raises(ConfigError):
+        ctx._replace(J={"a9"})
