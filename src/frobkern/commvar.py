@@ -24,6 +24,7 @@ import itertools
 import math
 from collections import Counter
 from itertools import chain
+from operator import or_
 from typing import NamedTuple
 
 from .errors import ConfigError, DomainError
@@ -84,6 +85,16 @@ class VarietySystem(_SystemFields):
         return free, tuple(sorted(pairs))
 
     @functools.cached_property
+    def bits(self) -> tuple[int, int, int]:
+        """(zero nodes, pairs, pairs at a zero node) as bitmasks, node s at bit s
+        and pair (s, t) at bit N s + t: ORed over systems, they are the union's."""
+        N, zero = self.N, set(self.zero)
+        column = sum(1 << N * t for t in range(N))
+        touched = functools.reduce(or_, ((1 << N) - 1 << N * s | column << s for s in zero), 0)
+        pairs = sum(1 << N * s + t for s, t in set(self.pairs))
+        return sum(1 << s for s in zero), pairs, touched
+
+    @functools.cached_property
     def strata(self) -> Counter:
         """(classes c, nonzero nodes k) -> the number of zero patterns of the
         free nodes whose k nonzero nodes the binding pairs join into c classes.
@@ -138,6 +149,16 @@ class VarietySystem(_SystemFields):
         bounds the 2^(free nodes) zero patterns of the strata."""
         check_point_count(q, self.nvars, max_assignments=max_assignments)
         return self.count_polynomial(q)
+
+
+def _binding_key(systems, r: int) -> tuple[int, int]:
+    """The zero nodes and the binding pairs of the union of ``systems``, as
+    bitmasks from their ``bits``: equal exactly when the unions' ``binding`` is."""
+    zero = pairs = touched = 0
+    for system in systems:
+        z, p, t = system.bits
+        zero, pairs, touched = zero | z, pairs | p, touched | t
+    return zero, pairs & ~touched if r > 1 else 0
 
 
 def y_variety_system(N: int, r: int) -> VarietySystem:
@@ -374,7 +395,7 @@ def conjecture_check(
     Y's count, itself bounded by q^n, and before any subset is counted, the
     budget bounds the 2^k - 1 subsets of the k members times the 2^(N-1) zero
     patterns each may visit.  A ``family`` of (N, r) already built is reused.
-    Subsets whose intersections have equal ``binding`` are counted once.
+    Subsets whose intersections have equal ``binding`` (read off ``bits``) count once.
     """
     q_list = tuple(q_list)
     if len(set(q_list)) < len(q_list):
@@ -388,13 +409,11 @@ def conjecture_check(
     check_budget(work, show_value(what, work), max_assignments)
     systems = {d.label(): component_system(N, r, d) for d in family.members}
     report = ComponentReport(N, r, q_list, family, y_counts, {}, {}, dict(y_counts))
-    labels = [d.label() for d in family.members]
     memo: dict = {}
-    for size in range(1, len(labels) + 1):
-        for combo in itertools.combinations(labels, size):
-            merged = systems[combo[0]].union(*map(systems.get, combo[1:]))
-            key = merged.binding
-            if key not in memo:
+    for size in range(1, len(systems) + 1):
+        for combo in itertools.combinations(systems, size):
+            if (key := _binding_key(map(systems.get, combo), r)) not in memo:
+                merged = systems[combo[0]].union(*map(systems.get, combo[1:]))
                 memo[key] = {q: merged.count_polynomial(q) for q in q_list}
             counts = memo[key]
             if size == 1:

@@ -5,11 +5,9 @@ A ring holds even (polynomial) and odd (exterior) variables; monomials are
 dense exponent tuples in a fixed variable order, odd exponents never exceed
 one, and products pick up the Koszul sign from transposing odd factors.
 Ideal machinery (Buchberger, normal forms, Hilbert series) is restricted to
-the even subring, which is all the model ideals need.  It packs a monomial
-into one int (``_Packing``): a product is a sum, the degrevlex order is the
-order of ints, and a divisibility test is a support-mask prefilter
-(Singular's divisor mask), then one subtraction and one mask.  The Hilbert
-numerator comes from Bigatti's pivot recursion.
+the even subring, which is all the model ideals need.  Its public functions
+live here; they hand term dicts to the packed-int engine in ``_engine`` and
+build ``Poly`` and ``GroebnerBasis`` from the term dicts it returns.
 
 The checks that every F_q point count makes before any work (q a power of
 an odd prime, then the budget on q^n by the shared ``check_budget``) live
@@ -19,14 +17,13 @@ here too; the counts are in ``commvar``, and their numpy oracle
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from collections import Counter
-from operator import add, le, mul, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
-from .errors import BudgetError, ConfigError, DomainError, UnsupportedOperationError
+from ._engine import _Engine, _remainder
+from .errors import BudgetError, ConfigError, DomainError
 
 EVEN = "even"
 ODD = "odd"
@@ -310,10 +307,6 @@ class Poly:
         ws = set(map(self.ring.monomial_weight, self.terms)) or {(0,) * self.ring.weight_len}
         return ws.pop() if len(ws) == 1 else None
 
-    def is_even(self) -> bool:
-        odd = set(self.ring._odd)
-        return all(all(e[i] == 0 for i in odd) for e in self.terms)
-
     def to_json_dict(self) -> dict:
         names = [v.name for v in self.ring.variables]
         terms = [(self.terms[e], zip(names, e)) for e in self.monomials()]
@@ -413,95 +406,6 @@ def _lead_key(exps):
     return (-sum(exps), exps[::-1])
 
 
-#: byte 0 to the digit 0 and every other byte to 1, for ``_Packing.mask``
-_BINARY = b"0" + b"1" * 255
-
-
-class _Packing:
-    """Monomials in n variables as ints: exponent i fills the ``width``-bit
-    field at bit width * i, whose top bit is a guard kept clear, and the total
-    degree, negated, sits above the fields.  A product is then a sum, the
-    least int leads (as ``_lead_key``), and a divides b when b - a borrows into
-    no guard bit.  The width starts at 8 and doubles until every total degree,
-    hence every exponent, is below ``bound`` = 2^(width - 1)."""
-
-    def __init__(self, ring: PolyRing, polys=(), degree: int = 0):
-        """Wide enough for ``polys`` (in the even subring), or else for ``degree``."""
-        if not all(f.is_even() for f in polys):
-            raise UnsupportedOperationError("Groebner machinery only covers the even subring")
-        terms = itertools.chain.from_iterable(f.terms for f in polys)
-        degree, width = max(map(sum, terms), default=degree), 8
-        while degree >> width - 1:
-            width *= 2
-        self.n, self.width, self.bound = ring.nvars, width, 1 << width - 1
-        self.shift = self.n * width
-        self.low = (1 << self.shift) - 1
-        self.guard = self.low // ((1 << width) - 1) * self.bound
-
-    def pack(self, exps) -> int:
-        if (w := self.width) == 8:
-            return int.from_bytes(bytes(exps), "little") - (sum(exps) << self.shift)
-        return sum(x << w * i for i, x in enumerate(exps)) - (sum(exps) << self.shift)
-
-    def unpack(self, k: int) -> tuple[int, ...]:
-        if (w := self.width) == 8:
-            return tuple((k & self.low).to_bytes(self.n, "little"))
-        return tuple(k >> w * i & (1 << w) - 1 for i in range(self.n))
-
-    def mask(self, k: int) -> int:
-        """Bit i set when exponent i is positive: a divisor's lies inside its multiple's."""
-        if self.width == 8:
-            return int((k & self.low).to_bytes(self.n + 1, "big").translate(_BINARY), 2)
-        return sum(1 << i for i, x in enumerate(self.unpack(k)) if x)
-
-    def lcm(self, a: int, b: int) -> int:
-        """Each field of a where a's is at least b's, else of b."""
-        a, b = a & self.low, b & self.low
-        keep = (((a | self.guard) - b) & self.guard) // self.bound * ((1 << self.width) - 1)
-        m = b ^ (a ^ b) & keep
-        return m - (sum(self.unpack(m)) << self.shift)
-
-    def divisor(self, terms: dict, p: int):
-        """(lead mask, lead, 1 / lead coefficient, tail) of a nonzero packed term dict."""
-        lead = min(terms)
-        return self.mask(lead), lead, pow(terms.pop(lead), -1, p), list(terms.items())
-
-
-def _reduce(work: dict, divisors, packing: _Packing, p: int) -> dict:
-    """Remainder of the packed term dict ``work`` (consumed) under the records
-    ``divisors`` of ``_Packing.divisor``: the leading term of ``work``, found by
-    a heap whose cancelled entries are skipped, is top-reduced by the first
-    divisor whose lead divides it (masks reject most others before the
-    guard-bit test), else moves to the remainder."""
-    heap = list(work)
-    heapq.heapify(heap)
-    remainder = {}
-    mask, guard = packing.mask, packing.guard
-    while heap:
-        k = heapq.heappop(heap)
-        c = work.pop(k, 0)
-        if not c:
-            continue
-        outside = ~mask(k)
-        for dmask, lead, inv, tail in divisors:
-            if not dmask & outside and not (q := k - lead) & guard:
-                break
-        else:
-            remainder[k] = c
-            continue
-        factor = c * inv % p
-        for t, v in tail:
-            m = q + t
-            if m not in work:  # a new term: both factors are units mod p
-                work[m] = -factor * v % p
-                heapq.heappush(heap, m)
-            elif new := (work[m] - factor * v) % p:
-                work[m] = new
-            else:
-                del work[m]
-    return remainder
-
-
 def normal_form(f: Poly, G) -> Poly:
     """Remainder of f under division by the polynomials of G.
 
@@ -509,141 +413,14 @@ def normal_form(f: Poly, G) -> Poly:
     remainder is unique (and the map idempotent) once G is a reduced
     Groebner basis.
     """
-    ring = f.ring
-    basis = G.basis if isinstance(G, GroebnerBasis) else tuple(G)
-    packing = _Packing(ring, (f, *basis))
-    pack, p = packing.pack, ring.p
-    packed = [{pack(e): c for e, c in g.terms.items()} for g in (f, *basis)]
-    divisors = [packing.divisor(terms, p) for terms in packed[1:] if terms]
-    if not divisors:
-        return f
-    remainder = _reduce(packed[0], divisors, packing, p)
-    return _canonical(ring, {packing.unpack(k): c for k, c in remainder.items()})
-
-
-class _Engine:
-    """Buchberger state of one even ideal: the basis so far, pending S-pairs.
-
-    Elements are monic ``_Packing.divisor`` records.  Pairs leave a heap by the
-    cohomological degree of lcm(lead_i, lead_j), then (i, j), unless the
-    product criterion (coprime leads) or the chain criterion (some lead_k
-    divides the lcm and neither (i, k) nor (j, k) is pending) skips them.
-    Relations are degree-homogeneous, so when every even variable has positive
-    degree a pair of degree D reduces in degree D, and ``advance(limit)`` keeps
-    the pairs above ``limit`` in a plain list, outside the heap and ``pending``:
-    the chain criterion never asks for them, as (i, k) lies at most at the
-    degree of (i, j).  Other ideals run to completion.  A pair whose lcm
-    outgrows the fields first repacks every element at a width that holds it.
-    """
-
-    def __init__(self, ring: PolyRing, relations):
-        self.ring = ring
-        self.packing = _Packing(ring, relations)
-        self.leads: list = []  # (degree, mask, exponents) of each lead
-        self.divisors: list = []  # each element, as a record of _reduce
-        self.queue: list = []  # heap of (degree, i, j), the pairs at most ``limit``
-        self.pending: set = set()  # (i, j) in the queue
-        self.later: list = []  # (degree, i, j) of the pairs above ``limit``
-        self.limit = -1
-        self.graded = all(d > 0 for i, d in enumerate(ring._degrees) if i not in ring._odd)
-        self.counts: Counter = Counter()  # GroebnerStats fields
-        for r in relations:
-            if r:
-                self._add({self.packing.pack(e): c for e, c in r.terms.items()})
-
-    def _add(self, terms: dict) -> None:
-        """Append the monic multiple of the packed ``terms`` and queue its pairs."""
-        mask, k, inv, tail = self.packing.divisor(terms, self.ring.p)
-        e = self.packing.unpack(k)
-        degrees, base, n = self.ring._degrees, self.ring.monomial_degree(e), len(self.leads)
-        for i, (d, m, f) in enumerate(self.leads):
-            d += base  # the degree of lcm(f, e): less that of gcd(f, e), on common bits
-            common = m & mask
-            while common:
-                a = (common & -common).bit_length() - 1
-                d -= degrees[a] * min(f[a], e[a])
-                common &= common - 1
-            if d <= self.limit:
-                heapq.heappush(self.queue, (d, i, n))
-                self.pending.add((i, n))
-            else:
-                self.later.append((d, i, n))
-        self.leads.append((base, mask, e))
-        self.divisors.append((mask, k, 1, [(t, c * inv % self.ring.p) for t, c in tail]))
-
-    def _chain(self, i: int, j: int, mask: int, lcm: int) -> bool:
-        pending, guard, outside = self.pending, self.packing.guard, ~mask
-        return any(
-            not dmask & outside and k != i and k != j and not (lcm - lead) & guard
-            and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
-            for k, (dmask, lead, _, _) in enumerate(self.divisors)
-        )
-
-    def _s_poly(self, i: int, j: int) -> dict:
-        """The packed S-polynomial of elements i and j, whose leads are 1 and cancel."""
-        (_, ki, _, ti), (_, kj, _, tj) = self.divisors[i], self.divisors[j]
-        lcm, p = self.packing.lcm(ki, kj), self.ring.p
-        work = {lcm - ki + t: c for t, c in ti}
-        for t, c in tj:
-            if v := (work.get(m := lcm - kj + t, 0) - c) % p:
-                work[m] = v
-            else:
-                del work[m]
-        return work
-
-    def _repack(self, degree: int) -> None:
-        """Rewrite every element at a width that holds total degree ``degree``."""
-        old, new = self.packing, _Packing(self.ring, degree=degree)
-        for n, (m, k, inv, tail) in enumerate(self.divisors):
-            tail = [(new.pack(old.unpack(t)), c) for t, c in tail]
-            self.divisors[n] = m, new.pack(old.unpack(k)), inv, tail
-        self.packing = new
-
-    def advance(self, limit: int | None = None) -> None:
-        """Process pairs up to degree ``limit`` (all of them when None)."""
-        self.limit = limit = math.inf if limit is None or not self.graded else limit
-        ready = [pair for pair in self.later if pair[0] <= limit]
-        self.later = [pair for pair in self.later if pair[0] > limit]
-        self.pending.update(pair[1:] for pair in ready)
-        self.queue += ready
-        heapq.heapify(queue := self.queue)
-        counts, divisors = self.counts, self.divisors
-        while queue:
-            _, i, j = heapq.heappop(queue)
-            self.pending.discard((i, j))
-            counts["pairs"] += 1
-            (mi, ki, _, _), (mj, kj, _, _) = divisors[i], divisors[j]
-            if not mi & mj:
-                counts["product_skipped"] += 1
-                continue
-            lcm = self.packing.lcm(ki, kj)
-            if self._chain(i, j, mi | mj, lcm):
-                counts["chain_skipped"] += 1
-                continue
-            if (total := -(lcm >> self.packing.shift)) >= self.packing.bound:
-                self._repack(total)
-            h = _reduce(self._s_poly(i, j), divisors, self.packing, self.ring.p)
-            counts["reductions"] += 1
-            counts["zero_reductions"] += not h
-            if h:
-                self._add(h)
-
-    def poly(self, i: int) -> Poly:
-        _, k, _, tail = self.divisors[i]
-        unpack = self.packing.unpack
-        return _canonical(self.ring, {unpack(k): 1, **{unpack(t): c for t, c in tail}})
-
-    def result(self, basis) -> GroebnerBasis:
-        """``basis``, with the work done so far as its stats."""
-        basis = tuple(basis)
-        stats = GroebnerStats(**self.counts, deferred=len(self.later), basis_size=len(basis))
-        return GroebnerBasis(self.ring, basis, stats)
+    basis = G.basis if isinstance(G, GroebnerBasis) else G
+    return _canonical(f.ring, _remainder(f.ring, f.terms, [g.terms for g in basis]))
 
 
 def _advanced(ideal: IdealPresentation, degree: int | None) -> _Engine:
     """The ideal's engine, run through ``degree``."""
     if ideal._engine is None:
-        ideal._engine = _Engine(ideal.ring, ideal.relations)
+        ideal._engine = _Engine(ideal.ring, [r.terms for r in ideal.relations])
     ideal._engine.advance(degree)
     return ideal._engine
 
@@ -660,82 +437,15 @@ def buchberger(ideal: IdealPresentation, degree: int | None = None) -> GroebnerB
     engine between calls.
     """
     engine = _advanced(ideal, degree)
-    elements, leads = range(len(engine.leads)), engine.leads
-    if degree is not None:
-        return engine.result(engine.poly(i) for i in elements if leads[i][0] <= degree)
-    # minimalise: drop elements whose lead is divisible by another lead
-    minimal: list[Poly] = []
-    for i in sorted(elements, key=lambda i: engine.divisors[i][1], reverse=True):
-        if not any(all(map(le, h.leading()[0], leads[i][2])) for h in minimal):
-            minimal.append(engine.poly(i))
-    # inter-reduce tails, and order by lead from the last
-    reduced = [normal_form(g, minimal[:k] + minimal[k + 1 :]) for k, g in enumerate(minimal)]
-    reduced.sort(key=lambda g: _lead_key(g.leading()[0]), reverse=True)
-    return engine.result(g.monic() for g in reduced)
+    basis = [_canonical(ideal.ring, terms) for terms in engine.basis(degree)]
+    if degree is None:  # inter-reduce the minimal (monic) elements, order leads from the last
+        basis = [normal_form(g, basis[:k] + basis[k + 1 :]) for k, g in enumerate(basis)]
+        basis.sort(key=lambda g: _lead_key(g.leading()[0]), reverse=True)
+    stats = GroebnerStats(**engine.counts, deferred=len(engine.later), basis_size=len(basis))
+    return GroebnerBasis(ideal.ring, tuple(basis), stats)
 
 
 # -- graded dimension --------------------------------------------------------
-
-
-def _minimal(leads, left: int) -> list:
-    """The minimal generators of degree <= ``left`` among (degree, mask,
-    exponents) leads, ascending: a divisor has at most its multiple's degree."""
-    minimal = []
-    for lead in sorted(l for l in leads if l[0] <= left):
-        _, m, e = lead
-        if not any(not fm & ~m and all(map(le, f, e)) for _, fm, f in minimal):
-            minimal.append(lead)
-    return minimal
-
-
-def _numerator(minimal, left: int, grade) -> dict:
-    """Numerator of the Hilbert series of ring/(leads), through degree ``left``.
-
-    ``minimal`` holds the minimal generators as (degree, support mask,
-    exponents), none above ``left``; the result maps grade to coefficient,
-    every term of degree <= ``left``.  Pairwise coprime leads give the
-    product of 1 - grade(m).  Otherwise Bigatti's pivot P = x_i^k splits
-    N(I) = N(I + (P)) + grade(P) N(I : P) (Bigatti 1997): i is the first
-    variable in most leads and k the median of its positive exponents, below
-    the pure power x_i^j when that is a lead, so that P is not in I.  A lead
-    contributes terms of at least its degree, so leads above what is left of
-    the degree are dropped.
-    """
-    # occurs[i]: the number of leads that x_i divides
-    occurs = [len(column) - column.count(0) for column in zip(*(e for _, _, e in minimal))]
-    most = max(occurs, default=0)
-    if most <= 1:  # pairwise coprime leads
-        out = {grade(()): 1}
-        for _, _, e in minimal:
-            g = grade(e)
-            for h, c in list(out.items()):
-                if h[0] + g[0] <= left:
-                    h = tuple(map(add, h, g))
-                    out[h] = out.get(h, 0) - c
-        return out
-    i = occurs.index(most)
-    bit = 1 << i
-    powers = sorted(e[i] for _, m, e in minimal if m & bit)
-    # below a pure power x_i^j that is a lead, so that P stays outside I
-    k = min([powers[len(powers) // 2], *(e[i] - 1 for _, m, e in minimal if m == bit)])
-    pivot = tuple(k if j == i else 0 for j in range(len(minimal[0][2])))
-    gp = grade(pivot)
-    step = gp[0] // k  # the degree of x_i
-    colon = [  # each lead divided by its gcd with the pivot
-        (
-            d - min(k, e[i]) * step,
-            m if e[i] > k else m & ~bit,
-            (*e[:i], max(e[i] - k, 0), *e[i + 1 :]),
-        )
-        for d, m, e in minimal
-    ]
-    below = [lead for lead in minimal if lead[2][i] < k]
-    out = _numerator(below + [(gp[0], bit, pivot)], left, grade)
-    rest = left - gp[0]
-    for g, c in _numerator(_minimal(colon, rest), rest, grade).items():
-        g = tuple(map(add, g, gp))
-        out[g] = out.get(g, 0) + c
-    return out
 
 
 def hilbert_series(
@@ -760,9 +470,6 @@ def hilbert_series(
     weighted = weight is not None
     key = ring.check_weight(weight) if weighted else ()
 
-    def grade(e):
-        return (ring.monomial_degree(e), *(ring.monomial_weight(e) if weighted else ()))
-
     def cls(i):  # the variables of one class multiply the series by one factor
         return ring._degrees[i], ring._weights[i] if weighted else (), i in ring._odd
 
@@ -778,10 +485,11 @@ def hilbert_series(
             for m, (num, den) in zip(map(sub, key, wt), best[n])
         )
 
-    leads = _minimal(_advanced(presentation, degree).leads, degree)
+    engine = _advanced(presentation, degree)
+    columns = (ring._degrees, *(ring._weight_columns if weighted else ()))
     # by_degree[k]: {weight (or ()): coefficient} of the series in degree k
     by_degree: list[dict] = [{} for _ in range(degree + 1)]
-    for g, c in _numerator(leads, degree, grade).items():
+    for g, c in engine.numerator(degree, columns).items():
         if keep(g[0], g[1:], 0):
             terms = by_degree[g[0]]
             terms[g[1:]] = terms.get(g[1:], 0) + c

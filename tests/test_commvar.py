@@ -13,6 +13,7 @@ from frobkern.commvar import (
     ComponentReport,
     Subdiagram,
     VarietySystem,
+    _binding_key,
     component_system,
     conjecture_check,
     dim_estimate,
@@ -591,6 +592,22 @@ def subset_loop_report(N: int, r: int, q_list) -> ComponentReport:
             for q in q_list:
                 report.residuals[q] += (-1) ** size * counts[q]
     return report
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 8), st.integers(1, 3), st.data())
+def test_the_memo_key_is_equal_exactly_when_the_binding_is(N, r, data):
+    # subsets of the family and Y, few enough members at small N that
+    # distinct subsets often share a binding
+    family = subdiagram_components(N, r).members
+    pool = [y_variety_system(N, r), *(component_system(N, r, d) for d in family)]
+    subsets = data.draw(st.lists(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=4), min_size=2, max_size=6
+    ))
+    keys = [_binding_key(subset, r) for subset in subsets]
+    bindings = [functools.reduce(VarietySystem.union, subset).binding for subset in subsets]
+    for (k1, b1), (k2, b2) in itertools.combinations(zip(keys, bindings), 2):
+        assert (k1 == k2) == (b1 == b2)
 
 
 class TestIntersectionsCountedOnce:

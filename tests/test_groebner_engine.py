@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from frobkern import grmodel
 from frobkern.cli import run
+from frobkern._engine import _Engine
 from frobkern.polyalg import (
     GroebnerBasis,
     GroebnerStats,
@@ -26,7 +27,6 @@ from frobkern.polyalg import (
     Poly,
     PolyRing,
     VariableDescriptor,
-    _Engine,
     buchberger,
     graded_dimension,
     hilbert_series,
@@ -140,7 +140,7 @@ def test_wide_exponents_repack_and_match_sympy(ideal, n):
     ring, relations = ideal
     wide = scaled(relations, n)
     if any(any(e) for f in wide for e in f.terms):
-        assert _Engine(ring, wide).packing.width == 32
+        assert _Engine(ring, [f.terms for f in wide]).packing.width == 32
     ours = buchberger(IdealPresentation(ring, wide)).basis
     theirs = {frozenset((tuple(n * k for k in e), c) for e, c in t)
               for t in sympy_reduced_basis(ring, relations)}
@@ -156,7 +156,7 @@ def test_an_lcm_past_the_fields_repacks_mid_run():
     x, y = ring.var("x"), ring.var("y")
     relations = [x**n * y**n - 1, y ** (2 * n) - x**n]
     ideal = IdealPresentation(ring, relations)
-    engine = _Engine(ring, ideal.relations)
+    engine = _Engine(ring, [f.terms for f in ideal.relations])
     assert engine.packing.width == 16
     engine.advance()
     assert engine.packing.width == 32

@@ -18,13 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobkern import grmodel
+from frobkern._engine import _Engine
 from frobkern.errors import BudgetError
 from frobkern.polyalg import (
     IdealPresentation,
     PolyRing,
     VariableDescriptor,
-    _minimal,
-    _numerator,
     buchberger,
     hilbert_series,
 )
@@ -216,16 +215,19 @@ def colon_numerator(leads, left, grade):
     return out
 
 
-def pivot_numerator(ring, leads, left, weighted):
-    """``_numerator`` on ``leads`` with the grade ``hilbert_series`` uses,
-    and that grade."""
+def pivot_numerator(ring, leads, left, weighted, pad=0):
+    """The engine's numerator of the ideal of ``leads``, graded as
+    ``hilbert_series`` grades it, and that grade.  A ``pad`` adds the lead
+    x_0^pad, far above ``left``, whose total degree widens the packing."""
 
     def grade(e):
         return (ring.monomial_degree(e), *(ring.monomial_weight(e) if weighted else ()))
 
-    masks = [sum(1 << i for i, k in enumerate(e) if k) for e in leads]
-    triples = [(ring.monomial_degree(e), m, e) for e, m in zip(leads, masks)]
-    return _numerator(_minimal(triples, left), left, grade), grade
+    columns = (ring._degrees, *(ring._weight_columns if weighted else ()))
+    padding = [{(pad,) + (0,) * (ring.nvars - 1): 1}] if pad else []
+    engine = _Engine(ring, [{e: 1} for e in leads] + padding)
+    assert engine.packing.width == (8 if pad < 2**7 else 16 if pad < 2**15 else 32)
+    return engine.numerator(left, columns), grade
 
 
 @st.composite
@@ -261,11 +263,12 @@ def nonzero(counter):
 
 
 @settings(max_examples=150, deadline=None)
-@given(monomial_ideals(), st.booleans())
-def test_pivot_numerator_matches_the_colon_recursion(case, weighted):
+@given(monomial_ideals(), st.booleans(), st.sampled_from([0, 2**7, 2**15]))
+def test_pivot_numerator_matches_the_colon_recursion(case, weighted, pad):
+    # a pad of 2^7 or 2^15 packs the leads in 16- or 32-bit fields
     ring, leads = case
     for left in (0, 4, 9, 16, 40):
-        pivot, grade = pivot_numerator(ring, leads, left, weighted)
+        pivot, grade = pivot_numerator(ring, leads, left, weighted, pad)
         assert all(g[0] <= left for g in pivot)
         assert nonzero(pivot) == nonzero(colon_numerator(leads, left, grade)), left
 
